@@ -15,9 +15,6 @@
 pub fn jaccard_dissimilarity<T: Ord>(a: &[T], b: &[T]) -> f64 {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "input a must be sorted+deduped");
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "input b must be sorted+deduped");
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
     let mut i = 0;
     let mut j = 0;
     let mut intersection = 0usize;
@@ -32,7 +29,23 @@ pub fn jaccard_dissimilarity<T: Ord>(a: &[T], b: &[T]) -> f64 {
             }
         }
     }
-    let union = a.len() + b.len() - intersection;
+    jaccard_from_counts(a.len(), b.len(), intersection)
+}
+
+/// Eq. 1 from set sizes alone: the dissimilarity of an `a`-element and a
+/// `b`-element set sharing `intersection` elements.
+///
+/// This is the one formula behind both [`jaccard_dissimilarity`] and the
+/// feature encoder's interned cluster assignment, so the two produce the
+/// same bits for the same sets. Disjoint sets short-cut to `1.0`, the
+/// exact value of `1 − 0/|a ∪ b|`.
+#[inline]
+pub(crate) fn jaccard_from_counts(a: usize, b: usize, intersection: usize) -> f64 {
+    debug_assert!(intersection <= a.min(b), "intersection larger than a set");
+    if intersection == 0 {
+        return if a == 0 && b == 0 { 0.0 } else { 1.0 };
+    }
+    let union = a + b - intersection;
     1.0 - intersection as f64 / union as f64
 }
 

@@ -11,7 +11,7 @@
 //!    data point ("we increase the dimensions from 3 up to 30 by
 //!    coalescing each 10 consecutive samples").
 
-use crate::assign::ClusterAssigner;
+use crate::assign::{ClusterAssigner, IndexedAssigner, SetQuery};
 use crate::dissim::{jaccard_dissimilarity, DistanceMatrix};
 use crate::hier::{Dendrogram, Linkage};
 use leaps_etw::event::EventType;
@@ -57,11 +57,12 @@ impl Default for PreprocessConfig {
     }
 }
 
-/// A trained feature encoder: cluster vocabularies for Lib and Func sets.
+/// A trained feature encoder: cluster vocabularies for Lib and Func sets,
+/// interned once when the encoder is fitted or reassembled.
 #[derive(Debug, Clone)]
 pub struct FeatureEncoder {
-    lib_assigner: ClusterAssigner<String>,
-    func_assigner: ClusterAssigner<String>,
+    lib_assigner: IndexedAssigner,
+    func_assigner: IndexedAssigner,
     config: PreprocessConfig,
 }
 
@@ -86,9 +87,11 @@ impl FeatureEncoder {
         );
         let func_vocab = frequent_sets(events.iter().map(|e| e.func_set()), config.max_vocab);
 
-        let lib_assigner = cluster_vocab(lib_vocab, config);
-        let func_assigner = cluster_vocab(func_vocab, config);
-        FeatureEncoder { lib_assigner, func_assigner, config }
+        Self::from_parts(
+            cluster_vocab(lib_vocab, config),
+            cluster_vocab(func_vocab, config),
+            config,
+        )
     }
 
     /// The configuration the encoder was fitted with.
@@ -97,29 +100,25 @@ impl FeatureEncoder {
         self.config
     }
 
-    /// Decomposes the encoder into its fitted parts (for persistence):
-    /// `(lib assigner, func assigner, config)`.
-    #[must_use]
-    pub fn into_parts(
-        self,
-    ) -> (ClusterAssigner<String>, ClusterAssigner<String>, PreprocessConfig) {
-        (self.lib_assigner, self.func_assigner, self.config)
-    }
-
-    /// Borrows the fitted parts (for persistence without consuming).
+    /// Borrows the fitted parts (for persistence).
     #[must_use]
     pub fn parts(&self) -> (&ClusterAssigner<String>, &ClusterAssigner<String>) {
-        (&self.lib_assigner, &self.func_assigner)
+        (self.lib_assigner.assigner(), self.func_assigner.assigner())
     }
 
-    /// Reassembles an encoder from previously fitted parts.
+    /// Reassembles an encoder from previously fitted parts, interning
+    /// their vocabularies.
     #[must_use]
     pub fn from_parts(
         lib_assigner: ClusterAssigner<String>,
         func_assigner: ClusterAssigner<String>,
         config: PreprocessConfig,
     ) -> FeatureEncoder {
-        FeatureEncoder { lib_assigner, func_assigner, config }
+        FeatureEncoder {
+            lib_assigner: IndexedAssigner::new(lib_assigner),
+            func_assigner: IndexedAssigner::new(func_assigner),
+            config,
+        }
     }
 
     /// Number of Lib clusters.
@@ -136,11 +135,30 @@ impl FeatureEncoder {
 
     /// The paper's discretized 3-tuple for one event:
     /// `(Event_Type, Lib cluster, Func cluster)`.
+    ///
+    /// The Lib set is the system stack's modules and the Func set its
+    /// `module!function` symbols ([`PartitionedEvent::lib_set`] and
+    /// [`PartitionedEvent::func_set`]), gathered straight from the frames
+    /// without building either set.
     #[must_use]
     pub fn tuple(&self, event: &PartitionedEvent) -> (u32, u32, u32) {
-        let libs: Vec<String> = event.lib_set().into_iter().map(str::to_owned).collect();
-        let funcs = event.func_set();
-        (event.etype.as_u32(), self.lib_assigner.assign(&libs), self.func_assigner.assign(&funcs))
+        let frames = event.system_stack.len();
+        let mut libs = SetQuery::with_capacity(frames);
+        let mut funcs = SetQuery::with_capacity(frames);
+        let mut symbol = String::with_capacity(64);
+        for frame in &event.system_stack {
+            self.lib_assigner.add(&mut libs, &frame.module);
+            symbol.clear();
+            symbol.push_str(&frame.module);
+            symbol.push('!');
+            symbol.push_str(&frame.function);
+            self.func_assigner.add(&mut funcs, &symbol);
+        }
+        (
+            event.etype.as_u32(),
+            self.lib_assigner.assign_query(&mut libs),
+            self.func_assigner.assign_query(&mut funcs),
+        )
     }
 
     /// The normalized feature triple for one event, each component scaled
@@ -171,21 +189,7 @@ impl FeatureEncoder {
         &self,
         events: &[&PartitionedEvent],
     ) -> (Vec<Vec<f64>>, Vec<Vec<usize>>) {
-        // Cluster assignment scans the vocabulary; memoize per distinct
-        // set so long logs with repeating behaviour encode in linear time.
-        let mut lib_cache: BTreeMap<Vec<String>, u32> = BTreeMap::new();
-        let mut func_cache: BTreeMap<Vec<String>, u32> = BTreeMap::new();
-        let per_event: Vec<[f64; 3]> = events
-            .iter()
-            .map(|e| {
-                let libs: Vec<String> = e.lib_set().into_iter().map(str::to_owned).collect();
-                let funcs = e.func_set();
-                let l = *lib_cache.entry(libs).or_insert_with_key(|k| self.lib_assigner.assign(k));
-                let f =
-                    *func_cache.entry(funcs).or_insert_with_key(|k| self.func_assigner.assign(k));
-                self.normalize(e.etype.as_u32(), l, f)
-            })
-            .collect();
+        let per_event: Vec<[f64; 3]> = events.iter().map(|e| self.encode(e)).collect();
         let w = self.config.window;
         let s = self.config.stride;
         let mut points = Vec::new();

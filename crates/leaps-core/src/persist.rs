@@ -732,6 +732,14 @@ impl<'a> Lines<'a> {
         token.parse().map_err(|_| self.bad(format!("invalid {what}: {token:?}")))
     }
 
+    fn parse_finite(&self, token: &str, what: &str) -> Result<f64, ModelError> {
+        let value: f64 = self.parse(token, what)?;
+        if !value.is_finite() {
+            return Err(self.bad(format!("{what} must be finite, got {token:?}")));
+        }
+        Ok(value)
+    }
+
     /// Parses a record count, bounding it so a corrupted count cannot
     /// drive a multi-gigabyte pre-allocation before the missing records
     /// are noticed.
@@ -774,14 +782,14 @@ fn read_call_graph(lines: &mut Lines<'_>, tag: &str) -> Result<CallGraph, ModelE
 fn read_kernel(lines: &mut Lines<'_>) -> Result<Kernel, ModelError> {
     let rest = lines.expect_prefixed("kernel")?;
     let mut parts = rest.split_whitespace();
-    match parts.next() {
-        Some("linear") => Ok(Kernel::Linear),
+    let kernel = match parts.next() {
+        Some("linear") => Kernel::Linear,
         Some("gaussian") => {
             let sigma2 = lines.parse(
                 parts.next().ok_or_else(|| lines.bad("gaussian needs sigma2".into()))?,
                 "sigma2",
             )?;
-            Ok(Kernel::Gaussian { sigma2 })
+            Kernel::Gaussian { sigma2 }
         }
         Some("poly") => {
             let degree = lines.parse(
@@ -792,10 +800,12 @@ fn read_kernel(lines: &mut Lines<'_>) -> Result<Kernel, ModelError> {
                 parts.next().ok_or_else(|| lines.bad("poly needs coef0".into()))?,
                 "coef0",
             )?;
-            Ok(Kernel::Polynomial { degree, coef0 })
+            Kernel::Polynomial { degree, coef0 }
         }
-        other => Err(lines.bad(format!("unknown kernel {other:?}"))),
-    }
+        other => return Err(lines.bad(format!("unknown kernel {other:?}"))),
+    };
+    kernel.validate().map_err(|reason| lines.bad(reason))?;
+    Ok(kernel)
 }
 
 fn read_encoder(lines: &mut Lines<'_>) -> Result<FeatureEncoder, ModelError> {
@@ -818,10 +828,13 @@ fn read_encoder(lines: &mut Lines<'_>) -> Result<FeatureEncoder, ModelError> {
     let config = PreprocessConfig {
         linkage,
         cut,
-        window: lines.parse(window, "window")?,
-        stride: lines.parse(stride, "stride")?,
+        window: lines.parse_count(window, "window")?,
+        stride: lines.parse_count(stride, "stride")?,
         max_vocab: lines.parse(max_vocab, "max_vocab")?,
     };
+    if config.window == 0 || config.stride == 0 {
+        return Err(lines.bad("encoder window and stride must be at least 1".into()));
+    }
     let lib = read_assigner(lines, "lib")?;
     let func = read_assigner(lines, "func")?;
     Ok(FeatureEncoder::from_parts(lib, func, config))
@@ -844,10 +857,7 @@ fn read_assigner(lines: &mut Lines<'_>, tag: &str) -> Result<ClusterAssigner<Str
         labels.push(label);
         members.push(parts.map(str::to_owned).collect());
     }
-    if members.is_empty() {
-        return Err(lines.bad("empty vocabulary".into()));
-    }
-    Ok(ClusterAssigner::new(members, labels))
+    ClusterAssigner::try_new(members, labels).map_err(|reason| lines.bad(reason))
 }
 
 fn read_svm(lines: &mut Lines<'_>) -> Result<SvmClassifier, ModelError> {
@@ -860,31 +870,39 @@ fn read_svm(lines: &mut Lines<'_>) -> Result<SvmClassifier, ModelError> {
     let kernel = read_kernel(lines)?;
     let bias: f64 = {
         let rest = lines.expect_prefixed("bias")?;
-        lines.parse(rest, "bias")?
+        lines.parse_finite(rest, "bias")?
     };
     let n: usize = {
         let rest = lines.expect_prefixed("sv_count")?;
         lines.parse_count(rest, "support vector count")?
     };
+    let first_sv_line = lines.line_no + 1;
     let mut support = Vec::with_capacity(n);
     let mut alpha_y = Vec::with_capacity(n);
     for _ in 0..n {
         let rest = lines.expect_prefixed("sv")?;
         let mut values = rest.split_whitespace();
-        let ay: f64 = lines
-            .parse(values.next().ok_or_else(|| lines.bad("sv needs alpha_y".into()))?, "alpha_y")?;
+        let ay: f64 = lines.parse_finite(
+            values.next().ok_or_else(|| lines.bad("sv needs alpha_y".into()))?,
+            "alpha_y",
+        )?;
         let x: Result<Vec<f64>, ModelError> =
-            values.map(|v| lines.parse(v, "feature value")).collect();
+            values.map(|v| lines.parse_finite(v, "feature value")).collect();
         alpha_y.push(ay);
         support.push(x?);
     }
-    if let Some(first) = support.first() {
-        let dim = first.len();
-        if support.iter().any(|sv| sv.len() != dim) {
-            return Err(lines.bad("support vectors have inconsistent dimensions".into()));
-        }
-    }
     let encoder = read_encoder(lines)?;
+    let dim = 3 * encoder.config().window;
+    if let Some(i) = support.iter().position(|sv| sv.len() != dim) {
+        return Err(ModelError::BadRecord {
+            line: first_sv_line + i,
+            reason: format!(
+                "support vectors have inconsistent dimensions: {} features, expected {dim} \
+                 (3 x window)",
+                support[i].len()
+            ),
+        });
+    }
     Ok(SvmClassifier {
         model: SvmModel::from_parts(support, alpha_y, bias, kernel),
         encoder,
@@ -1070,6 +1088,58 @@ mod tests {
         assert!(err.to_string().contains("inconsistent dimensions"), "{err}");
     }
 
+    /// Replaces the first line starting with `prefix` by `f(line)`.
+    fn edit_line(text: &str, prefix: &str, f: impl Fn(&str) -> String) -> String {
+        let mut done = false;
+        let lines: Vec<String> = text
+            .lines()
+            .map(|l| {
+                if !done && l.starts_with(prefix) {
+                    done = true;
+                    f(l)
+                } else {
+                    l.to_owned()
+                }
+            })
+            .collect();
+        assert!(done, "no line starts with {prefix:?}");
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn semantically_invalid_svm_models_are_rejected_at_load() {
+        let d = dataset();
+        let (train, _) = d.split_benign(0.5, 7);
+        let clf = train_classifier(Method::Wsvm, &train, &d.mixed, &PipelineConfig::fast(), 7);
+        let text = save_classifier(&clf);
+        let cases: Vec<(String, &str)> = vec![
+            (edit_line(&text, "kernel ", |_| "kernel gaussian NaN".into()), "sigma2"),
+            (edit_line(&text, "kernel ", |_| "kernel gaussian 0.0".into()), "sigma2"),
+            (edit_line(&text, "kernel ", |_| "kernel gaussian -1.0".into()), "sigma2"),
+            (edit_line(&text, "kernel ", |_| "kernel gaussian inf".into()), "sigma2"),
+            (edit_line(&text, "kernel ", |_| "kernel poly 2 NaN".into()), "coef0"),
+            (edit_line(&text, "bias ", |_| "bias NaN".into()), "bias"),
+            (edit_line(&text, "sv ", |l| l.replacen("sv ", "sv inf ", 1)), "alpha_y"),
+            (edit_line(&text, "sv ", |l| format!("{l} NaN")), "feature value"),
+            (
+                text.lines()
+                    .map(|l| if l.starts_with("sv ") { format!("{l} 0.5") } else { l.to_owned() })
+                    .collect::<Vec<_>>()
+                    .join("\n"),
+                "expected 30",
+            ),
+            (edit_line(&text, "encoder ", |l| l.replace(" 10 2 ", " 0 2 ")), "window"),
+            (edit_line(&text, "set ", |_| "set 0 zz aa".into()), "not sorted"),
+            (edit_line(&text, "set ", |_| "set 9999 aa".into()), "not dense"),
+        ];
+        for (bad, needle) in cases {
+            let err = load_classifier(&bad).expect_err(needle);
+            assert!(matches!(err, ModelError::BadRecord { .. }), "{err}");
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+            assert!(!err.to_string().contains('\n'), "one line: {err}");
+        }
+    }
+
     #[test]
     fn implausible_counts_are_rejected_before_allocation() {
         let text = "# LEAPS-MODEL v1\nkind cgraph\nbcg_edges 999999999999\n";
@@ -1130,8 +1200,12 @@ mod tests {
                     }
                 };
                 // Must return Ok (benign mutation) or a clean Err — never
-                // panic, never attempt an absurd allocation.
-                let _ = load_classifier(&mutated);
+                // panic, never attempt an absurd allocation. A model that
+                // loads must also detect without panicking.
+                if let Ok(loaded) = load_classifier(&mutated) {
+                    let mut detector = crate::stream::StreamDetector::new(loaded);
+                    let _ = detector.push_all(d.malicious.iter().take(40).cloned());
+                }
             }
         }
     }

@@ -102,9 +102,10 @@ pub struct HmmDetector {
 }
 
 impl HmmDetector {
-    /// Maps events to their dense HMM observation symbols.
-    fn symbols(&self, events: &[PartitionedEvent]) -> Vec<usize> {
-        events.iter().map(|e| self.table.lookup(&self.encoder.tuple(e))).collect()
+    /// The dense HMM observation symbol of one event.
+    #[must_use]
+    pub fn symbol(&self, event: &PartitionedEvent) -> usize {
+        self.table.lookup(&self.encoder.tuple(event))
     }
 
     /// The preprocessing configuration (window/stride) of the encoder.
@@ -117,7 +118,15 @@ impl HmmDetector {
     /// benign-like).
     #[must_use]
     pub fn score_events(&self, events: &[PartitionedEvent]) -> f64 {
-        self.clf.score(&self.symbols(events))
+        let symbols: Vec<usize> = events.iter().map(|e| self.symbol(e)).collect();
+        self.score_symbols(&symbols)
+    }
+
+    /// Per-symbol log-likelihood ratio of a window of observation
+    /// symbols (see [`HmmDetector::symbol`]); positive = benign-like.
+    #[must_use]
+    pub fn score_symbols(&self, symbols: &[usize]) -> f64 {
+        self.clf.score(symbols)
     }
 
     /// The persisted parts: classifier, encoder and symbol table.
@@ -712,7 +721,7 @@ impl Classifier {
                 let stride = hmm.encoder.config().stride;
                 let score =
                     |events: &[PartitionedEvent], cm: &mut ConfusionMatrix, benign: bool| {
-                        let symbols = hmm.symbols(events);
+                        let symbols: Vec<usize> = events.iter().map(|e| hmm.symbol(e)).collect();
                         let mut start = 0;
                         while start + window <= symbols.len() {
                             let verdict = hmm.clf.is_benign(&symbols[start..start + window]);

@@ -6,6 +6,7 @@ use crate::pipeline::Classifier;
 use leaps_cgraph::classify::Decision;
 use leaps_trace::partition::PartitionedEvent;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A verdict emitted by the detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,13 +103,26 @@ pub struct StreamStats {
     pub degraded_verdicts: usize,
 }
 
+/// One event of the rolling window, encoded once when it arrives.
+#[derive(Debug, Clone, Copy)]
+enum Encoded {
+    /// The normalized feature triple (SVM family).
+    Triple([f64; 3]),
+    /// The observation symbol (HMM).
+    Symbol(usize),
+}
+
 /// An incremental detector wrapping a trained [`Classifier`].
 ///
-/// * SVM-family and HMM classifiers buffer events and emit one verdict
-///   per completed window (size/stride from the classifier's feature
-///   encoder configuration);
+/// * SVM-family and HMM classifiers encode each event once on arrival
+///   and emit one verdict per completed window (size/stride from the
+///   classifier's feature encoder configuration);
 /// * the call-graph model emits one verdict per event (undecidable events
 ///   are reported as *not benign* — a deployment treats them as alerts).
+///
+/// The classifier is shared, not copied: detectors built from one
+/// `Arc<Classifier>` (e.g. every daemon session on one model) hold the
+/// same trained model.
 ///
 /// # Degraded telemetry
 ///
@@ -121,14 +135,14 @@ pub struct StreamStats {
 /// hard-resets the window instead.
 #[derive(Debug, Clone)]
 pub struct StreamDetector {
-    classifier: Classifier,
-    /// Rolling window of raw events (needed by the HMM path).
-    buffer: VecDeque<PartitionedEvent>,
-    /// Rolling window of per-event feature triples (SVM path): each event
-    /// is encoded exactly once when it arrives.
-    triples: VecDeque<[f64; 3]>,
-    /// Sequence numbers of the buffered events, for gap detection.
-    nums: VecDeque<u64>,
+    classifier: Arc<Classifier>,
+    /// Rolling window, oldest first: each event's sequence number (for
+    /// gap detection) and its encoding.
+    ring: VecDeque<(u64, Encoded)>,
+    /// Reused per verdict: the window's coalesced SVM point.
+    point: Vec<f64>,
+    /// Reused per verdict: the window's HMM symbols.
+    symbols: Vec<usize>,
     /// Highest sequence number accepted so far (gap/reorder detection).
     last_num: Option<u64>,
     /// Sequence number of the most recently accepted event (duplicate
@@ -143,10 +157,11 @@ pub struct StreamDetector {
 }
 
 impl StreamDetector {
-    /// Wraps a trained classifier.
+    /// Wraps a trained classifier, owned or shared.
     #[must_use]
-    pub fn new(classifier: Classifier) -> StreamDetector {
-        let (window, stride) = match &classifier {
+    pub fn new(classifier: impl Into<Arc<Classifier>>) -> StreamDetector {
+        let classifier = classifier.into();
+        let (window, stride) = match &*classifier {
             Classifier::CGraph(_) => (1, 1),
             Classifier::Svm(svm) => {
                 let cfg = svm.encoder.config();
@@ -159,9 +174,9 @@ impl StreamDetector {
         };
         StreamDetector {
             classifier,
-            buffer: VecDeque::with_capacity(window),
-            triples: VecDeque::with_capacity(window),
-            nums: VecDeque::with_capacity(window),
+            ring: VecDeque::new(),
+            point: Vec::new(),
+            symbols: Vec::new(),
             last_num: None,
             prev_num: None,
             stats: StreamStats::default(),
@@ -191,9 +206,7 @@ impl StreamDetector {
     /// sequence number are kept, so duplicates of pre-outage events are
     /// still recognized.
     pub fn resync(&mut self) {
-        self.buffer.clear();
-        self.triples.clear();
-        self.nums.clear();
+        self.ring.clear();
         self.filled_once = false;
         self.since_last = 0;
     }
@@ -225,28 +238,24 @@ impl StreamDetector {
         }
         self.prev_num = Some(num);
         self.stats.accepted += 1;
-        if let Classifier::CGraph(model) = &self.classifier {
-            let decision = model.classify(&event);
-            return Some(Verdict {
-                last_event: num,
-                benign: decision == Decision::Benign,
-                score: None,
-                degraded: false,
-            });
-        }
-        if let Classifier::Svm(svm) = &self.classifier {
-            self.triples.push_back(svm.encoder.encode(&event));
-            if self.triples.len() > self.window {
-                self.triples.pop_front();
+        let encoded = match &*self.classifier {
+            Classifier::CGraph(model) => {
+                let decision = model.classify(&event);
+                return Some(Verdict {
+                    last_event: num,
+                    benign: decision == Decision::Benign,
+                    score: None,
+                    degraded: false,
+                });
             }
+            Classifier::Svm(svm) => Encoded::Triple(svm.encoder.encode(&event)),
+            Classifier::Hmm(hmm) => Encoded::Symbol(hmm.symbol(&event)),
+        };
+        if self.ring.len() == self.window {
+            self.ring.pop_front();
         }
-        self.buffer.push_back(event);
-        self.nums.push_back(num);
-        if self.buffer.len() > self.window {
-            self.buffer.pop_front();
-            self.nums.pop_front();
-        }
-        if self.buffer.len() < self.window {
+        self.ring.push_back((num, encoded));
+        if self.ring.len() < self.window {
             return None;
         }
         if self.filled_once {
@@ -258,24 +267,32 @@ impl StreamDetector {
         self.filled_once = true;
         self.since_last = 0;
 
-        let degraded = self.nums.iter().zip(self.nums.iter().skip(1)).any(|(a, b)| *b != *a + 1);
+        let degraded = self.ring.iter().zip(self.ring.iter().skip(1)).any(|(a, b)| b.0 != a.0 + 1);
         if degraded {
             self.stats.degraded_verdicts += 1;
         }
-        let (benign, score) = match &self.classifier {
+        let value = match &*self.classifier {
             Classifier::Svm(svm) => {
-                let point: Vec<f64> = self.triples.iter().flatten().copied().collect();
-                let value = svm.model.decision(&point);
-                (value >= 0.0, Some(value))
+                self.point.clear();
+                for (_, encoded) in &self.ring {
+                    if let Encoded::Triple(triple) = encoded {
+                        self.point.extend_from_slice(triple);
+                    }
+                }
+                svm.model.decision(&self.point)
             }
             Classifier::Hmm(hmm) => {
-                let events: Vec<PartitionedEvent> = self.buffer.iter().cloned().collect();
-                let value = hmm.score_events(&events);
-                (value >= 0.0, Some(value))
+                self.symbols.clear();
+                for (_, encoded) in &self.ring {
+                    if let Encoded::Symbol(symbol) = encoded {
+                        self.symbols.push(*symbol);
+                    }
+                }
+                hmm.score_symbols(&self.symbols)
             }
             Classifier::CGraph(_) => unreachable!("handled above"),
         };
-        Some(Verdict { last_event: num, benign, score, degraded })
+        Some(Verdict { last_event: num, benign: value >= 0.0, score: Some(value), degraded })
     }
 
     /// Feeds many events, appending every verdict to `out`.

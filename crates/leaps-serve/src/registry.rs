@@ -382,4 +382,31 @@ mod tests {
         assert!(Arc::ptr_eq(&survivor, &new), "survivor must be the pre-failure copy");
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// A one-support-vector WSVM model (window 1) with Gaussian radius
+    /// `sigma2`, written out by hand.
+    fn svm_model_text(sigma2: &str) -> String {
+        format!(
+            "# LEAPS-MODEL v1\nkind svm\ntuned 1.0 2.0\nkernel gaussian {sigma2}\nbias 0.5\n\
+             sv_count 1\nsv 1.0 0.1 0.2 0.3\nencoder average distance 0.15 1 1 400\n\
+             lib_vocab 1\nset 0 ntdll\nfunc_vocab 1\nset 0 ntdll!NtClose\n"
+        )
+    }
+
+    #[test]
+    fn reload_of_an_invalid_kernel_keeps_the_last_known_good_model() {
+        let dir = temp_dir("sigma2");
+        let path = dir.join("w.model");
+        std::fs::write(&path, svm_model_text("2.0")).unwrap();
+        let registry = Registry::new(&dir, 1 << 20);
+        let good = registry.get("w").unwrap();
+        for bad in ["NaN", "0.0", "-1.0"] {
+            std::fs::write(&path, svm_model_text(bad)).unwrap();
+            let err = registry.reload("w").unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{bad}: {err}");
+            assert!(err.to_string().contains("sigma2"), "{bad}: {err}");
+            assert!(Arc::ptr_eq(&registry.get("w").unwrap(), &good), "{bad}: model replaced");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

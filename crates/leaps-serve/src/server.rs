@@ -176,14 +176,13 @@ impl Server {
         if self.is_shutting_down() {
             return Err(LeapsError::protocol("server is shutting down"));
         }
-        let classifier = self.registry.get(model)?;
+        let detector = StreamDetector::new(self.registry.get(model)?);
         let mut sessions = lock_unpoisoned(&self.sessions);
         let key: SessionKey = (client.to_owned(), pid);
         if sessions.contains_key(&key) {
             return Err(LeapsError::protocol(format!("session ({client:?}, {pid}) already open")));
         }
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed);
-        let detector = StreamDetector::new((*classifier).clone());
         sessions.insert(key, Arc::new(Session::new(pid, model.to_owned(), shard, detector, sink)));
         self.opened.fetch_add(1, Ordering::Relaxed);
         leaps_obs::counter!("serve.opened").inc();

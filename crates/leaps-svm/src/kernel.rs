@@ -24,19 +24,39 @@ pub enum Kernel {
 }
 
 impl Kernel {
+    /// Checks the kernel's parameters. Models and the SMO solver check
+    /// once at construction, so [`Kernel::eval`] need not check per call.
+    ///
+    /// # Errors
+    ///
+    /// A one-line reason if a Gaussian radius `σ²` is not finite and
+    /// positive, or a polynomial `coef0` is not finite.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            Kernel::Gaussian { sigma2 } if !(sigma2.is_finite() && sigma2 > 0.0) => {
+                Err(format!("Gaussian kernel requires a finite sigma2 > 0, got {sigma2:?}"))
+            }
+            Kernel::Polynomial { coef0, .. } if !coef0.is_finite() => {
+                Err(format!("polynomial kernel requires a finite coef0, got {coef0:?}"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Evaluates the kernel.
     ///
     /// # Panics
     ///
     /// Panics (debug) if the vectors differ in length, or if a Gaussian
-    /// kernel was constructed with `sigma2 <= 0`.
+    /// kernel was constructed with `sigma2 <= 0` (see
+    /// [`Kernel::validate`]).
     #[must_use]
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len(), "kernel arguments differ in dimension");
         match *self {
             Kernel::Linear => dot(a, b),
             Kernel::Gaussian { sigma2 } => {
-                assert!(sigma2 > 0.0, "Gaussian kernel requires sigma2 > 0");
+                debug_assert!(sigma2 > 0.0, "Gaussian kernel requires sigma2 > 0");
                 let mut d2 = 0.0;
                 for (x, y) in a.iter().zip(b) {
                     let d = x - y;
@@ -90,6 +110,17 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_bad_radius_and_coefficients() {
+        for sigma2 in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(Kernel::Gaussian { sigma2 }.validate().is_err(), "{sigma2}");
+        }
+        assert!(Kernel::Gaussian { sigma2: 2.0 }.validate().is_ok());
+        assert!(Kernel::Polynomial { degree: 2, coef0: f64::NAN }.validate().is_err());
+        assert!(Kernel::Linear.validate().is_ok());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "sigma2 > 0")]
     fn gaussian_rejects_nonpositive_radius() {
         let _ = Kernel::Gaussian { sigma2: 0.0 }.eval(&[0.0], &[0.0]);

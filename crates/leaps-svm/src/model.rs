@@ -27,6 +27,10 @@ pub struct SvmModel {
 impl SvmModel {
     /// Builds the model from a completed SMO solution, keeping only
     /// support vectors (`αᵢ > 0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel fails [`Kernel::validate`].
     #[must_use]
     pub fn from_training(
         samples: &[Sample],
@@ -35,6 +39,7 @@ impl SvmModel {
         kernel: Kernel,
         iterations: usize,
     ) -> SvmModel {
+        check_kernel(kernel);
         let mut support_x = Vec::new();
         let mut alpha_y = Vec::new();
         for (sample, &a) in samples.iter().zip(alpha) {
@@ -51,7 +56,8 @@ impl SvmModel {
     ///
     /// # Panics
     ///
-    /// Panics if the lengths differ.
+    /// Panics if the lengths differ or the kernel fails
+    /// [`Kernel::validate`].
     #[must_use]
     pub fn from_parts(
         support_x: Vec<Vec<f64>>,
@@ -60,6 +66,7 @@ impl SvmModel {
         kernel: Kernel,
     ) -> SvmModel {
         assert_eq!(support_x.len(), alpha_y.len(), "parts length mismatch");
+        check_kernel(kernel);
         SvmModel { support_x, alpha_y, bias, kernel, iterations: 0 }
     }
 
@@ -111,6 +118,13 @@ impl SvmModel {
     #[must_use]
     pub fn iterations(&self) -> usize {
         self.iterations
+    }
+}
+
+/// Rejects an invalid kernel once, at model construction.
+pub(crate) fn check_kernel(kernel: Kernel) {
+    if let Err(reason) = kernel.validate() {
+        panic!("{reason}");
     }
 }
 

@@ -61,7 +61,8 @@ pub struct SmoState {
 ///
 /// # Panics
 ///
-/// Panics if `params.lambda <= 0` or `params.eps <= 0`.
+/// Panics if `params.lambda <= 0`, `params.eps <= 0` or the kernel fails
+/// [`Kernel::validate`].
 #[must_use]
 pub fn train(set: &TrainSet, kernel: Kernel, params: &SmoParams) -> SvmModel {
     train_resumable(set, kernel, params, None, 0, &mut |_| true)
@@ -81,7 +82,8 @@ pub fn train(set: &TrainSet, kernel: Kernel, params: &SmoParams) -> SvmModel {
 ///
 /// # Panics
 ///
-/// Panics if `params` is invalid or `resume` does not match `set`'s size.
+/// Panics if `params` or `kernel` is invalid or `resume` does not match
+/// `set`'s size.
 #[allow(clippy::needless_range_loop)] // SMO index arithmetic reads best indexed
 pub fn train_resumable(
     set: &TrainSet,
@@ -93,6 +95,7 @@ pub fn train_resumable(
 ) -> Option<SvmModel> {
     assert!(params.lambda > 0.0, "lambda must be positive");
     assert!(params.eps > 0.0, "eps must be positive");
+    crate::model::check_kernel(kernel);
     let samples = set.samples();
     let n = samples.len();
     let y: Vec<f64> = samples.iter().map(|s| s.y).collect();
