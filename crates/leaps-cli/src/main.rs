@@ -451,17 +451,18 @@ fn cmd_serve(args: &Args) -> Result<(), Failure> {
             if every == 0 {
                 return Err(Failure::usage("--metrics-every-secs must be >= 1"));
             }
-            Some(start_metrics_flusher(path, std::time::Duration::from_secs(every))?)
+            let metrics = Arc::clone(server.metrics());
+            Some(start_metrics_flusher(metrics, path, std::time::Duration::from_secs(every))?)
         }
         None => None,
     };
     let bound = endpoint.bind()?;
     let idle = if idle_secs == 0 { "off".to_owned() } else { format!("{idle_secs}s") };
+    let workers = server.metrics().snapshot().gauge("pool.workers").unwrap_or(0);
     println!(
-        "leaps-serve listening on {} (models {models}, {} workers, queue {queue}, \
+        "leaps-serve listening on {} (models {models}, {workers} workers, queue {queue}, \
          cache {cap_mb} MiB, idle TTL {idle})",
-        bound.endpoint(),
-        server.stats().workers
+        bound.endpoint()
     );
     let drained = bound.run(&server)?;
     if let Some(handle) = reaper {
@@ -471,23 +472,28 @@ fn cmd_serve(args: &Args) -> Result<(), Failure> {
         drop(stop); // disconnects the channel: final flush, then exit
         let _ = handle.join();
     }
-    let stats = server.stats();
+    let snapshot = server.metrics().snapshot();
+    let count = |name| snapshot.counter(name).unwrap_or(0);
     println!(
         "leaps-serve shut down: {} sessions served ({} reaped idle), \
          {drained} drained at shutdown, {} worker respawns",
-        stats.closed, stats.reaped, stats.respawns
+        count("serve.closed"),
+        count("serve.reaped"),
+        count("pool.respawns")
     );
     Ok(())
 }
 
 /// Starts the `--metrics-jsonl` background flusher: every `every`, and
-/// once more at shutdown, it appends one line
+/// once more at shutdown, it appends one snapshot of the server's
+/// `metrics` as a line
 /// `{"unix_ms":<now>,"counters":...,"gauges":...,"hists":...}` to
 /// `path`. The line is written with a single `write_all` on an
 /// append-mode file, so concurrent readers (and a crash mid-run) see
 /// whole records only. Dropping the returned sender stops the thread
 /// after a final flush.
 fn start_metrics_flusher(
+    metrics: Arc<leaps::obs::MetricsRegistry>,
     path: &str,
     every: std::time::Duration,
 ) -> Result<(std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>), Failure> {
@@ -509,7 +515,7 @@ fn start_metrics_flusher(
         let unix_ms = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_millis());
-        let body = leaps::obs::registry().snapshot().to_json();
+        let body = metrics.snapshot().to_json();
         // Splice the timestamp into the snapshot object: `{"unix_ms":T,` + rest.
         let line = format!("{{\"unix_ms\":{unix_ms},{}\n", &body[1..]);
         if let Err(e) = file.write_all(line.as_bytes()) {

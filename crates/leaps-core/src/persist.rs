@@ -910,6 +910,12 @@ fn read_svm(lines: &mut Lines<'_>) -> Result<SvmClassifier, ModelError> {
     })
 }
 
+/// How far from 1 a stored probability row may sum. Training renormalises
+/// every row after flooring, so saved rows sum to 1 within a few ulps;
+/// `1e-6` also admits rows edited by hand to six decimal places, while a
+/// row that is not a distribution is refused at load.
+const ROW_SUM_TOLERANCE: f64 = 1e-6;
+
 fn read_hmm_model(lines: &mut Lines<'_>, tag: &str) -> Result<Hmm, ModelError> {
     let rest = lines.expect_prefixed(tag)?;
     let mut parts = rest.split_whitespace();
@@ -919,16 +925,32 @@ fn read_hmm_model(lines: &mut Lines<'_>, tag: &str) -> Result<Hmm, ModelError> {
         parts.next().ok_or_else(|| lines.bad("hmm needs symbols".into()))?,
         "symbols",
     )?;
+    if states == 0 || symbols == 0 {
+        return Err(lines.bad(format!("{tag} needs at least one state and one symbol")));
+    }
     let mut matrices = Vec::with_capacity(3);
-    for (name, expected) in [("pi", states), ("a", states * states), ("b", states * symbols)] {
+    // (name, rows, row width): π is one row over the states, A one row
+    // per state over the states, B one row per state over the symbols.
+    for (name, rows, width) in [("pi", 1, states), ("a", states, states), ("b", states, symbols)] {
         let rest = lines.expect_prefixed(name)?;
         let values: Result<Vec<f64>, ModelError> =
             rest.split_whitespace().map(|v| lines.parse(v, "probability")).collect();
         let values = values?;
-        if values.len() != expected {
-            return Err(
-                lines.bad(format!("{name} has {} values, expected {expected}", values.len()))
-            );
+        if values.len() != rows * width {
+            return Err(lines.bad(format!(
+                "{name} has {} values, expected {}",
+                values.len(),
+                rows * width
+            )));
+        }
+        if let Some(v) = values.iter().find(|v| !(v.is_finite() && **v >= 0.0)) {
+            return Err(lines.bad(format!("{tag} {name} holds {v}, not a probability")));
+        }
+        let sums = values.chunks(width).map(|row| row.iter().sum::<f64>());
+        if let Some((row, sum)) =
+            sums.enumerate().find(|(_, sum)| (sum - 1.0).abs() > ROW_SUM_TOLERANCE)
+        {
+            return Err(lines.bad(format!("{tag} {name} row {row} sums to {sum}, not 1")));
         }
         matrices.push(values);
     }
@@ -973,6 +995,16 @@ fn read_hmm(lines: &mut Lines<'_>) -> Result<HmmDetector, ModelError> {
     let table = SymbolTable::from_entries(entries);
     let benign = read_hmm_model(lines, "benign_hmm")?;
     let mixed = read_hmm_model(lines, "mixed_hmm")?;
+    // Detection looks up symbols 0..n, plus n for an unseen observation;
+    // both models must emit every one of them.
+    let (b, m) = (benign.symbol_count(), mixed.symbol_count());
+    if b != m || b < table.alphabet_size() {
+        return Err(lines.bad(format!(
+            "benign_hmm has {b} symbols and mixed_hmm {m}; both must be equal and cover the \
+             {} symbol-table ids plus the unknown symbol",
+            n
+        )));
+    }
     Ok(HmmDetector::from_parts(HmmClassifier::from_parts(benign, mixed), encoder, table))
 }
 
@@ -1140,6 +1172,78 @@ mod tests {
         }
     }
 
+    /// Shrinks `tag`'s alphabet to `k` symbols: each B row keeps its
+    /// first `k` values, renormalised to sum to 1, so only the alphabet
+    /// check can refuse the result.
+    fn shrink_alphabet(text: &str, tag: &str, k: usize) -> String {
+        let mut symbols = None;
+        let lines: Vec<String> = text
+            .lines()
+            .map(|l| {
+                if let Some(rest) = l.strip_prefix(&format!("{tag} ")) {
+                    let dims: Vec<usize> = rest.split(' ').map(|t| t.parse().unwrap()).collect();
+                    symbols = Some(dims[1]);
+                    format!("{tag} {} {k}", dims[0])
+                } else if let Some(rest) = l.strip_prefix("b ").filter(|_| symbols.is_some()) {
+                    let width = symbols.take().unwrap();
+                    let b: Vec<f64> = rest.split(' ').map(|t| t.parse().unwrap()).collect();
+                    let kept: Vec<String> = b
+                        .chunks(width)
+                        .flat_map(|row| {
+                            let sum: f64 = row[..k].iter().sum();
+                            row[..k].iter().map(move |v| format!("{:?}", v / sum))
+                        })
+                        .collect();
+                    format!("b {}", kept.join(" "))
+                } else {
+                    l.to_owned()
+                }
+            })
+            .collect();
+        lines.join("\n")
+    }
+
+    /// Replaces the first value of a `pi`/`a`/`b` line.
+    fn first_value(line: &str, value: &str) -> String {
+        let mut tokens: Vec<&str> = line.split(' ').collect();
+        tokens[1] = value;
+        tokens.join(" ")
+    }
+
+    #[test]
+    fn semantically_invalid_hmm_models_are_rejected_at_load() {
+        let d = dataset();
+        let (train, _) = d.split_benign(0.5, 7);
+        let clf = train_classifier(Method::Hmm, &train, &d.mixed, &PipelineConfig::fast(), 7);
+        let text = save_classifier(&clf);
+        let symbols: usize = text
+            .lines()
+            .find_map(|l| l.strip_prefix("benign_hmm "))
+            .and_then(|rest| rest.split(' ').nth(1))
+            .unwrap()
+            .parse()
+            .unwrap();
+        // A trained model's alphabet is the table plus the unknown symbol,
+        // and the shrink helper alone keeps a file loadable.
+        assert!(load_classifier(&shrink_alphabet(&text, "benign_hmm", symbols)).is_ok());
+        let both_shrunk = shrink_alphabet(&shrink_alphabet(&text, "benign_hmm", 3), "mixed_hmm", 3);
+        let cases: Vec<(String, &str)> = vec![
+            (edit_line(&text, "pi ", |l| first_value(l, "NaN")), "not a probability"),
+            (edit_line(&text, "pi ", |l| first_value(l, "-5")), "not a probability"),
+            (edit_line(&text, "b ", |l| first_value(l, "inf")), "not a probability"),
+            (edit_line(&text, "a ", |l| first_value(l, "2.0")), "row 0 sums to"),
+            (edit_line(&text, "benign_hmm ", |_| "benign_hmm 0 1".into()), "at least one state"),
+            (both_shrunk, "symbol-table ids"),
+            (shrink_alphabet(&text, "mixed_hmm", symbols - 1), "symbol-table ids"),
+        ];
+        for (bad, needle) in cases {
+            let err = load_classifier(&bad).expect_err(needle);
+            assert!(matches!(err, ModelError::BadRecord { .. }), "{err}");
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+            assert!(!err.to_string().contains('\n'), "one line: {err}");
+        }
+    }
+
     #[test]
     fn implausible_counts_are_rejected_before_allocation() {
         let text = "# LEAPS-MODEL v1\nkind cgraph\nbcg_edges 999999999999\n";
@@ -1177,8 +1281,10 @@ mod tests {
                         lines.insert(victim, lines[victim]);
                         lines.join("\n")
                     }
-                    // Mangle one line: overwrite a token with garbage.
+                    // Mangle one line: overwrite a token with garbage
+                    // or with a value no probability can take.
                     _ => {
+                        let garbage = ["999999999999999999", "NaN", "-5", "inf"][rng.below(4)];
                         let victim = rng.below(text.lines().count());
                         let lines: Vec<String> = text
                             .lines()
@@ -1188,7 +1294,7 @@ mod tests {
                                     let mut tokens: Vec<&str> = l.split_whitespace().collect();
                                     if !tokens.is_empty() {
                                         let t = rng.below(tokens.len());
-                                        tokens[t] = "999999999999999999";
+                                        tokens[t] = garbage;
                                     }
                                     tokens.join(" ")
                                 } else {

@@ -18,13 +18,20 @@
 //!   values in `[2^(i-1), 2^i)`; bucket 0 holds zero; the last bucket
 //!   absorbs overflow).
 //!
-//! The process-global [`registry()`] maps names to metrics. Handles are
-//! cheap `Arc` clones; the [`counter!`]/[`gauge!`]/[`histogram!`]/
-//! [`span!`] macros cache a handle per call site in a `static`, so a
-//! hot loop pays one relaxed atomic load (the [`enabled`] check) plus
-//! one `fetch_add` per record — and nothing at all when metrics are
-//! disabled via [`set_enabled`] (how the serve benchmark prices the
-//! overhead).
+//! A [`MetricsRegistry`] maps names to metrics. Handles are cheap `Arc`
+//! clones, and recording through one is a relaxed `fetch_add` — there is
+//! no global switch to check, because service health probes read these
+//! counters and they must always count. Two ways to hold a handle:
+//!
+//! * the [`counter!`]/[`gauge!`]/[`histogram!`]/[`span!`] macros cache a
+//!   handle per call site in a `static`, bound to the process-global
+//!   [`registry()`] (the training loops, checkpoints and sweeps);
+//! * a [`Lazy`] handle, made by [`MetricsRegistry::lazy`], is owned by an
+//!   instance — a service keeps its own registry, so its counts are its
+//!   own (the `leaps-par` pool and the `leaps-serve` server).
+//!
+//! Either way a metric is registered on its first record, so a snapshot
+//! lists only what something has recorded.
 //!
 //! [`Span`] is an RAII stage timer: created at stage entry, it records
 //! the elapsed microseconds into a histogram on drop. Time comes from
@@ -129,24 +136,6 @@ impl Drop for TestClock {
     }
 }
 
-// ----------------------------------------------------------- global toggle
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether metric recording is enabled (default: yes). Disabling makes
-/// every record path a single relaxed load — the baseline the serve
-/// benchmark prices instrumentation against.
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Globally enables or disables metric recording. Registration and
-/// snapshots still work while disabled; only updates are dropped.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
 // ------------------------------------------------------------------ metrics
 
 /// A monotonic counter handle. Clones share the same cell.
@@ -163,9 +152,7 @@ impl Counter {
 
     /// Adds `n` (a relaxed `fetch_add`; no locks).
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -184,16 +171,12 @@ pub struct Gauge {
 impl Gauge {
     /// Sets the level.
     pub fn set(&self, v: i64) {
-        if enabled() {
-            self.cell.store(v, Ordering::Relaxed);
-        }
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     /// Adjusts the level by `d` (may be negative).
     pub fn add(&self, d: i64) {
-        if enabled() {
-            self.cell.fetch_add(d, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(d, Ordering::Relaxed);
     }
 
     /// Current level.
@@ -223,10 +206,8 @@ pub struct Histogram {
 impl Histogram {
     /// Records one value: two relaxed `fetch_add`s (bucket + sum).
     pub fn record(&self, v: u64) {
-        if enabled() {
-            self.cells.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            self.cells.sum.fetch_add(v, Ordering::Relaxed);
-        }
+        self.cells.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.cells.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Snapshot of the bucket counts and sum.
@@ -249,26 +230,40 @@ impl std::fmt::Debug for Histogram {
 }
 
 /// An RAII stage timer: records elapsed [`now_micros`] into a histogram
-/// when dropped. When metrics are disabled at creation, the drop
-/// records nothing (and the clock is never read).
+/// when dropped.
 pub struct Span {
     hist: Histogram,
-    start: Option<u64>,
+    start: u64,
 }
 
 impl Span {
     /// Starts timing into `hist`.
     #[must_use]
     pub fn new(hist: &Histogram) -> Span {
-        Span { hist: hist.clone(), start: enabled().then(now_micros) }
+        Span { hist: hist.clone(), start: now_micros() }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.hist.record(now_micros().saturating_sub(start));
-        }
+        self.hist.record(now_micros().saturating_sub(self.start));
+    }
+}
+
+/// A metric handle owned by an instance (a server, a pool) rather than
+/// a call-site `static`: made up front by [`MetricsRegistry::lazy`], it
+/// registers its metric in that registry on first use, like the macros
+/// do in the global one. After that, [`Lazy::get`] is one acquire load.
+pub struct Lazy<T> {
+    registry: Arc<MetricsRegistry>,
+    register: fn(&MetricsRegistry) -> T,
+    handle: OnceLock<T>,
+}
+
+impl<T> Lazy<T> {
+    /// The handle, registering the metric on the first call.
+    pub fn get(&self) -> &T {
+        self.handle.get_or_init(|| (self.register)(&self.registry))
     }
 }
 
@@ -291,7 +286,7 @@ impl Slot {
 }
 
 /// A named collection of metrics. The process-global instance is
-/// [`registry()`]; tests that assert exact values build their own.
+/// [`registry()`]; a service owns its own, so its counts are exact.
 ///
 /// Registration takes a short-lived lock; recording through the
 /// returned handles never does.
@@ -374,6 +369,15 @@ impl MetricsRegistry {
         }
     }
 
+    /// A handle that registers a metric in this registry on first use:
+    /// `metrics.lazy(|m| m.counter("serve.opened"))`. Naming the metric
+    /// inside `register` keeps the name a literal at the
+    /// `.counter(…)`/`.gauge(…)`/`.histogram(…)` call.
+    #[must_use]
+    pub fn lazy<T>(self: &Arc<Self>, register: fn(&MetricsRegistry) -> T) -> Lazy<T> {
+        Lazy { registry: Arc::clone(self), register, handle: OnceLock::new() }
+    }
+
     /// A point-in-time snapshot of every metric, sorted by name.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
@@ -432,7 +436,8 @@ impl std::fmt::Debug for MetricsRegistry {
     }
 }
 
-/// The process-global registry every instrumented crate records into.
+/// The process-global registry: training, checkpoints and sweeps record
+/// into it through the macros. A service owns a registry of its own.
 #[must_use]
 pub fn registry() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
@@ -556,18 +561,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recording_is_dropped() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("t.count");
-        set_enabled(false);
-        c.inc();
-        let span = Span::new(&reg.histogram("t.hist"));
-        drop(span);
-        set_enabled(true);
-        assert_eq!(c.value(), 0);
-        assert_eq!(reg.histogram("t.hist").snapshot().count, 0);
-        c.inc();
-        assert_eq!(c.value(), 1);
+    fn lazy_handles_register_on_first_use() {
+        let reg = Arc::new(MetricsRegistry::new());
+        let count = reg.lazy(|m| m.counter("t.count"));
+        assert!(reg.is_empty(), "nothing is registered before the first record");
+        count.get().add(2);
+        count.get().inc();
+        assert_eq!(reg.snapshot().counter("t.count"), Some(3));
+        assert_eq!(reg.len(), 1);
     }
 
     #[test]

@@ -26,12 +26,13 @@
 //! the replacement starts with a clean stack and clean thread-locals.
 //! The queue itself lives outside any worker thread, so the jobs behind
 //! the panicking one are preserved and still run in submission order —
-//! FIFO per shard survives the crash. Per-shard `panics`/`respawns`
-//! counters ([`Pool::stats`], [`Pool::shard_panics`]) let a service
-//! surface supervision activity through a health endpoint. If the OS
-//! refuses to spawn a replacement, the surviving thread keeps draining
-//! its shard itself (a panic is then counted without a respawn) — a
-//! shard is never silently abandoned.
+//! FIFO per shard survives the crash. The pool counts its work in the
+//! [`MetricsRegistry`] it was built with (`pool.jobs`, `pool.panics`,
+//! `pool.respawns`, `pool.workers`, `pool.queue.<shard>`), so a service
+//! that owns that registry can surface supervision activity through a
+//! health endpoint. If the OS refuses to spawn a replacement, the
+//! surviving thread keeps draining its shard itself (a panic is then
+//! counted without a respawn) — a shard is never silently abandoned.
 //!
 //! Workers are marked as par workers, so a job that reaches one of the
 //! scoped `par_*` helpers runs it serially instead of spawning a nested
@@ -39,12 +40,11 @@
 
 use crate::lock_unpoisoned;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use leaps_obs::{counter, gauge, Gauge};
+use leaps_obs::{Counter, Gauge, Lazy, MetricsRegistry};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -63,17 +63,15 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// Supervision counters of a [`Pool`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker threads (one per shard queue). Always live: a worker lost
-    /// to a panic is respawned before the loss is observable.
-    pub workers: usize,
+/// The pool's counters, shared by every shard and worker generation.
+struct PoolMetrics {
+    /// Jobs run, panicking or not.
+    jobs: Lazy<Counter>,
     /// Jobs that panicked (caught and counted, never propagated).
-    pub panics: u64,
+    panics: Lazy<Counter>,
     /// Workers respawned after a panic. Tracks `panics` except when a
     /// replacement spawn failed and the surviving thread kept draining.
-    pub respawns: u64,
+    respawns: Lazy<Counter>,
 }
 
 /// Per-shard supervision state, shared by the pool handle and every
@@ -86,15 +84,13 @@ struct Shard {
     /// holds this lock, so it is uncontended; it exists to move the
     /// receiver between worker generations.
     queue: Mutex<Receiver<Job>>,
-    panics: AtomicU64,
-    respawns: AtomicU64,
     /// Join handle of the newest worker generation. A dying worker
     /// stores its replacement's handle here before exiting, so shutdown
     /// can chase generations until one exits normally.
     worker: Mutex<Option<JoinHandle<()>>>,
-    /// Global `pool.queue.<index>` depth gauge; shared when several
-    /// pools exist, but increments and decrements stay balanced.
+    /// The `pool.queue.<index>` depth gauge.
     depth: Gauge,
+    metrics: Arc<PoolMetrics>,
 }
 
 /// The supervised worker loop: one generation of one shard's worker.
@@ -112,20 +108,19 @@ fn worker_loop(shard: &Arc<Shard>) {
             Err(_) => return, // every sender dropped: graceful drain end
         };
         shard.depth.add(-1);
-        counter!("pool.jobs").inc();
+        shard.metrics.jobs.get().inc();
         if catch_unwind(AssertUnwindSafe(job)).is_err() {
-            shard.panics.fetch_add(1, Ordering::SeqCst);
-            counter!("pool.panics").inc();
-            // Count the respawn before the successor exists, so health
-            // probes that observe the successor's work also observe it.
-            shard.respawns.fetch_add(1, Ordering::SeqCst);
+            shard.metrics.panics.get().inc();
+            // Spawn and count the successor while holding the queue
+            // lock: it cannot take a job until the respawn is counted,
+            // so a health probe that observes its work also observes it.
+            let _queue = lock_unpoisoned(&shard.queue);
             if respawn(shard) {
-                counter!("pool.respawns").inc();
+                shard.metrics.respawns.get().inc();
                 return; // successor owns the shard from here
             }
             // Spawn refused: keep draining on this thread rather than
             // abandoning the shard's queued jobs.
-            shard.respawns.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
@@ -157,13 +152,13 @@ fn respawn(shard: &Arc<Shard>) -> bool {
 pub struct Pool {
     senders: Vec<Sender<Job>>,
     shards: Vec<Arc<Shard>>,
-    /// How much this pool added to the global `pool.workers` gauge
-    /// (zero for partially-built pools torn down by `try_new`).
-    gauged_workers: i64,
+    /// The `pool.workers` gauge: one per spawned shard worker.
+    workers: Gauge,
 }
 
 impl Pool {
-    /// Spawns a pool of exactly `threads` workers.
+    /// Spawns a pool of exactly `threads` workers, counting into a
+    /// registry of its own.
     ///
     /// # Panics
     ///
@@ -171,20 +166,28 @@ impl Pool {
     /// services that must survive spawn failure use [`Pool::try_new`].
     #[must_use]
     pub fn new(threads: usize) -> Pool {
-        Pool::try_new(threads).expect("spawning pool worker threads")
+        Pool::try_new(threads, &Arc::new(MetricsRegistry::new()))
+            .expect("spawning pool worker threads")
     }
 
-    /// Fallible constructor: spawns a pool of exactly `threads` workers,
-    /// reporting rather than panicking when the pool cannot be built.
-    /// Workers spawned before a failure are drained and joined.
+    /// Fallible constructor: spawns a pool of exactly `threads` workers
+    /// that count into `metrics`, reporting rather than panicking when
+    /// the pool cannot be built. Workers spawned before a failure are
+    /// drained and joined.
     ///
     /// # Errors
     ///
     /// [`PoolError`] if `threads == 0` or the OS refuses a thread.
-    pub fn try_new(threads: usize) -> Result<Pool, PoolError> {
+    pub fn try_new(threads: usize, metrics: &Arc<MetricsRegistry>) -> Result<Pool, PoolError> {
         if threads == 0 {
             return Err(PoolError { message: "pool needs at least one worker".to_owned() });
         }
+        let pool_metrics = Arc::new(PoolMetrics {
+            jobs: metrics.lazy(|m| m.counter("pool.jobs")),
+            panics: metrics.lazy(|m| m.counter("pool.panics")),
+            respawns: metrics.lazy(|m| m.counter("pool.respawns")),
+        });
+        let workers = metrics.gauge("pool.workers");
         let mut senders = Vec::with_capacity(threads);
         let mut shards = Vec::with_capacity(threads);
         for index in 0..threads {
@@ -192,10 +195,9 @@ impl Pool {
             let shard = Arc::new(Shard {
                 index,
                 queue: Mutex::new(rx),
-                panics: AtomicU64::new(0),
-                respawns: AtomicU64::new(0),
                 worker: Mutex::new(None),
-                depth: leaps_obs::registry().gauge(&format!("pool.queue.{index}")),
+                depth: metrics.gauge(&format!("pool.queue.{index}")),
+                metrics: Arc::clone(&pool_metrics),
             });
             let worker_shard = Arc::clone(&shard);
             let spawned = std::thread::Builder::new()
@@ -204,52 +206,27 @@ impl Pool {
             match spawned {
                 Ok(handle) => {
                     *lock_unpoisoned(&shard.worker) = Some(handle);
+                    workers.add(1);
                     senders.push(tx);
                     shards.push(shard);
                 }
                 Err(e) => {
                     // `Pool` drop semantics clean up the partial pool.
                     drop(tx);
-                    drop(Pool { senders, shards, gauged_workers: 0 });
+                    drop(Pool { senders, shards, workers });
                     return Err(PoolError {
                         message: format!("spawning pool worker {index}: {e}"),
                     });
                 }
             }
         }
-        let gauged_workers = i64::try_from(threads).unwrap_or(i64::MAX);
-        gauge!("pool.workers").add(gauged_workers);
-        Ok(Pool { senders, shards, gauged_workers })
-    }
-
-    /// Spawns a pool sized by the crate's thread policy
-    /// ([`crate::thread_count`]: runtime override, `LEAPS_THREADS`, or
-    /// available parallelism).
-    #[must_use]
-    pub fn with_default_threads() -> Pool {
-        Pool::new(crate::thread_count())
+        Ok(Pool { senders, shards, workers })
     }
 
     /// Number of worker threads.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.senders.len()
-    }
-
-    /// Supervision counters, aggregated across shards.
-    #[must_use]
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.shards.len(),
-            panics: self.shards.iter().map(|s| s.panics.load(Ordering::SeqCst)).sum(),
-            respawns: self.shards.iter().map(|s| s.respawns.load(Ordering::SeqCst)).sum(),
-        }
-    }
-
-    /// Per-shard panic counts (index = `shard % threads`).
-    #[must_use]
-    pub fn shard_panics(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.panics.load(Ordering::SeqCst)).collect()
     }
 
     /// Submits `job` to the worker owning `shard % threads`.
@@ -283,7 +260,7 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        gauge!("pool.workers").add(-self.gauged_workers);
+        self.workers.add(-i64::try_from(self.shards.len()).unwrap_or(i64::MAX));
         self.senders.clear();
         for shard in &self.shards {
             // Chase worker generations: joining one may reveal a
@@ -303,10 +280,7 @@ impl Drop for Pool {
 
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
-            .field("threads", &self.threads())
-            .field("stats", &self.stats())
-            .finish()
+        f.debug_struct("Pool").field("threads", &self.threads()).finish()
     }
 }
 
@@ -405,13 +379,19 @@ mod tests {
 
     #[test]
     fn try_new_rejects_zero_workers() {
-        let err = Pool::try_new(0).unwrap_err();
+        let err = Pool::try_new(0, &Arc::new(MetricsRegistry::new())).unwrap_err();
         assert!(err.to_string().contains("at least one"), "{err}");
+    }
+
+    /// A pool of `threads` workers counting into a private registry.
+    fn metered_pool(threads: usize) -> (Pool, Arc<MetricsRegistry>) {
+        let metrics = Arc::new(MetricsRegistry::new());
+        (Pool::try_new(threads, &metrics).unwrap(), metrics)
     }
 
     #[test]
     fn panicking_jobs_are_caught_counted_and_fifo_survives() {
-        let pool = Pool::new(2);
+        let (pool, metrics) = metered_pool(2);
         let seen: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
         // Interleave panicking jobs between ordered jobs on one shard.
         for i in 0..50 {
@@ -431,7 +411,7 @@ mod tests {
                 other.fetch_add(1, Ordering::Relaxed);
             });
         }
-        let stats_before_drop;
+        let snapshot_before_drop;
         {
             // Wait for the panicked shard to drain by watching the
             // ordered jobs complete.
@@ -440,15 +420,16 @@ mod tests {
                 assert!(std::time::Instant::now() < deadline, "shard 4 never drained");
                 std::thread::yield_now();
             }
-            stats_before_drop = pool.stats();
+            snapshot_before_drop = metrics.snapshot();
         }
         pool.shutdown();
         let seen = lock_unpoisoned(&seen);
         assert_eq!(*seen, (0..50).collect::<Vec<_>>(), "FIFO must survive respawns");
         assert_eq!(other.load(Ordering::Relaxed), 20);
-        assert_eq!(stats_before_drop.panics, 5, "every injected panic is counted");
-        assert_eq!(stats_before_drop.respawns, 5, "every panic respawned the worker");
-        assert_eq!(stats_before_drop.workers, 2);
+        let counter = |name| snapshot_before_drop.counter(name);
+        assert_eq!(counter("pool.panics"), Some(5), "every injected panic is counted");
+        assert_eq!(counter("pool.respawns"), Some(5), "every panic respawned the worker");
+        assert_eq!(snapshot_before_drop.gauge("pool.workers"), Some(2));
     }
 
     #[test]
@@ -471,33 +452,31 @@ mod tests {
 
     #[test]
     fn panics_and_respawns_flow_into_the_global_metrics_registry() {
-        // The registry is process-global and other pool tests run in
-        // parallel in this binary, so assert deltas, not exact values.
-        let reg = leaps_obs::registry();
-        let (jobs, panics, respawns) =
-            (reg.counter("pool.jobs"), reg.counter("pool.panics"), reg.counter("pool.respawns"));
-        let before = (jobs.value(), panics.value(), respawns.value());
-        let pool = Pool::new(1);
+        // Each pool counts into the registry it was built with (a
+        // service's own, never shared), so the counts are exact.
+        let (pool, metrics) = metered_pool(1);
         pool.submit(0, || panic!("metrics panic (expected in this test)"));
         pool.submit(0, || {});
         pool.shutdown();
-        assert!(jobs.value() >= before.0 + 2, "both jobs counted, panicking or not");
-        assert!(panics.value() > before.1, "the caught panic is counted");
-        assert!(respawns.value() > before.2, "the respawned generation is counted");
+        let snapshot = metrics.snapshot();
+        assert_eq!(snapshot.counter("pool.jobs"), Some(2), "both jobs counted, panicking or not");
+        assert_eq!(snapshot.counter("pool.panics"), Some(1), "the caught panic is counted");
+        assert_eq!(snapshot.counter("pool.respawns"), Some(1), "the respawn is counted");
+        assert_eq!(snapshot.gauge("pool.workers"), Some(0), "shutdown joined the worker");
+        assert_eq!(snapshot.gauge("pool.queue.0"), Some(0), "the queue drained");
     }
 
     #[test]
-    fn shard_panics_are_reported_per_worker() {
-        let pool = Pool::new(3);
-        pool.submit(1, || panic!("shard 1 panic (expected in this test)"));
-        pool.submit(1, || panic!("shard 1 panic again (expected in this test)"));
-        pool.submit(2, || panic!("shard 2 panic (expected in this test)"));
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while pool.stats().panics < 3 {
-            assert!(std::time::Instant::now() < deadline, "panics never surfaced");
-            std::thread::yield_now();
+    fn a_respawn_is_counted_before_the_successor_runs_a_job() {
+        for round in 0..200 {
+            let (pool, metrics) = metered_pool(1);
+            let respawns = metrics.counter("pool.respawns");
+            let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+            pool.submit(0, || panic!("respawn-order panic (expected in this test)"));
+            pool.submit(0, move || seen_tx.send(()).unwrap());
+            seen_rx.recv().unwrap();
+            assert_eq!(respawns.value(), 1, "round {round}: successor ran before its count");
+            pool.shutdown();
         }
-        assert_eq!(pool.shard_panics(), vec![0, 2, 1]);
-        pool.shutdown();
     }
 }

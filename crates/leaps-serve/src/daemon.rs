@@ -30,6 +30,7 @@ use crate::server::Server;
 use crate::session::{SessionReport, VerdictSink};
 use leaps_core::error::LeapsError;
 use leaps_core::stream::Verdict;
+use leaps_obs::{Histogram, Lazy, MetricsRegistry, Snapshot, Span, Value};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -233,6 +234,7 @@ impl BoundDaemon {
     ///
     /// [`LeapsError::Protocol`] if accepting fails fatally.
     pub fn run(self, server: &Arc<Server>) -> Result<usize, LeapsError> {
+        let spans = Arc::new(ProtoSpans::new(server.metrics()));
         let mut handles = Vec::new();
         loop {
             let stream = match self.listener.accept() {
@@ -248,9 +250,10 @@ impl BoundDaemon {
                 break; // the wake connection, or a client racing shutdown
             }
             let server = Arc::clone(server);
+            let spans = Arc::clone(&spans);
             let endpoint = self.endpoint.clone();
             handles.push(std::thread::spawn(move || {
-                handle_connection(&server, &endpoint, stream);
+                handle_connection(&server, &spans, &endpoint, stream);
             }));
         }
         for handle in handles {
@@ -265,31 +268,55 @@ impl BoundDaemon {
     }
 }
 
-/// Renders the `HEALTH` reply detail: worker liveness, self-healing
-/// counters, session/registry state and the idle policy. Keys follow
-/// the protocol counter vocabulary (`crate::proto` header).
-fn health_fields(server: &Server) -> String {
-    let stats = server.stats();
-    let r = stats.registry;
+/// The `HEALTH` fields: worker liveness, self-healing counters, and
+/// session and registry state.
+const HEALTH_FIELDS: [&str; 12] = [
+    "pool.workers",
+    "pool.panics",
+    "pool.respawns",
+    "serve.sessions",
+    "serve.opened",
+    "serve.closed",
+    "serve.reaped",
+    "registry.models",
+    "registry.cached_bytes",
+    "registry.loads",
+    "registry.hits",
+    "registry.evictions",
+];
+
+/// The server-wide `STATS` fields.
+const STATS_FIELDS: [&str; 9] = [
+    "serve.sessions",
+    "pool.workers",
+    "serve.opened",
+    "serve.closed",
+    "registry.models",
+    "registry.cached_bytes",
+    "registry.loads",
+    "registry.hits",
+    "registry.evictions",
+];
+
+/// Renders counters and gauges `names` as `name=value` tokens read from
+/// one snapshot of the server's registry. A metric nothing has recorded
+/// yet reads 0.
+fn snapshot_fields(snapshot: &Snapshot, names: &[&str]) -> String {
+    let value = |name: &str| match snapshot.get(name) {
+        Some(Value::Counter(v)) => v.to_string(),
+        Some(Value::Gauge(v)) => v.to_string(),
+        _ => "0".to_owned(),
+    };
+    names.iter().map(|name| format!("{name}={}", value(name))).collect::<Vec<_>>().join(" ")
+}
+
+/// Renders the `HEALTH` reply detail: [`HEALTH_FIELDS`] plus the idle
+/// policy. Keys follow the protocol counter vocabulary (`crate::proto`
+/// header).
+fn health_detail(server: &Server) -> String {
     let idle_secs = server.idle_ttl().map_or(0, |ttl| ttl.as_secs());
-    format!(
-        "health pool.workers={} pool.panics={} pool.respawns={} serve.sessions={} \
-         serve.opened={} serve.closed={} serve.reaped={} registry.models={} \
-         registry.cached_bytes={} registry.loads={} registry.hits={} registry.evictions={} \
-         idle_secs={idle_secs}",
-        stats.workers,
-        stats.panics,
-        stats.respawns,
-        stats.sessions,
-        stats.opened,
-        stats.closed,
-        stats.reaped,
-        r.loaded,
-        r.cached_bytes,
-        r.loads,
-        r.hits,
-        r.evictions
-    )
+    let fields = snapshot_fields(&server.metrics().snapshot(), &HEALTH_FIELDS);
+    format!("health {fields} idle_secs={idle_secs}")
 }
 
 /// Renders a session report as `key=value` stats tokens, using the
@@ -332,7 +359,12 @@ fn write_reply(writer: &Arc<Mutex<Stream>>, reply: &Reply) -> std::io::Result<()
 /// error but a chance to notice shutdown or idleness. `BufReader` keeps
 /// any partially-read line across ticks, so slow writers are never
 /// corrupted, only rechecked.
-fn handle_connection(server: &Arc<Server>, endpoint: &Endpoint, stream: Stream) {
+fn handle_connection(
+    server: &Arc<Server>,
+    spans: &ProtoSpans,
+    endpoint: &Endpoint,
+    stream: Stream,
+) {
     let _ = stream.set_read_timeout(Some(CONN_POLL));
     let Ok(write_half) = stream.try_clone() else { return };
     let writer = Arc::new(Mutex::new(write_half));
@@ -375,7 +407,7 @@ fn handle_connection(server: &Arc<Server>, endpoint: &Endpoint, stream: Stream) 
         let reply = match Command::parse_line(&line) {
             Err(e) => Reply::Err { family: "proto".to_owned(), message: e.to_string() },
             Ok(command) => {
-                let latency = command_span(&command);
+                let latency = spans.start(&command);
                 let outcome = dispatch(server, &writer, &mut client, command);
                 drop(latency);
                 match outcome {
@@ -419,34 +451,68 @@ enum Dispatch {
     Done,
 }
 
-/// Per-command daemon latency, recorded into `proto.<verb>.us`. One
-/// `match` arm per verb so each histogram handle is cached in a static —
-/// the `EVENT` hot path never touches the registry lock.
-fn command_span(command: &Command) -> leaps_obs::Span {
-    use leaps_obs::span;
-    match command {
-        Command::Hello { .. } => span!("proto.hello"),
-        Command::Open { .. } => span!("proto.open"),
-        Command::Event { .. } => span!("proto.event"),
-        Command::Close { .. } => span!("proto.close"),
-        Command::Stats { .. } => span!("proto.stats"),
-        Command::Reload { .. } => span!("proto.reload"),
-        Command::Health => span!("proto.health"),
-        Command::Metrics { .. } => span!("proto.metrics"),
-        Command::Shutdown => span!("proto.shutdown"),
-        Command::Bye => span!("proto.bye"),
-        Command::Panic { .. } => span!("proto.panic"),
+/// Per-command daemon latency histograms, `proto.<verb>.us` in the
+/// server's registry. One handle per verb, taken once per daemon, so the
+/// `EVENT` hot path never touches the registry lock.
+struct ProtoSpans {
+    hello: Lazy<Histogram>,
+    open: Lazy<Histogram>,
+    event: Lazy<Histogram>,
+    close: Lazy<Histogram>,
+    stats: Lazy<Histogram>,
+    reload: Lazy<Histogram>,
+    health: Lazy<Histogram>,
+    metrics: Lazy<Histogram>,
+    shutdown: Lazy<Histogram>,
+    bye: Lazy<Histogram>,
+    panic: Lazy<Histogram>,
+}
+
+impl ProtoSpans {
+    fn new(metrics: &Arc<MetricsRegistry>) -> ProtoSpans {
+        ProtoSpans {
+            hello: metrics.lazy(|m| m.histogram("proto.hello.us")),
+            open: metrics.lazy(|m| m.histogram("proto.open.us")),
+            event: metrics.lazy(|m| m.histogram("proto.event.us")),
+            close: metrics.lazy(|m| m.histogram("proto.close.us")),
+            stats: metrics.lazy(|m| m.histogram("proto.stats.us")),
+            reload: metrics.lazy(|m| m.histogram("proto.reload.us")),
+            health: metrics.lazy(|m| m.histogram("proto.health.us")),
+            metrics: metrics.lazy(|m| m.histogram("proto.metrics.us")),
+            shutdown: metrics.lazy(|m| m.histogram("proto.shutdown.us")),
+            bye: metrics.lazy(|m| m.histogram("proto.bye.us")),
+            panic: metrics.lazy(|m| m.histogram("proto.panic.us")),
+        }
+    }
+
+    /// Starts timing `command`; the span records when dropped.
+    fn start(&self, command: &Command) -> Span {
+        let hist = match command {
+            Command::Hello { .. } => &self.hello,
+            Command::Open { .. } => &self.open,
+            Command::Event { .. } => &self.event,
+            Command::Close { .. } => &self.close,
+            Command::Stats { .. } => &self.stats,
+            Command::Reload { .. } => &self.reload,
+            Command::Health => &self.health,
+            Command::Metrics { .. } => &self.metrics,
+            Command::Shutdown => &self.shutdown,
+            Command::Bye => &self.bye,
+            Command::Panic { .. } => &self.panic,
+        };
+        Span::new(hist.get())
     }
 }
 
-/// Serves `METRICS [reset]`: snapshots the global registry, then writes
-/// the `OK metrics n=<k>` acknowledgement and all `k` `METRIC` lines in
-/// **one** buffered write under **one** writer-lock hold, so concurrent
-/// `VERDICT` pushes can never land inside the block. With `reset`,
-/// counters and histograms are zeroed after the snapshot (gauges keep
-/// their level — they track live state, not history).
-fn write_metrics_block(writer: &Arc<Mutex<Stream>>, reset: bool) -> Dispatch {
-    let registry = leaps_obs::registry();
+/// Serves `METRICS [reset]`: snapshots the server's registry, then
+/// writes the `OK metrics n=<k>` acknowledgement and all `k` `METRIC`
+/// lines in **one** buffered write under **one** writer-lock hold, so
+/// concurrent `VERDICT` pushes can never land inside the block. With
+/// `reset`, counters and histograms are zeroed after the snapshot
+/// (gauges keep their level — they track live state, not history); the
+/// counters `HEALTH` shows are among them.
+fn write_metrics_block(server: &Server, writer: &Arc<Mutex<Stream>>, reset: bool) -> Dispatch {
+    let registry = server.metrics();
     let snapshot = registry.snapshot();
     if reset {
         registry.reset();
@@ -477,18 +543,18 @@ fn dispatch(
             return Dispatch::Reply(proto_err("already introduced"));
         }
         *client = Some(id.clone());
-        let stats = server.stats();
+        let workers = server.metrics().snapshot().gauge("pool.workers").unwrap_or(0);
         return Dispatch::Reply(Reply::Ok {
-            detail: format!("hello {PROTOCOL_VERSION} workers={}", stats.workers),
+            detail: format!("hello {PROTOCOL_VERSION} workers={workers}"),
         });
     }
     // Supervisor probes work without a HELLO: an external health checker
     // should not have to claim a client identity (and session keys).
     if command == Command::Health {
-        return Dispatch::Reply(Reply::Ok { detail: health_fields(server) });
+        return Dispatch::Reply(Reply::Ok { detail: health_detail(server) });
     }
     if let Command::Metrics { reset } = command {
-        return write_metrics_block(writer, reset);
+        return write_metrics_block(server, writer, reset);
     }
     if let Command::Panic { shard } = command {
         if std::env::var("LEAPS_CHAOS").as_deref() != Ok("1") {
@@ -537,26 +603,12 @@ fn dispatch(
             }),
             Err(e) => Dispatch::Reply(err_reply(&e)),
         },
-        Command::Stats { pid: None } => {
-            let stats = server.stats();
-            let r = stats.registry;
-            Dispatch::Reply(Reply::Ok {
-                detail: format!(
-                    "stats serve.sessions={} pool.workers={} serve.opened={} serve.closed={} \
-                     registry.models={} registry.cached_bytes={} registry.loads={} \
-                     registry.hits={} registry.evictions={}",
-                    stats.sessions,
-                    stats.workers,
-                    stats.opened,
-                    stats.closed,
-                    r.loaded,
-                    r.cached_bytes,
-                    r.loads,
-                    r.hits,
-                    r.evictions
-                ),
-            })
-        }
+        Command::Stats { pid: None } => Dispatch::Reply(Reply::Ok {
+            detail: format!(
+                "stats {}",
+                snapshot_fields(&server.metrics().snapshot(), &STATS_FIELDS)
+            ),
+        }),
         Command::Reload { model } => match server.reload(&model) {
             Ok(()) => Dispatch::Reply(Reply::Ok { detail: format!("reload model={model}") }),
             Err(e) => Dispatch::Reply(err_reply(&e)),

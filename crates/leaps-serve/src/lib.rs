@@ -45,8 +45,8 @@ pub mod session;
 pub use client::Client;
 pub use daemon::{BoundDaemon, Endpoint};
 pub use proto::{Command, ProtoError, Reply};
-pub use registry::{Registry, RegistryStats};
-pub use server::{Server, ServerConfig, ServerStats};
+pub use registry::Registry;
+pub use server::{Server, ServerConfig};
 pub use session::{BufferSink, SessionKey, SessionReport, Submit, VerdictSink};
 
 /// Poison-tolerant locking, re-exported from [`leaps_par`] so every

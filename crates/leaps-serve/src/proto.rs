@@ -23,14 +23,15 @@
 //! `HEALTH` is the supervisor probe: worker liveness plus the
 //! self-healing counters (`pool.panics`, `pool.respawns`,
 //! `serve.reaped`), session and registry state, and the idle policy
-//! (`idle_secs`, `0` = disabled). `METRICS` dumps the full `leaps-obs`
-//! registry, one `METRIC` line per metric in the stable
+//! (`idle_secs`, `0` = disabled). `METRICS` dumps the server's own
+//! `leaps-obs` registry, one `METRIC` line per metric in the stable
 //! one-metric-per-line snapshot format (`leaps_obs::snapshot`), count
 //! announced up front in the `OK metrics n=<k>` acknowledgement; the
 //! whole block is written under one writer lock so verdicts never
 //! interleave inside it. With `reset`, counters and histograms are
 //! zeroed *after* the snapshot is taken (gauges are levels and keep
-//! their value). Both probes are allowed before `HELLO`.
+//! their value) — the counters `HEALTH` shows among them, since both
+//! read the same registry. Both probes are allowed before `HELLO`.
 //! `PANIC` deliberately crashes one pool job to exercise supervision;
 //! the daemon refuses it unless it was started with `LEAPS_CHAOS=1` in
 //! the environment.
@@ -50,11 +51,13 @@
 //! | `proto.*`   | `proto.<verb>.us` per-command daemon latency histograms                 |
 //! | `session.*` | per-session lifetime counters: `session.queued`, `session.submitted`, `session.shed`, `session.verdicts` |
 //! | `stream.*`  | per-session stream health: `stream.accepted`, `stream.duplicates`, `stream.gaps`, `stream.missing`, `stream.reordered`, `stream.degraded` |
-//! | `train.*` / `ckpt.*` / `sweep.*` | training-side metrics (`METRICS` only; a daemon normally shows them at zero) |
+//! | `train.*` / `ckpt.*` / `sweep.*` | training-side metrics, in the process-global registry; never in a daemon's `METRICS` |
 //!
 //! `session.*`/`stream.*` are per-session and therefore appear only in
-//! `STATS pid=`/`CLOSE` acknowledgements; everything else is
-//! process-global and appears in `METRICS` (and aggregated in `HEALTH`).
+//! `STATS pid=`/`CLOSE` acknowledgements; everything else is per-server:
+//! it lives in the server's own metrics registry, appears in `METRICS`,
+//! and `HEALTH` and server-wide `STATS` read their fields from the same
+//! snapshot.
 //!
 //! Every command receives exactly one acknowledgement (`OK`, `BUSY` or
 //! `ERR`); `VERDICT` lines are pushed asynchronously by pool workers and

@@ -23,32 +23,22 @@
 //! torn file or flaky disk degrades hot reload, never availability —
 //! sessions keep opening against the copy that last parsed. Parse
 //! failures name the backing file (exit-code family 4).
+//!
+//! The registry counts into the server's metrics registry:
+//! `registry.loads`, `registry.hits` and `registry.evictions`, plus the
+//! `registry.models` and `registry.cached_bytes` levels.
 
 use crate::lock_unpoisoned;
 use crate::proto::valid_name;
 use leaps_core::error::LeapsError;
 use leaps_core::persist::{load_classifier, ModelError};
 use leaps_core::pipeline::Classifier;
+use leaps_obs::{Counter, Gauge, Lazy, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Registry counters (monotonic except `loaded`/`cached_bytes`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RegistryStats {
-    /// Models currently cached.
-    pub loaded: usize,
-    /// Total on-disk bytes of the cached models.
-    pub cached_bytes: u64,
-    /// Cache misses that read a model from disk.
-    pub loads: u64,
-    /// Cache hits.
-    pub hits: u64,
-    /// Entries evicted to honour the byte cap.
-    pub evictions: u64,
-}
 
 struct Entry {
     classifier: Arc<Classifier>,
@@ -59,9 +49,20 @@ struct Entry {
 struct Inner {
     entries: BTreeMap<String, Entry>,
     tick: u64,
-    loads: u64,
-    hits: u64,
-    evictions: u64,
+}
+
+/// The registry's counters and levels.
+struct RegistryMetrics {
+    /// Cache misses (and reloads) that read a model from disk.
+    loads: Lazy<Counter>,
+    /// Cache hits.
+    hits: Lazy<Counter>,
+    /// Entries evicted to honour the byte cap.
+    evictions: Lazy<Counter>,
+    /// Models currently cached.
+    models: Lazy<Gauge>,
+    /// Total on-disk bytes of the cached models.
+    cached_bytes: Lazy<Gauge>,
 }
 
 /// A thread-safe, LRU-bounded cache of named classifiers backed by a
@@ -70,25 +71,32 @@ pub struct Registry {
     dir: PathBuf,
     cap_bytes: u64,
     inner: Mutex<Inner>,
+    metrics: RegistryMetrics,
 }
 
 impl Registry {
-    /// Creates a registry over `dir` with a cache cap of `cap_bytes`.
+    /// Creates a registry over `dir` with a cache cap of `cap_bytes`,
+    /// counting into `metrics`.
     ///
     /// The directory is not scanned up front: models load lazily on
     /// first use, so a registry over a huge model farm starts instantly.
     #[must_use]
-    pub fn new(dir: impl Into<PathBuf>, cap_bytes: u64) -> Registry {
+    pub fn new(
+        dir: impl Into<PathBuf>,
+        cap_bytes: u64,
+        metrics: &Arc<MetricsRegistry>,
+    ) -> Registry {
         Registry {
             dir: dir.into(),
             cap_bytes,
-            inner: Mutex::new(Inner {
-                entries: BTreeMap::new(),
-                tick: 0,
-                loads: 0,
-                hits: 0,
-                evictions: 0,
-            }),
+            inner: Mutex::new(Inner { entries: BTreeMap::new(), tick: 0 }),
+            metrics: RegistryMetrics {
+                loads: metrics.lazy(|m| m.counter("registry.loads")),
+                hits: metrics.lazy(|m| m.counter("registry.hits")),
+                evictions: metrics.lazy(|m| m.counter("registry.evictions")),
+                models: metrics.lazy(|m| m.gauge("registry.models")),
+                cached_bytes: metrics.lazy(|m| m.gauge("registry.cached_bytes")),
+            },
         }
     }
 
@@ -132,8 +140,7 @@ impl Registry {
             inner.tick += 1;
             if let Some(entry) = inner.entries.get_mut(name) {
                 entry.last_used = inner.tick;
-                inner.hits += 1;
-                leaps_obs::counter!("registry.hits").inc();
+                self.metrics.hits.get().inc();
                 return Ok(Arc::clone(&entry.classifier));
             }
         }
@@ -143,8 +150,7 @@ impl Registry {
         let mut inner = lock_unpoisoned(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
-        inner.loads += 1;
-        leaps_obs::counter!("registry.loads").inc();
+        self.metrics.loads.get().inc();
         inner.entries.insert(
             name.to_owned(),
             Entry { classifier: Arc::clone(&classifier), bytes, last_used: tick },
@@ -172,16 +178,15 @@ impl Registry {
                 return; // only `keep` remains; an oversized model is served uncached
             };
             inner.entries.remove(&victim);
-            inner.evictions += 1;
-            leaps_obs::counter!("registry.evictions").inc();
+            self.metrics.evictions.get().inc();
         }
     }
 
     /// Publishes the cache's level gauges after any mutation.
     fn publish_gauges(&self, inner: &Inner) {
-        leaps_obs::gauge!("registry.models").set(inner.entries.len() as i64);
+        self.metrics.models.get().set(inner.entries.len() as i64);
         let bytes: u64 = inner.entries.values().map(|e| e.bytes).sum();
-        leaps_obs::gauge!("registry.cached_bytes").set(i64::try_from(bytes).unwrap_or(i64::MAX));
+        self.metrics.cached_bytes.get().set(i64::try_from(bytes).unwrap_or(i64::MAX));
     }
 
     /// Hot-reloads `name` from disk, replacing the cached copy.
@@ -206,25 +211,11 @@ impl Registry {
         let mut inner = lock_unpoisoned(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
-        inner.loads += 1;
-        leaps_obs::counter!("registry.loads").inc();
+        self.metrics.loads.get().inc();
         inner.entries.insert(name.to_owned(), Entry { classifier, bytes, last_used: tick });
         self.evict_over_cap(&mut inner, name);
         self.publish_gauges(&inner);
         Ok(())
-    }
-
-    /// Current counters.
-    #[must_use]
-    pub fn stats(&self) -> RegistryStats {
-        let inner = lock_unpoisoned(&self.inner);
-        RegistryStats {
-            loaded: inner.entries.len(),
-            cached_bytes: inner.entries.values().map(|e| e.bytes).sum(),
-            loads: inner.loads,
-            hits: inner.hits,
-            evictions: inner.evictions,
-        }
     }
 }
 
@@ -259,7 +250,6 @@ impl std::fmt::Debug for Registry {
         f.debug_struct("Registry")
             .field("dir", &self.dir)
             .field("cap_bytes", &self.cap_bytes)
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -289,6 +279,12 @@ mod tests {
         text.len() as u64
     }
 
+    /// A registry over `dir` counting into a private metrics registry.
+    fn metered(dir: &Path, cap_bytes: u64) -> (Registry, Arc<MetricsRegistry>) {
+        let metrics = Arc::new(MetricsRegistry::new());
+        (Registry::new(dir, cap_bytes, &metrics), metrics)
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("leaps-registry-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -300,19 +296,23 @@ mod tests {
     fn loads_caches_and_counts_hits() {
         let dir = temp_dir("hits");
         write_model(&dir, "a", 4);
-        let registry = Registry::new(&dir, 1 << 20);
+        let (registry, metrics) = metered(&dir, 1 << 20);
         let first = registry.get("a").unwrap();
         let second = registry.get("a").unwrap();
         assert!(Arc::ptr_eq(&first, &second), "hit must return the cached Arc");
-        let stats = registry.stats();
-        assert_eq!((stats.loads, stats.hits, stats.loaded), (1, 1, 1));
+        let snap = metrics.snapshot();
+        assert_eq!(
+            (snap.counter("registry.loads"), snap.counter("registry.hits")),
+            (Some(1), Some(1))
+        );
+        assert_eq!(snap.gauge("registry.models"), Some(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rejects_bad_names_and_missing_files() {
         let dir = temp_dir("bad");
-        let registry = Registry::new(&dir, 1 << 20);
+        let (registry, _) = metered(&dir, 1 << 20);
         assert_eq!(registry.get("../etc/passwd").unwrap_err().exit_code(), 7);
         assert_eq!(registry.get("absent").unwrap_err().exit_code(), 6);
         std::fs::write(dir.join("garbage.model"), "not a model").unwrap();
@@ -328,18 +328,18 @@ mod tests {
         let c = write_model(&dir, "c", 8);
         assert_eq!(a, b);
         // Cap fits exactly two of the three models.
-        let registry = Registry::new(&dir, a + b + c / 2);
+        let (registry, metrics) = metered(&dir, a + b + c / 2);
         registry.get("a").unwrap();
         registry.get("b").unwrap();
         registry.get("a").unwrap(); // refresh a: b is now the LRU entry
         let held = registry.get("c").unwrap(); // evicts b
-        let stats = registry.stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.loaded, 2);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("registry.evictions"), Some(1));
+        assert_eq!(snap.gauge("registry.models"), Some(2));
         // b reloads from disk (a fresh load, not a hit)...
-        let loads_before = stats.loads;
+        let loads_before = snap.counter("registry.loads").unwrap();
         registry.get("b").unwrap();
-        assert_eq!(registry.stats().loads, loads_before + 1);
+        assert_eq!(metrics.snapshot().counter("registry.loads"), Some(loads_before + 1));
         // ...while the evicted-but-held Arc stays usable.
         drop(held);
         let _ = std::fs::remove_dir_all(&dir);
@@ -349,12 +349,13 @@ mod tests {
     fn oversized_model_is_served_but_not_retained_with_others() {
         let dir = temp_dir("oversize");
         write_model(&dir, "big", 64);
-        let registry = Registry::new(&dir, 1); // cap smaller than any model
+        let (registry, metrics) = metered(&dir, 1); // cap smaller than any model
+        let models = || metrics.snapshot().gauge("registry.models");
         registry.get("big").unwrap();
-        assert_eq!(registry.stats().loaded, 1, "sole entry survives");
+        assert_eq!(models(), Some(1), "sole entry survives");
         write_model(&dir, "other", 4);
         registry.get("other").unwrap();
-        assert_eq!(registry.stats().loaded, 1, "cap forces a single entry");
+        assert_eq!(models(), Some(1), "cap forces a single entry");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -362,7 +363,7 @@ mod tests {
     fn reload_swaps_the_cached_copy() {
         let dir = temp_dir("reload");
         write_model(&dir, "m", 2);
-        let registry = Registry::new(&dir, 1 << 20);
+        let (registry, metrics) = metered(&dir, 1 << 20);
         let old = registry.get("m").unwrap();
         write_model(&dir, "m", 6);
         registry.reload("m").unwrap();
@@ -377,7 +378,11 @@ mod tests {
         let err = registry.reload("m").unwrap_err();
         assert_eq!(err.exit_code(), 4);
         assert!(err.to_string().contains("m.model"), "{err}");
-        assert_eq!(registry.stats().loaded, 1, "last-known-good entry must survive");
+        assert_eq!(
+            metrics.snapshot().gauge("registry.models"),
+            Some(1),
+            "last-known-good entry must survive"
+        );
         let survivor = registry.get("m").unwrap();
         assert!(Arc::ptr_eq(&survivor, &new), "survivor must be the pre-failure copy");
         let _ = std::fs::remove_dir_all(&dir);
@@ -398,7 +403,7 @@ mod tests {
         let dir = temp_dir("sigma2");
         let path = dir.join("w.model");
         std::fs::write(&path, svm_model_text("2.0")).unwrap();
-        let registry = Registry::new(&dir, 1 << 20);
+        let (registry, _) = metered(&dir, 1 << 20);
         let good = registry.get("w").unwrap();
         for bad in ["NaN", "0.0", "-1.0"] {
             std::fs::write(&path, svm_model_text(bad)).unwrap();
@@ -406,6 +411,44 @@ mod tests {
             assert_eq!(err.exit_code(), 4, "{bad}: {err}");
             assert!(err.to_string().contains("sigma2"), "{bad}: {err}");
             assert!(Arc::ptr_eq(&registry.get("w").unwrap(), &good), "{bad}: model replaced");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A one-state HMM model over a one-entry symbol table, written out
+    /// by hand: `pi` is the initial-state line, `symbols` both alphabets
+    /// (2 = the table entry plus the unknown symbol).
+    fn hmm_model_text(pi: &str, symbols: usize) -> String {
+        let b = vec![format!("{:?}", 1.0 / symbols as f64); symbols].join(" ");
+        let hmm = |tag: &str| format!("{tag} 1 {symbols}\npi {pi}\na 1.0\nb {b}\n");
+        format!(
+            "# LEAPS-MODEL v1\nkind hmm\nencoder average distance 0.15 1 1 400\n\
+             lib_vocab 1\nset 0 ntdll\nfunc_vocab 1\nset 0 ntdll!NtClose\n\
+             symbols 1\nsym 0 0 0 0\n{}{}",
+            hmm("benign_hmm"),
+            hmm("mixed_hmm")
+        )
+    }
+
+    #[test]
+    fn invalid_hmm_models_are_refused_and_reload_keeps_the_last_known_good_model() {
+        let dir = temp_dir("hmm");
+        let path = dir.join("h.model");
+        let (registry, _) = metered(&dir, 1 << 20);
+        for (bad, needle) in
+            [(hmm_model_text("NaN", 2), "not a probability"), (hmm_model_text("1.0", 1), "symbol")]
+        {
+            std::fs::write(&path, &bad).unwrap();
+            let err = registry.get("h").unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{needle}: {err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+        std::fs::write(&path, hmm_model_text("1.0", 2)).unwrap();
+        let good = registry.get("h").unwrap();
+        for bad in [hmm_model_text("-5", 2), hmm_model_text("1.0", 1)] {
+            std::fs::write(&path, bad).unwrap();
+            assert_eq!(registry.reload("h").unwrap_err().exit_code(), 4);
+            assert!(Arc::ptr_eq(&registry.get("h").unwrap(), &good), "model replaced");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

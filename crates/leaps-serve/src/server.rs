@@ -5,12 +5,19 @@
 //! around this type; embedders (tests, benchmarks, other services) drive
 //! it directly with [`Server::open`] / [`Server::submit`] /
 //! [`Server::close`].
+//!
+//! Each server owns one [`MetricsRegistry`], made when it is built and
+//! handed to its pool and model registry. Every `pool.*`, `registry.*`
+//! and `serve.*` count of the server lives there and nowhere else;
+//! `HEALTH`, `STATS` and `METRICS` are views of one snapshot of it
+//! ([`Server::metrics`]).
 
 use crate::lock_unpoisoned;
-use crate::registry::{Registry, RegistryStats};
+use crate::registry::Registry;
 use crate::session::{drain, Session, SessionKey, SessionReport, Submit, VerdictSink};
 use leaps_core::error::LeapsError;
 use leaps_core::stream::StreamDetector;
+use leaps_obs::{Counter, Gauge, Lazy, MetricsRegistry};
 use leaps_par::pool::Pool;
 use leaps_trace::partition::PartitionedEvent;
 use std::collections::BTreeMap;
@@ -52,25 +59,39 @@ impl ServerConfig {
     }
 }
 
-/// Server-wide counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerStats {
+/// The server's `serve.*` counters and session level.
+pub(crate) struct ServeMetrics {
+    /// Sessions opened.
+    opened: Lazy<Counter>,
+    /// Sessions closed, the reaped ones included.
+    closed: Lazy<Counter>,
+    /// Sessions closed by the idle reaper.
+    reaped: Lazy<Counter>,
+    /// Events submitted (accepted + shed).
+    events: Lazy<Counter>,
+    /// Events shed by backpressure.
+    shed: Lazy<Counter>,
+    /// Verdicts delivered (counted by the drain).
+    pub(crate) verdicts: Lazy<Counter>,
+    /// Delivered verdicts flagged degraded.
+    pub(crate) degraded: Lazy<Counter>,
     /// Sessions currently open.
-    pub sessions: usize,
-    /// Pool worker threads.
-    pub workers: usize,
-    /// Registry counters.
-    pub registry: RegistryStats,
-    /// Sessions opened over the server's lifetime.
-    pub opened: u64,
-    /// Sessions closed over the server's lifetime.
-    pub closed: u64,
-    /// Pool jobs that panicked (caught and counted, never fatal).
-    pub panics: u64,
-    /// Pool workers respawned after a panicking job.
-    pub respawns: u64,
-    /// Sessions closed by the idle reaper (included in `closed`).
-    pub reaped: u64,
+    sessions: Lazy<Gauge>,
+}
+
+impl ServeMetrics {
+    fn new(metrics: &Arc<MetricsRegistry>) -> ServeMetrics {
+        ServeMetrics {
+            opened: metrics.lazy(|m| m.counter("serve.opened")),
+            closed: metrics.lazy(|m| m.counter("serve.closed")),
+            reaped: metrics.lazy(|m| m.counter("serve.reaped")),
+            events: metrics.lazy(|m| m.counter("serve.events")),
+            shed: metrics.lazy(|m| m.counter("serve.shed")),
+            verdicts: metrics.lazy(|m| m.counter("serve.verdicts")),
+            degraded: metrics.lazy(|m| m.counter("serve.degraded")),
+            sessions: metrics.lazy(|m| m.gauge("serve.sessions")),
+        }
+    }
 }
 
 /// A multi-session streaming detection server.
@@ -85,9 +106,9 @@ pub struct Server {
     idle_ttl: Option<Duration>,
     next_shard: AtomicUsize,
     shutting_down: AtomicBool,
-    opened: AtomicUsize,
-    closed: AtomicUsize,
-    reaped: AtomicUsize,
+    metrics: Arc<MetricsRegistry>,
+    /// Shared with every session, whose drain jobs count verdicts.
+    serve: Arc<ServeMetrics>,
 }
 
 impl Server {
@@ -110,26 +131,28 @@ impl Server {
     /// [`LeapsError::Protocol`] if the pool cannot be built.
     pub fn try_new(config: &ServerConfig) -> Result<Server, LeapsError> {
         let threads = if config.workers == 0 { leaps_par::thread_count() } else { config.workers };
-        let pool = Pool::try_new(threads)
+        let metrics = Arc::new(MetricsRegistry::new());
+        let pool = Pool::try_new(threads, &metrics)
             .map_err(|e| LeapsError::protocol(format!("spawning worker pool: {e}")))?;
         Ok(Server {
-            registry: Registry::new(&config.models_dir, config.cache_cap_bytes),
+            registry: Registry::new(&config.models_dir, config.cache_cap_bytes, &metrics),
             sessions: Mutex::new(BTreeMap::new()),
             pool,
             queue_cap: config.queue_cap.max(1),
             idle_ttl: config.idle_ttl.filter(|ttl| !ttl.is_zero()),
             next_shard: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
-            opened: AtomicUsize::new(0),
-            closed: AtomicUsize::new(0),
-            reaped: AtomicUsize::new(0),
+            serve: Arc::new(ServeMetrics::new(&metrics)),
+            metrics,
         })
     }
 
-    /// The model registry (for `RELOAD` and stats).
+    /// The server's own metrics registry: every `pool.*`, `registry.*`
+    /// and `serve.*` metric of this server, and the daemon's `proto.*`
+    /// latencies. A metric appears once something has recorded it.
     #[must_use]
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        &self.metrics
     }
 
     /// The configured idle TTL, if the idle policy is enabled.
@@ -183,10 +206,11 @@ impl Server {
             return Err(LeapsError::protocol(format!("session ({client:?}, {pid}) already open")));
         }
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed);
-        sessions.insert(key, Arc::new(Session::new(pid, model.to_owned(), shard, detector, sink)));
-        self.opened.fetch_add(1, Ordering::Relaxed);
-        leaps_obs::counter!("serve.opened").inc();
-        leaps_obs::gauge!("serve.sessions").add(1);
+        let serve = Arc::clone(&self.serve);
+        let session = Session::new(pid, model.to_owned(), shard, detector, sink, serve);
+        sessions.insert(key, Arc::new(session));
+        self.serve.opened.get().inc();
+        self.serve.sessions.get().add(1);
         Ok(())
     }
 
@@ -216,11 +240,11 @@ impl Server {
             }
             state.submitted += 1;
             state.last_activity_us = leaps_obs::now_micros();
-            leaps_obs::counter!("serve.events").inc();
+            self.serve.events.get().inc();
             let outcome = if state.queue.len() >= self.queue_cap {
                 state.queue.pop_front();
                 state.shed += 1;
-                leaps_obs::counter!("serve.shed").inc();
+                self.serve.shed.get().inc();
                 Submit::Busy { shed: state.shed }
             } else {
                 Submit::Accepted { queued: state.queue.len() + 1 }
@@ -268,9 +292,8 @@ impl Server {
             }
         }
         lock_unpoisoned(&self.sessions).remove(&(client.to_owned(), pid));
-        self.closed.fetch_add(1, Ordering::Relaxed);
-        leaps_obs::counter!("serve.closed").inc();
-        leaps_obs::gauge!("serve.sessions").add(-1);
+        self.serve.closed.get().inc();
+        self.serve.sessions.get().add(-1);
         Ok(session.report())
     }
 
@@ -315,22 +338,6 @@ impl Server {
         self.registry.reload(model)
     }
 
-    /// Server-wide counters.
-    #[must_use]
-    pub fn stats(&self) -> ServerStats {
-        let pool = self.pool.stats();
-        ServerStats {
-            sessions: lock_unpoisoned(&self.sessions).len(),
-            workers: pool.workers,
-            registry: self.registry.stats(),
-            opened: self.opened.load(Ordering::Relaxed) as u64,
-            closed: self.closed.load(Ordering::Relaxed) as u64,
-            panics: pool.panics,
-            respawns: pool.respawns,
-            reaped: self.reaped.load(Ordering::Relaxed) as u64,
-        }
-    }
-
     /// Closes every session idle past `ttl` (no submit since), returning
     /// how many were reaped. Freed sessions release their queue budget
     /// and detector immediately; a client touching a reaped session gets
@@ -356,8 +363,7 @@ impl Server {
                 reaped += 1;
             }
         }
-        self.reaped.fetch_add(reaped, Ordering::Relaxed);
-        leaps_obs::counter!("serve.reaped").add(reaped as u64);
+        self.serve.reaped.get().add(reaped as u64);
         reaped
     }
 
@@ -397,6 +403,6 @@ impl Server {
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Server").field("stats", &self.stats()).finish()
+        f.debug_struct("Server").field("metrics", &self.metrics.snapshot()).finish()
     }
 }

@@ -21,6 +21,7 @@
 //! carry the `degraded` flag like any other telemetry loss.
 
 use crate::lock_unpoisoned;
+use crate::server::ServeMetrics;
 use leaps_core::stream::{StreamDetector, StreamStats, Verdict};
 use leaps_trace::partition::PartitionedEvent;
 use std::collections::VecDeque;
@@ -134,6 +135,8 @@ pub struct Session {
     pub(crate) idle: Condvar,
     pub(crate) detector: Mutex<StreamDetector>,
     pub(crate) sink: Arc<dyn VerdictSink>,
+    /// The server's counters; the drain records verdicts into them.
+    pub(crate) serve: Arc<ServeMetrics>,
 }
 
 /// Max events scored per drain batch before re-checking the queue —
@@ -147,6 +150,7 @@ impl Session {
         shard: usize,
         detector: StreamDetector,
         sink: Arc<dyn VerdictSink>,
+        serve: Arc<ServeMetrics>,
     ) -> Session {
         Session {
             pid,
@@ -164,6 +168,7 @@ impl Session {
             idle: Condvar::new(),
             detector: Mutex::new(detector),
             sink,
+            serve,
         }
     }
 
@@ -226,9 +231,8 @@ pub(crate) fn drain(session: &Session) {
         for verdict in &verdicts {
             session.sink.deliver(session.pid, verdict);
         }
-        leaps_obs::counter!("serve.verdicts").add(verdicts.len() as u64);
-        leaps_obs::counter!("serve.degraded")
-            .add(verdicts.iter().filter(|v| v.degraded).count() as u64);
+        session.serve.verdicts.get().add(verdicts.len() as u64);
+        session.serve.degraded.get().add(verdicts.iter().filter(|v| v.degraded).count() as u64);
         lock_unpoisoned(&session.state).verdicts += verdicts.len() as u64;
     }
 }

@@ -1,9 +1,8 @@
 //! Wire-level tests of the `METRICS [reset]` command against a live
 //! daemon.
 //!
-//! These live in their own integration-test binary (own process, own
-//! [`leaps_obs`] global registry) so exact post-reset assertions cannot
-//! race with the other service tests' traffic.
+//! Every server counts into a registry of its own, so each test asserts
+//! exact counts however the test runner schedules them.
 
 use leaps_cgraph::classify::CallGraphClassifier;
 use leaps_cgraph::graph::CallGraph;
@@ -116,4 +115,48 @@ fn metrics_rejects_unknown_arguments() {
     assert!(Command::parse_line("METRICS reset\n").is_ok());
     assert!(Command::parse_line("METRICS hard\n").is_err());
     assert!(Command::parse_line("METRICS reset now\n").is_err());
+}
+
+#[test]
+fn metrics_reset_zeroes_the_health_counters_but_keeps_its_levels() {
+    let config = ServerConfig { workers: 2, ..ServerConfig::new(models_dir("reset-health")) };
+    let server = Arc::new(Server::new(&config));
+    let bound = Endpoint::Tcp("127.0.0.1:0".to_owned()).bind().unwrap();
+    let endpoint = bound.endpoint().clone();
+    let daemon_server = Arc::clone(&server);
+    let daemon = std::thread::spawn(move || bound.run(&daemon_server).unwrap());
+
+    // One session stays open across the reset, one is closed before it.
+    let mut verdicts = Vec::new();
+    let mut client = Client::connect(&endpoint).unwrap();
+    client.expect_ok(&Command::Hello { client: "rtest".into() }, &mut verdicts).unwrap();
+    for pid in [1, 2] {
+        client.expect_ok(&Command::Open { pid, model: "tiny".into() }, &mut verdicts).unwrap();
+        client.request(&Command::Event { pid, event: event(0, true) }, &mut verdicts).unwrap();
+    }
+    client.expect_ok(&Command::Close { pid: 2 }, &mut verdicts).unwrap();
+    let before = client.expect_ok(&Command::Health, &mut verdicts).unwrap();
+    for token in ["pool.workers=2", "serve.sessions=1", "serve.opened=2", "serve.closed=1"] {
+        assert!(before.contains(token), "missing {token:?} in {before}");
+    }
+
+    client.fetch_metrics(true, &mut verdicts).unwrap();
+    let after = client.expect_ok(&Command::Health, &mut verdicts).unwrap();
+    let bytes = server.metrics().snapshot().gauge("registry.cached_bytes").unwrap();
+    assert!(bytes > 0, "one model is cached");
+    assert_eq!(
+        after,
+        format!(
+            "health pool.workers=2 pool.panics=0 pool.respawns=0 serve.sessions=1 \
+             serve.opened=0 serve.closed=0 serve.reaped=0 registry.models=1 \
+             registry.cached_bytes={bytes} registry.loads=0 registry.hits=0 \
+             registry.evictions=0 idle_secs=0"
+        ),
+        "counters restart from zero; the pool.workers, serve.sessions and registry.models \
+         levels are kept"
+    );
+
+    client.expect_ok(&Command::Close { pid: 1 }, &mut verdicts).unwrap();
+    client.expect_ok(&Command::Shutdown, &mut verdicts).unwrap();
+    daemon.join().unwrap();
 }

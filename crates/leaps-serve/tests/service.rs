@@ -60,6 +60,16 @@ fn config(tag: &str) -> ServerConfig {
     ServerConfig { workers: 2, ..ServerConfig::new(models_dir(tag)) }
 }
 
+/// A counter of the server's own registry; 0 until something records it.
+fn counter(server: &Server, name: &str) -> u64 {
+    server.metrics().snapshot().counter(name).unwrap_or(0)
+}
+
+/// Sessions currently open, as the server's `serve.sessions` gauge says.
+fn sessions(server: &Server) -> Option<i64> {
+    server.metrics().snapshot().gauge("serve.sessions")
+}
+
 #[test]
 fn session_lifecycle_and_verdict_equivalence() {
     let server = Server::new(&config("lifecycle"));
@@ -68,7 +78,7 @@ fn session_lifecycle_and_verdict_equivalence() {
         let sink: Arc<dyn VerdictSink> = Arc::clone(sink) as Arc<dyn VerdictSink>;
         server.open("cli", pid as u32, "tiny", sink).unwrap();
     }
-    assert_eq!(server.stats().sessions, 3);
+    assert_eq!(sessions(&server), Some(3));
     // Double-open and unknown sessions are protocol errors.
     assert_eq!(
         server.open("cli", 0, "tiny", Arc::new(BufferSink::new())).unwrap_err().exit_code(),
@@ -99,7 +109,7 @@ fn session_lifecycle_and_verdict_equivalence() {
         let expected: Vec<Verdict> = standalone.push_all(events.iter().cloned());
         assert_eq!(sink.take(), expected);
     }
-    assert_eq!(server.stats().sessions, 0);
+    assert_eq!(sessions(&server), Some(0));
     assert_eq!(server.close("cli", 0).unwrap_err().exit_code(), 7, "close is terminal");
 }
 
@@ -261,12 +271,13 @@ fn panicking_sink_never_wedges_the_server() {
     // the counters a moment to land.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
-        let stats = server.stats();
-        if stats.panics >= 1 && stats.respawns >= 1 {
-            assert_eq!(stats.panics, stats.respawns, "every panic respawned a worker");
+        let (panics, respawns) =
+            (counter(&server, "pool.panics"), counter(&server, "pool.respawns"));
+        if panics >= 1 && respawns >= 1 {
+            assert_eq!(panics, respawns, "every panic respawned a worker");
             break;
         }
-        assert!(std::time::Instant::now() < deadline, "sink panic never counted: {stats:?}");
+        assert!(std::time::Instant::now() < deadline, "sink panic never counted: {server:?}");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
 
@@ -297,15 +308,16 @@ fn idle_reaper_closes_stale_sessions_and_counts_them() {
     server.open("cli", 1, "tiny", Arc::clone(&idle) as Arc<dyn VerdictSink>).unwrap();
     server.submit("cli", 1, event(0, true)).unwrap();
 
-    // The idle session is reaped once it passes the TTL...
+    // The idle session is reaped once it passes the TTL (the reaper
+    // counts it after the close)...
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while server.stats().sessions > 0 {
+    while counter(&server, "serve.reaped") == 0 {
         assert!(std::time::Instant::now() < deadline, "idle session never reaped");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
-    let stats = server.stats();
-    assert_eq!(stats.reaped, 1);
-    assert_eq!(stats.closed, 1, "reaped sessions count as closed");
+    assert_eq!(sessions(&server), Some(0));
+    assert_eq!(counter(&server, "serve.reaped"), 1);
+    assert_eq!(counter(&server, "serve.closed"), 1, "reaped sessions count as closed");
     assert_eq!(idle.len(), 1, "queued work was drained, not dropped, before the reap");
     assert_eq!(server.submit("cli", 1, event(1, true)).unwrap_err().exit_code(), 7);
 
@@ -320,7 +332,7 @@ fn idle_reaper_closes_stale_sessions_and_counts_them() {
         n += 1;
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    assert_eq!(server.stats().sessions, 1, "active session not reaped");
+    assert_eq!(sessions(&server), Some(1), "active session not reaped");
     server.close("cli", 2).unwrap();
 
     server.begin_shutdown();
@@ -387,7 +399,7 @@ fn health_probe_works_without_hello_and_reflects_respawns() {
     // …but the server-side hook always works for embedders.
     server.inject_panic_job(0);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while server.stats().respawns < 1 {
+    while counter(&server, "pool.respawns") < 1 {
         assert!(std::time::Instant::now() < deadline, "injected panic never counted");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
@@ -431,7 +443,7 @@ fn daemon_drains_abandoned_sessions_on_unix_socket() {
     // closes the abandoned session.
     drop(client);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while server.stats().closed < 1 {
+    while counter(&server, "serve.closed") < 1 {
         assert!(std::time::Instant::now() < deadline, "abandoned session never drained");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
@@ -452,4 +464,60 @@ fn daemon_drains_abandoned_sessions_on_unix_socket() {
     assert_eq!(drained, 1, "the embedder session drained at shutdown");
     assert_eq!(embedded.len(), 3, "its verdicts were delivered before exit");
     assert!(!socket.exists(), "socket file removed on shutdown");
+}
+
+/// Asks a daemon over `server` for its `HEALTH` line, then shuts the
+/// daemon down.
+fn health_over_the_wire(server: &Arc<Server>) -> String {
+    let bound = Endpoint::Tcp("127.0.0.1:0".to_owned()).bind().unwrap();
+    let endpoint = bound.endpoint().clone();
+    let daemon_server = Arc::clone(server);
+    let daemon = std::thread::spawn(move || bound.run(&daemon_server).unwrap());
+    let mut verdicts = Vec::new();
+    let mut probe = Client::connect(&endpoint).unwrap();
+    let health = probe.expect_ok(&Command::Health, &mut verdicts).unwrap();
+    probe.expect_ok(&Command::Hello { client: "closer".into() }, &mut verdicts).unwrap();
+    probe.expect_ok(&Command::Shutdown, &mut verdicts).unwrap();
+    daemon.join().unwrap();
+    health
+}
+
+#[test]
+fn each_server_reports_only_its_own_counts() {
+    let dir = models_dir("two-servers");
+    let model_bytes = std::fs::metadata(dir.join("tiny.model")).unwrap().len();
+    let troubled = Arc::new(Server::new(&ServerConfig {
+        workers: 1,
+        idle_ttl: Some(std::time::Duration::from_millis(50)),
+        ..ServerConfig::new(&dir)
+    }));
+    let calm = Arc::new(Server::new(&ServerConfig { workers: 1, ..ServerConfig::new(&dir) }));
+    let reaper = troubled.start_reaper().expect("TTL configured → reaper runs");
+
+    // The troubled server: one session left to the idle reaper, and one
+    // injected panic.
+    troubled.open("cli", 1, "tiny", Arc::new(BufferSink::new())).unwrap();
+    troubled.submit("cli", 1, event(0, true)).unwrap();
+    troubled.inject_panic_job(0);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while counter(&troubled, "serve.reaped") < 1 || counter(&troubled, "pool.respawns") < 1 {
+        assert!(std::time::Instant::now() < deadline, "reap or respawn never counted");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    // The calm server: one session opened, scored and closed.
+    calm.open("cli", 1, "tiny", Arc::new(BufferSink::new())).unwrap();
+    calm.submit("cli", 1, event(0, true)).unwrap();
+    calm.close("cli", 1).unwrap();
+
+    let expected = |panics: u64, reaped: u64| {
+        format!(
+            "health pool.workers=1 pool.panics={panics} pool.respawns={panics} \
+             serve.sessions=0 serve.opened=1 serve.closed=1 serve.reaped={reaped} \
+             registry.models=1 registry.cached_bytes={model_bytes} registry.loads=1 \
+             registry.hits=0 registry.evictions=0 idle_secs=0"
+        )
+    };
+    assert_eq!(health_over_the_wire(&troubled), expected(1, 1));
+    assert_eq!(health_over_the_wire(&calm), expected(0, 0));
+    reaper.join().unwrap();
 }

@@ -107,13 +107,12 @@ fn run_streams(
     // A dying worker counts its panic while unwinding, which can lag
     // behind the successor finishing the drains `close` waited on.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let mut stats = server.stats();
-    while stats.panics < injected || stats.respawns < injected {
-        assert!(std::time::Instant::now() < deadline, "injected panics never counted: {stats:?}");
+    let count = |name| server.metrics().snapshot().counter(name).unwrap_or(0);
+    while count("pool.panics") < injected || count("pool.respawns") < injected {
+        assert!(std::time::Instant::now() < deadline, "injected panics never counted: {server:?}");
         std::thread::sleep(std::time::Duration::from_millis(2));
-        stats = server.stats();
     }
-    (verdicts, counters, stats.respawns)
+    (verdicts, counters, count("pool.respawns"))
 }
 
 proptest! {
@@ -215,13 +214,13 @@ fn daemon_survives_killed_client_and_panicking_jobs() {
 
     // The victim's abandoned session was closed by connection teardown.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while server.stats().sessions > 0 {
+    while server.metrics().snapshot().gauge("serve.sessions") != Some(0) {
         assert!(std::time::Instant::now() < deadline, "victim session never cleaned up");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
 
     // HEALTH (no HELLO needed) reflects the supervision counters.
-    while server.stats().respawns < 2 {
+    while server.metrics().snapshot().counter("pool.respawns").unwrap_or(0) < 2 {
         assert!(std::time::Instant::now() < deadline, "injected panics never counted");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
