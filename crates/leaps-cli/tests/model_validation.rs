@@ -1,7 +1,8 @@
 //! A model file that parses but makes no sense must be refused by
 //! `leaps detect` as a one-line model error (exit 4), never a panic:
 //! WSVM files with a bad kernel, HMM files whose probabilities or
-//! alphabets make no sense.
+//! alphabets make no sense. The same holds for training checkpoints
+//! that parse but do not fit the run `leaps train --resume` continues.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -165,5 +166,111 @@ fn invalid_hmm_models_are_model_errors_not_panics() {
         .collect();
     std::fs::write(&shrunk, lines.join("\n")).unwrap();
     assert_refused(&shrunk, &target, "symbol-table ids");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the values of checkpoint payload record `tag` with `edit`,
+/// keeping the `progress` line equal to the count of CV scores.
+fn edit_record(text: &str, tag: &str, edit: impl Fn(&mut Vec<String>)) -> String {
+    let prefix = format!("p {tag} ");
+    let record = text.lines().find_map(|l| l.strip_prefix(&prefix)).expect("payload record");
+    let mut values: Vec<String> = record.split(' ').map(String::from).collect();
+    edit(&mut values);
+    let lines: Vec<String> = text
+        .lines()
+        .map(|l| {
+            if l.starts_with(&prefix) {
+                format!("{prefix}{}", values.join(" "))
+            } else if l.starts_with("progress ") && tag == "scores" {
+                format!("progress {}", values.len())
+            } else {
+                l.to_owned()
+            }
+        })
+        .collect();
+    lines.join("\n") + "\n"
+}
+
+#[test]
+fn checkpoints_that_do_not_fit_the_run_are_model_errors_not_panics() {
+    let dir = scratch("ckpt");
+    let data = dir.join("data");
+    let s = |p: &PathBuf| p.to_str().unwrap().to_owned();
+    let out = leaps(&[
+        "gen",
+        "--scenario",
+        "vim_reverse_tcp",
+        "--out",
+        &s(&data),
+        "--events",
+        "400",
+        "--seed",
+        "6",
+    ]);
+    assert!(out.status.success(), "gen: {}", stderr(&out));
+    let (benign, mixed) = (s(&data.join("benign.log")), s(&data.join("mixed.log")));
+    let (ckpt, model) = (dir.join("ckpt"), dir.join("out.model"));
+    let train = |extra: &[&str]| {
+        let mut args = vec!["train", "--benign", &benign, "--mixed", &mixed, "--seed", "6"];
+        let (model, ckpt) = (s(&model), s(&ckpt));
+        args.extend(["--out", &model, "--checkpoint-dir", &ckpt, "--checkpoint-every", "20"]);
+        args.extend(extra);
+        leaps(&args)
+    };
+
+    // An expired deadline pauses at every boundary: first after one CV
+    // chunk, then after each further chunk, then inside the final SMO.
+    let out = train(&["--deadline-secs", "0"]);
+    assert_eq!(out.status.code(), Some(8), "{}", stderr(&out));
+    let cv_partial = std::fs::read_to_string(ckpt.join("cv.ckpt")).unwrap();
+    let mut smo = None;
+    for _ in 0..20 {
+        let out = train(&["--deadline-secs", "0", "--resume"]);
+        assert_eq!(out.status.code(), Some(8), "{}", stderr(&out));
+        if let Ok(text) = std::fs::read_to_string(ckpt.join("smo.ckpt")) {
+            smo = Some(text);
+            break;
+        }
+    }
+    let smo = smo.expect("training paused inside the SMO solve");
+    let cv_done = std::fs::read_to_string(ckpt.join("cv.ckpt")).unwrap();
+    assert!(!model.exists());
+
+    let cases = [
+        // More scores than the 90 grid cells: this used to panic.
+        (
+            "cv.ckpt",
+            edit_record(&cv_partial, "scores", |v| {
+                *v = v.iter().cycle().take(100).cloned().collect()
+            }),
+            "grid only 90",
+        ),
+        // A score outside [0, 1]: this used to change the tuned (λ, σ²).
+        ("cv.ckpt", edit_record(&cv_partial, "scores", |v| v[0] = "7.5".into()), "score 7.5"),
+        // α and gradient shorter than the training set: this used to panic.
+        (
+            "smo.ckpt",
+            edit_record(&edit_record(&smo, "alpha", |v| drop(v.pop())), "grad", |v| drop(v.pop())),
+            "alpha length mismatch",
+        ),
+        // α NaN or far outside its box: this used to write another model.
+        ("smo.ckpt", edit_record(&smo, "alpha", |v| v[0] = "NaN".into()), "alpha 0 = NaN"),
+        ("smo.ckpt", edit_record(&smo, "alpha", |v| v[1] = "1e300".into()), "alpha 1 = 1e300"),
+    ];
+    for (file, text, needle) in cases {
+        let (cv, smo) = if file == "cv.ckpt" { (&text, None) } else { (&cv_done, Some(&text)) };
+        std::fs::write(ckpt.join("cv.ckpt"), cv).unwrap();
+        let _ = std::fs::remove_file(ckpt.join("smo.ckpt"));
+        if let Some(smo) = smo {
+            std::fs::write(ckpt.join("smo.ckpt"), smo).unwrap();
+        }
+        let out = train(&["--resume"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(4), "{needle}: {err}");
+        assert!(err.contains(needle) && err.contains(file), "{needle}: {err}");
+        assert!(!err.contains("panicked"), "{err}");
+        assert_eq!(err.trim_end().lines().count(), 1, "one-line error: {err}");
+        assert!(!model.exists(), "{needle}: a refused checkpoint wrote a model");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -414,10 +414,13 @@ fn float_record(tag: &str, values: &[f64]) -> String {
     line
 }
 
-/// 1-based line number of payload record `index` in the checkpoint file
-/// (header, stage, fingerprint, progress, rng, payload-count precede).
+/// 1-based line number of a checkpoint's first payload record (header,
+/// stage, fingerprint, progress, rng, payload-count precede).
+pub(crate) const CKPT_PAYLOAD_LINE: usize = 7;
+
+/// 1-based line number of payload record `index` in the checkpoint file.
 fn payload_line_no(index: usize) -> usize {
-    7 + index
+    CKPT_PAYLOAD_LINE + index
 }
 
 fn payload_record<'a>(

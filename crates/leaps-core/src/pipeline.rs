@@ -26,6 +26,7 @@ use crate::metrics::ConfusionMatrix;
 use crate::persist::{
     cv_checkpoint, cv_state, fingerprint64, hmm_checkpoint, hmm_state, load_checkpoint_file,
     save_checkpoint_to, smo_checkpoint, smo_state, verify_checkpoint, Checkpoint, ModelError,
+    CKPT_PAYLOAD_LINE,
 };
 use leaps_cfg::infer::infer_cfg;
 use leaps_cfg::weight::assess_weights;
@@ -519,6 +520,13 @@ fn stage_decode_err(spec: &CheckpointSpec, file: &str, inner: ModelError) -> Lea
     })
 }
 
+/// Keeps a decoded checkpoint state that passes its run's `check`; one
+/// that fails is a bad record at the state's first payload line.
+fn fitting<S>(state: S, check: impl FnOnce(&S) -> Result<(), String>) -> Result<S, ModelError> {
+    check(&state).map_err(|reason| ModelError::BadRecord { line: CKPT_PAYLOAD_LINE, reason })?;
+    Ok(state)
+}
+
 fn svm_checkpointed(
     method: Method,
     benign_train: &[PartitionedEvent],
@@ -534,9 +542,14 @@ fn svm_checkpointed(
     // is never consumed on resume.
     let rng_state = SimRng::new(seed).state();
 
-    // Stage 1: the CV grid, checkpointed per (λ, σ²) chunk.
+    // Stage 1: the CV grid, checkpointed per (λ, σ²) chunk. A state that
+    // decodes but does not fit this grid is refused, never resumed.
     let cv_resume = match load_stage(spec, "cv.ckpt", "cv", fingerprint)? {
-        Some(ckpt) => Some(cv_state(&ckpt).map_err(|e| stage_decode_err(spec, "cv.ckpt", e))?),
+        Some(ckpt) => Some(
+            cv_state(&ckpt)
+                .and_then(|state| fitting(state, |s| s.check(grid.cell_count(&train_set))))
+                .map_err(|e| stage_decode_err(spec, "cv.ckpt", e))?,
+        ),
         None => None,
     };
     let cv_path = spec.dir.join("cv.ckpt");
@@ -565,8 +578,13 @@ fn svm_checkpointed(
     // Stage 2: the final SMO solve, checkpointed every `spec.every`
     // iterations. The kernel matrix is recomputed (it is a pure function
     // of the training set), only the solver state is persisted.
+    let params = SmoParams { lambda: best.lambda, ..Default::default() };
     let smo_resume = match load_stage(spec, "smo.ckpt", "smo", fingerprint)? {
-        Some(ckpt) => Some(smo_state(&ckpt).map_err(|e| stage_decode_err(spec, "smo.ckpt", e))?),
+        Some(ckpt) => Some(
+            smo_state(&ckpt)
+                .and_then(|state| fitting(state, |s| s.check(&train_set, &params)))
+                .map_err(|e| stage_decode_err(spec, "smo.ckpt", e))?,
+        ),
         None => None,
     };
     let smo_path = spec.dir.join("smo.ckpt");
@@ -574,7 +592,7 @@ fn svm_checkpointed(
     let model = smo_train_resumable(
         &train_set,
         Kernel::Gaussian { sigma2: best.sigma2 },
-        &SmoParams { lambda: best.lambda, ..Default::default() },
+        &params,
         smo_resume,
         spec.every,
         &mut |state| {

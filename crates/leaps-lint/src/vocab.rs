@@ -43,6 +43,7 @@ pub const EXACT: &[&str] = &[
     "proto.panic",
     // training counters
     "train.cv.cells",
+    "train.cv.gram_builds",
     "train.smo.passes",
     "train.bw.iters",
     // checkpointing

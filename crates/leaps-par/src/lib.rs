@@ -15,8 +15,8 @@
 //!    borrow the caller's data directly, no channels or arcs.
 //! 3. **No nested oversubscription.** A worker thread that itself calls
 //!    into a `par_*` helper runs the inner call serially (tracked by a
-//!    thread-local), so parallel cross-validation cells don't each
-//!    spawn their own kernel-matrix pool.
+//!    thread-local), so a parallel work item never spawns a pool of
+//!    its own.
 //!
 //! The thread count comes from, in priority order: the runtime override
 //! ([`set_thread_override`], used by the CLI's `--threads` flag), the

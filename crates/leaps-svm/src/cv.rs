@@ -4,7 +4,7 @@
 
 use crate::data::{Sample, TrainSet};
 use crate::kernel::Kernel;
-use crate::smo::{train, SmoParams};
+use crate::smo::{self, SmoParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -77,16 +77,43 @@ pub struct CvState {
     pub scores: Vec<Option<f64>>,
 }
 
+impl CvState {
+    /// Checks that this state can resume a search over `cells` grid
+    /// cells (see [`GridSearch::cell_count`]): at most one score per
+    /// cell, each in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// A one-line reason naming the first violation.
+    pub fn check(&self, cells: usize) -> Result<(), String> {
+        if self.scores.len() > cells {
+            return Err(format!("resume state has {} cells, grid only {cells}", self.scores.len()));
+        }
+        for (i, score) in self.scores.iter().enumerate() {
+            if let Some(s) = *score {
+                if !(0.0..=1.0).contains(&s) {
+                    return Err(format!("resume state cell {i} has score {s:?}, outside [0, 1]"));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 impl GridSearch {
     /// Runs the grid search: for each (λ, σ²), stratified k-fold CV
     /// score; returns the best configuration (ties → first in grid
     /// order, so results are deterministic).
     ///
-    /// Every (λ, σ², fold) cell is an independent SVM training run, so
-    /// the cells fan out across threads (see `leaps_par`); fold scores
-    /// are averaged in fold order and the best cell is selected in grid
-    /// order, making the result — including tie-breaking — bit-identical
-    /// to the serial loop at any thread count.
+    /// Each (λ, σ²) chunk builds one Gaussian kernel (Gram) matrix over
+    /// the whole set. Its folds fan out across threads (see
+    /// `leaps_par`); each fold's SMO solves on the fold's block of that
+    /// matrix and is scored from its rows. Every entry is the same
+    /// `kernel.eval` a per-fold matrix would hold, fold scores are
+    /// averaged in fold order and the best cell is selected in grid
+    /// order, making the result — including tie-breaking —
+    /// bit-identical to training and predicting one fold model at a
+    /// time, at any thread count.
     ///
     /// # Panics
     ///
@@ -94,6 +121,15 @@ impl GridSearch {
     #[must_use]
     pub fn run(&self, set: &TrainSet) -> GridSearchResult {
         self.run_resumable(set, None, &mut |_| true).expect("non-checkpointing CV cannot pause")
+    }
+
+    /// The number of (λ, σ², fold) cells a search over `set` evaluates.
+    /// A set with fewer samples per class than `folds` has fewer folds.
+    #[must_use]
+    pub fn cell_count(&self, set: &TrainSet) -> usize {
+        self.lambdas.len()
+            * self.sigma2s.len()
+            * fold_count(&stratified_folds(set, self.folds, self.seed))
     }
 
     /// [`GridSearch::run`] with chunk-level checkpoint hooks.
@@ -107,12 +143,12 @@ impl GridSearch {
     /// `self.seed`), so the resumed search selects the exact same
     /// configuration as an uninterrupted one, tie-breaking included. A
     /// resume state from a mid-chunk crash is truncated down to the last
-    /// whole chunk.
+    /// whole chunk; only the current chunk's matrix is rebuilt.
     ///
     /// # Panics
     ///
-    /// Panics if the grid is empty, `folds < 2`, or `resume` holds more
-    /// cells than the grid has.
+    /// Panics if the grid is empty, `folds < 2`, or `resume` fails
+    /// [`CvState::check`].
     pub fn run_resumable(
         &self,
         set: &TrainSet,
@@ -122,38 +158,33 @@ impl GridSearch {
         assert!(!self.lambdas.is_empty() && !self.sigma2s.is_empty(), "empty grid");
         assert!(self.folds >= 2, "need at least 2 folds");
         let fold_of = stratified_folds(set, self.folds, self.seed);
-        let n_folds = fold_of.iter().copied().max().unwrap_or(0) + 1;
-
-        // Flat cell list in (λ, σ², fold) lexicographic order.
-        let mut cells = Vec::with_capacity(self.lambdas.len() * self.sigma2s.len() * n_folds);
-        for li in 0..self.lambdas.len() {
-            for si in 0..self.sigma2s.len() {
-                for fold in 0..n_folds {
-                    cells.push((li, si, fold));
-                }
-            }
-        }
-        let scoring = self.scoring;
+        let n_folds = fold_count(&fold_of);
+        let cells = self.lambdas.len() * self.sigma2s.len() * n_folds;
         let mut fold_scores = match resume {
             Some(mut state) => {
-                assert!(
-                    state.scores.len() <= cells.len(),
-                    "resume state has {} cells, grid only {}",
-                    state.scores.len(),
-                    cells.len()
-                );
+                if let Err(reason) = state.check(cells) {
+                    panic!("{reason}");
+                }
                 // Realign to the last whole (λ, σ²) chunk.
                 state.scores.truncate(state.scores.len() - state.scores.len() % n_folds);
                 state.scores
             }
             None => Vec::new(),
         };
-        while fold_scores.len() < cells.len() {
-            let chunk = &cells[fold_scores.len()..fold_scores.len() + n_folds];
-            fold_scores.extend(leaps_par::par_map(chunk, |&(li, si, fold)| {
-                fold_score(set, &fold_of, self.lambdas[li], self.sigma2s[si], fold, scoring)
+
+        let splits = fold_splits(&fold_of, n_folds);
+        while fold_scores.len() < cells {
+            // Chunks run in (λ, σ²) order; the matrix lives for one chunk.
+            let chunk = fold_scores.len() / n_folds;
+            let lambda = self.lambdas[chunk / self.sigma2s.len()];
+            let kernel = Kernel::Gaussian { sigma2: self.sigma2s[chunk % self.sigma2s.len()] };
+            let gram = smo::gram(set.samples(), kernel);
+            leaps_obs::counter!("train.cv.gram_builds").inc();
+            fold_scores.extend(leaps_par::par_map(&splits, |(train, val)| {
+                let decisions = fold_decisions(set, &gram, train, val, lambda)?;
+                Some(score_fold(set.samples(), val, &decisions, self.scoring))
             }));
-            leaps_obs::counter!("train.cv.cells").add(chunk.len() as u64);
+            leaps_obs::counter!("train.cv.cells").add(n_folds as u64);
             // Chunk boundary: offer the completed prefix as a checkpoint.
             // (The final chunk is offered too, so a deadline hit after the
             // last cell still leaves a complete state on disk.)
@@ -207,49 +238,84 @@ fn stratified_folds(set: &TrainSet, folds: usize, seed: u64) -> Vec<usize> {
     assignment
 }
 
-/// Validation score of one (λ, σ², fold) cell, or `None` if the fold is
-/// empty or its training split degenerates to one class.
-fn fold_score(
-    set: &TrainSet,
-    fold_of: &[usize],
-    lambda: f64,
-    sigma2: f64,
-    fold: usize,
-    scoring: Scoring,
-) -> Option<f64> {
-    let mut train_samples: Vec<Sample> = Vec::new();
-    let mut val: Vec<&Sample> = Vec::new();
-    for (sample, &f) in set.samples().iter().zip(fold_of) {
-        if f == fold {
-            val.push(sample);
-        } else {
-            train_samples.push(sample.clone());
-        }
-    }
-    if val.is_empty() {
-        return None;
-    }
-    let train_set = TrainSet::new(train_samples).ok()?;
-    let model =
-        train(&train_set, Kernel::Gaussian { sigma2 }, &SmoParams { lambda, ..Default::default() });
-    Some(score_fold(&model, &val, scoring))
+fn fold_count(fold_of: &[usize]) -> usize {
+    fold_of.iter().copied().max().unwrap_or(0) + 1
 }
 
-fn score_fold(model: &crate::model::SvmModel, val: &[&Sample], scoring: Scoring) -> f64 {
+/// Each fold's (training, validation) sample indices, in set order.
+fn fold_splits(fold_of: &[usize], n_folds: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
+    (0..n_folds).map(|fold| (0..fold_of.len()).partition(|&i| fold_of[i] != fold)).collect()
+}
+
+/// The decision values `f(x)` at the fold's validation samples of the
+/// SVM trained on its training split, or `None` if the fold is empty or
+/// its training split degenerates to one class. `gram` is the chunk's
+/// kernel matrix over the whole set; `train` and `val` index it.
+fn fold_decisions(
+    set: &TrainSet,
+    gram: &[f64],
+    train: &[usize],
+    val: &[usize],
+    lambda: f64,
+) -> Option<Vec<f64>> {
+    let samples = set.samples();
+    let y: Vec<f64> = train.iter().map(|&t| samples[t].y).collect();
+    if val.is_empty() || !(y.contains(&1.0) && y.contains(&-1.0)) {
+        return None;
+    }
+    let cap: Vec<f64> = train.iter().map(|&t| lambda * samples[t].c).collect();
+    let n = set.len();
+    let row = |i: usize| &gram[i * n..(i + 1) * n];
+    // Gather the fold's training block, so SMO reads contiguous rows.
+    let mut k = Vec::with_capacity(train.len() * train.len());
+    for &r in train {
+        let full = row(r);
+        k.extend(train.iter().map(|&c| full[c]));
+    }
+    let params = SmoParams { lambda, ..Default::default() };
+    let (alpha, rho, _) = smo::solve(&k, &y, &cap, &params, None, 0, &mut |_| true)
+        .expect("non-checkpointing SMO cannot pause");
+    drop(k);
+    // Support vectors in training order with their αᵢ·yᵢ: each decision
+    // value sums exactly as `SvmModel::decision` does.
+    let support: Vec<(usize, f64)> = train
+        .iter()
+        .zip(&alpha)
+        .filter(|&(_, &a)| a > 0.0)
+        .map(|(&t, &a)| (t, a * samples[t].y))
+        .collect();
+    let decisions = val
+        .iter()
+        .map(|&v| {
+            let k_v = row(v);
+            let mut sum = -rho;
+            for &(t, alpha_y) in &support {
+                sum += alpha_y * k_v[t];
+            }
+            sum
+        })
+        .collect();
+    Some(decisions)
+}
+
+/// Scores the validation samples `val` (indices into `samples`) by their
+/// decision values: `f(x) ≥ 0` predicts `+1`, as `SvmModel::predict`.
+fn score_fold(samples: &[Sample], val: &[usize], decisions: &[f64], scoring: Scoring) -> f64 {
+    let correct = |v: usize, f: f64| (f >= 0.0) == (samples[v].y > 0.0);
     match scoring {
         Scoring::Accuracy => {
-            let correct = val.iter().filter(|s| model.predict(&s.x) == s.y).count();
-            correct as f64 / val.len() as f64
+            let hits = val.iter().zip(decisions).filter(|&(&v, &f)| correct(v, f)).count();
+            hits as f64 / val.len() as f64
         }
         Scoring::WeightedBalanced => {
             let mut class_scores = Vec::new();
             for label in [1.0, -1.0] {
                 let mut weight_total = 0.0;
                 let mut weight_correct = 0.0;
-                for s in val.iter().filter(|s| s.y == label) {
-                    weight_total += s.c;
-                    if model.predict(&s.x) == s.y {
-                        weight_correct += s.c;
+                for (&v, &f) in val.iter().zip(decisions).filter(|(&v, _)| samples[v].y == label) {
+                    weight_total += samples[v].c;
+                    if correct(v, f) {
+                        weight_correct += samples[v].c;
                     }
                 }
                 if weight_total > 0.0 {
@@ -362,6 +428,129 @@ mod tests {
         state.scores.push(Some(0.0));
         let resumed = gs.run_resumable(&set, Some(state), &mut |_| true).unwrap();
         assert_eq!(resumed, clean);
+    }
+
+    /// The per-fold reference path the shared matrix replaced: clone the
+    /// fold's training samples, train a model with the public solver and
+    /// evaluate `SvmModel::decision` at the validation samples.
+    fn reference_decisions(
+        set: &TrainSet,
+        (train, val): &(Vec<usize>, Vec<usize>),
+        lambda: f64,
+        sigma2: f64,
+    ) -> Option<Vec<f64>> {
+        let samples = set.samples();
+        let train_set = TrainSet::new(train.iter().map(|&t| samples[t].clone()).collect()).ok()?;
+        if val.is_empty() {
+            return None;
+        }
+        let model = smo::train(
+            &train_set,
+            Kernel::Gaussian { sigma2 },
+            &SmoParams { lambda, ..Default::default() },
+        );
+        Some(val.iter().map(|&v| model.decision(&samples[v].x)).collect())
+    }
+
+    /// Overlapping classes on a deterministic scramble with some labels
+    /// flipped, so fits take many SMO iterations and miss some points.
+    fn noisy_samples(n: usize) -> Vec<Sample> {
+        (0..n)
+            .map(|i| {
+                let a = (i as f64 * 0.618_033_988_75).fract();
+                let b = (i as f64 * 0.414_213_562_37).fract();
+                let mut y = if a + 0.4 * b < 0.7 { 1.0 } else { -1.0 };
+                if i % 7 == 3 {
+                    y = -y;
+                }
+                Sample::new(vec![a, b, (a * b).sqrt()], y, 0.25 + 0.75 * ((i * 5) % 8) as f64 / 8.0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_gram_scores_are_bit_identical_to_per_fold_models() {
+        let noisy = noisy_samples(60);
+        let mut zero_weight = noisy.clone();
+        for s in zero_weight.iter_mut().step_by(4) {
+            s.c = 0.0;
+        }
+        let mut duplicates = noisy[..30].to_vec();
+        duplicates.extend_from_slice(&noisy[..30]);
+        duplicates.push(Sample::new(noisy[0].x.clone(), -noisy[0].y, 1.0));
+        // One negative: the fold that validates it trains on positives only.
+        let mut single_class: Vec<Sample> =
+            (0..11).map(|i| Sample::new(vec![0.1 * f64::from(i)], 1.0, 1.0)).collect();
+        single_class.push(Sample::new(vec![2.0], -1.0, 1.0));
+        let sets = [
+            ("blobs", blob_set(15)),
+            ("noisy", TrainSet::new(noisy).unwrap()),
+            ("zero-weight", TrainSet::new(zero_weight).unwrap()),
+            ("duplicates", TrainSet::new(duplicates).unwrap()),
+            ("single-class fold", TrainSet::new(single_class).unwrap()),
+        ];
+        let bits = |d: &Option<Vec<f64>>| {
+            d.as_ref().map(|d| d.iter().map(|f| f.to_bits()).collect::<Vec<_>>())
+        };
+        for scoring in [Scoring::Accuracy, Scoring::WeightedBalanced] {
+            let gs = GridSearch {
+                lambdas: vec![1.0, 100.0],
+                sigma2s: vec![0.05, 2.0],
+                folds: 4,
+                scoring,
+                ..Default::default()
+            };
+            for (name, set) in &sets {
+                let mut shared_scores = Vec::new();
+                let _ = gs.run_resumable(set, None, &mut |state| {
+                    shared_scores = state.scores.clone();
+                    true
+                });
+                let fold_of = stratified_folds(set, gs.folds, gs.seed);
+                let splits = fold_splits(&fold_of, fold_count(&fold_of));
+                let mut reference_scores = Vec::new();
+                for &lambda in &gs.lambdas {
+                    for &sigma2 in &gs.sigma2s {
+                        let gram = smo::gram(set.samples(), Kernel::Gaussian { sigma2 });
+                        for split in &splits {
+                            let reference = reference_decisions(set, split, lambda, sigma2);
+                            let shared = fold_decisions(set, &gram, &split.0, &split.1, lambda);
+                            assert_eq!(
+                                bits(&shared),
+                                bits(&reference),
+                                "{name}, λ {lambda}, σ² {sigma2}"
+                            );
+                            reference_scores.push(
+                                reference.map(|d| score_fold(set.samples(), &split.1, &d, scoring)),
+                            );
+                        }
+                    }
+                }
+                let score_bits =
+                    |v: &[Option<f64>]| v.iter().map(|s| s.map(f64::to_bits)).collect::<Vec<_>>();
+                assert_eq!(
+                    score_bits(&shared_scores),
+                    score_bits(&reference_scores),
+                    "{name}, {scoring:?}"
+                );
+                let nones = shared_scores.iter().filter(|s| s.is_none()).count();
+                if *name == "single-class fold" {
+                    assert!(nones > 0 && nones < shared_scores.len(), "{name}: {shared_scores:?}");
+                } else {
+                    assert_eq!(nones, 0, "{name}: {shared_scores:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resume_state_check_rejects_meaningless_scores() {
+        assert!(CvState { scores: vec![Some(0.0), None, Some(1.0)] }.check(3).is_ok());
+        assert!(CvState { scores: vec![Some(0.5); 4] }.check(3).is_err());
+        for bad in [7.5, -0.25, f64::NAN, f64::INFINITY] {
+            let err = CvState { scores: vec![None, Some(bad)] }.check(3).unwrap_err();
+            assert!(err.contains("cell 1"), "{err}");
+        }
     }
 
     #[test]

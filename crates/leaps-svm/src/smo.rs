@@ -14,12 +14,17 @@
 //! so mislabeled mixed-log points (high benignity → low maliciousness
 //! weight) cannot drag the decision boundary.
 
-use crate::data::TrainSet;
+use crate::data::{Sample, TrainSet};
 use crate::kernel::Kernel;
 use crate::model::SvmModel;
 
 /// Numerical floor for the pair curvature.
 const TAU: f64 = 1e-12;
+
+/// How far, relative to λ, a solver-written αᵢ may lie above its box top
+/// λ·cᵢ: the analytic update clips through rounded differences of the
+/// caps, which can overshoot a cap by an ulp or so.
+const BOX_SLACK: f64 = 1e-12;
 
 /// Solver hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,6 +58,44 @@ pub struct SmoState {
     pub iterations: usize,
 }
 
+impl SmoState {
+    /// Checks that this state can resume a solve on `set` with `params`:
+    /// one α and one gradient entry per sample, every gradient entry
+    /// finite and every α inside its box `0 ≤ αᵢ ≤ λ·cᵢ` (up to
+    /// rounding).
+    ///
+    /// # Errors
+    ///
+    /// A one-line reason naming the first violation.
+    pub fn check(&self, set: &TrainSet, params: &SmoParams) -> Result<(), String> {
+        let n = set.len();
+        if self.alpha.len() != n {
+            return Err(format!(
+                "resume state alpha length mismatch: {} values for {n} samples",
+                self.alpha.len()
+            ));
+        }
+        if self.grad.len() != n {
+            return Err(format!(
+                "resume state gradient length mismatch: {} values for {n} samples",
+                self.grad.len()
+            ));
+        }
+        if let Some(i) = self.grad.iter().position(|g| !g.is_finite()) {
+            return Err(format!("resume state gradient {i} is not finite: {:?}", self.grad[i]));
+        }
+        for (i, (&a, sample)) in self.alpha.iter().zip(set.samples()).enumerate() {
+            let cap = params.lambda * sample.c;
+            if !(0.0..=cap + params.lambda * BOX_SLACK).contains(&a) {
+                return Err(format!(
+                    "resume state alpha {i} = {a:?} is outside its box [0, {cap:?}]"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Trains a (weighted) SVM on `set` with the given kernel.
 ///
 /// Samples with `cᵢ = 0` have an empty feasible box and are effectively
@@ -82,9 +125,8 @@ pub fn train(set: &TrainSet, kernel: Kernel, params: &SmoParams) -> SvmModel {
 ///
 /// # Panics
 ///
-/// Panics if `params` or `kernel` is invalid or `resume` does not match
-/// `set`'s size.
-#[allow(clippy::needless_range_loop)] // SMO index arithmetic reads best indexed
+/// Panics if `params` or `kernel` is invalid or `resume` fails
+/// [`SmoState::check`].
 pub fn train_resumable(
     set: &TrainSet,
     kernel: Kernel,
@@ -93,20 +135,30 @@ pub fn train_resumable(
     every: usize,
     checkpoint: &mut dyn FnMut(&SmoState) -> bool,
 ) -> Option<SvmModel> {
-    assert!(params.lambda > 0.0, "lambda must be positive");
-    assert!(params.eps > 0.0, "eps must be positive");
-    crate::model::check_kernel(kernel);
+    if let Some(Err(reason)) = resume.as_ref().map(|state| state.check(set, params)) {
+        panic!("{reason}");
+    }
     let samples = set.samples();
-    let n = samples.len();
+    let k = gram(samples, kernel);
     let y: Vec<f64> = samples.iter().map(|s| s.y).collect();
     let cap: Vec<f64> = samples.iter().map(|s| params.lambda * s.c).collect();
+    let (alpha, rho, iterations) = solve(&k, &y, &cap, params, resume, every, checkpoint)?;
+    Some(SvmModel::from_training(samples, &alpha, -rho, kernel, iterations))
+}
 
-    // Dense kernel matrix (training sets here are small enough; the
-    // caller controls size via sampling). Rows of the upper triangle are
-    // independent, so they fan out across threads; every entry is the
-    // same `kernel.eval` the serial loop would compute, and assembly is
-    // by row index, so the matrix is bit-identical at any thread count.
-    // The SMO iteration below stays strictly serial.
+/// The dense, exactly symmetric kernel matrix of `samples`, row-major.
+///
+/// Rows of the upper triangle are independent, so they fan out across
+/// threads; every entry is the same `kernel.eval(xᵢ, xⱼ)` (i ≤ j) the
+/// serial loop would compute, and assembly is by row index, so the
+/// matrix is bit-identical at any thread count.
+///
+/// # Panics
+///
+/// Panics if the kernel fails [`Kernel::validate`].
+pub(crate) fn gram(samples: &[Sample], kernel: Kernel) -> Vec<f64> {
+    crate::model::check_kernel(kernel);
+    let n = samples.len();
     let row_tails = leaps_par::par_map_indexed(n, |i| {
         (i..n).map(|j| kernel.eval(&samples[i].x, &samples[j].x)).collect::<Vec<f64>>()
     });
@@ -118,14 +170,36 @@ pub fn train_resumable(
             k[j * n + i] = v;
         }
     }
+    k
+}
+
+/// The SMO core: solves the dual for the symmetric kernel matrix `k`
+/// (row-major, `n × n` with `n = y.len()`), labels `y` and boxes `cap`.
+/// Returns `(α, ρ, iterations)`; the decision bias is `−ρ`.
+///
+/// Checkpointing is as in [`train_resumable`]: `None` means `checkpoint`
+/// paused the solver. The iteration itself is strictly serial.
+///
+/// # Panics
+///
+/// Panics if `params.lambda <= 0` or `params.eps <= 0`.
+#[allow(clippy::needless_range_loop)] // SMO index arithmetic reads best indexed
+pub(crate) fn solve(
+    k: &[f64],
+    y: &[f64],
+    cap: &[f64],
+    params: &SmoParams,
+    resume: Option<SmoState>,
+    every: usize,
+    checkpoint: &mut dyn FnMut(&SmoState) -> bool,
+) -> Option<(Vec<f64>, f64, usize)> {
+    assert!(params.lambda > 0.0, "lambda must be positive");
+    assert!(params.eps > 0.0, "eps must be positive");
+    let n = y.len();
     let q = |i: usize, j: usize| y[i] * y[j] * k[i * n + j];
 
     let (mut alpha, mut grad, mut iterations) = match resume {
-        Some(state) => {
-            assert_eq!(state.alpha.len(), n, "resume state alpha length mismatch");
-            assert_eq!(state.grad.len(), n, "resume state gradient length mismatch");
-            (state.alpha, state.grad, state.iterations)
-        }
+        Some(state) => (state.alpha, state.grad, state.iterations),
         // Gradient of the dual objective: G_i = Σ_j Q_ij α_j − 1 = −1 at α = 0.
         None => (vec![0.0f64; n], vec![-1.0f64; n], 0usize),
     };
@@ -218,12 +292,15 @@ pub fn train_resumable(
             }
         }
 
-        // Gradient update.
+        // Gradient update: G_t += Q_ti·Δα_i + Q_tj·Δα_j. `k` is exactly
+        // symmetric, so rows i and j stand in for columns i and j and are
+        // read contiguously; the products are the same bits.
         let di = alpha[i] - old_ai;
         let dj = alpha[j] - old_aj;
         if di != 0.0 || dj != 0.0 {
+            let (row_i, row_j) = (&k[i * n..(i + 1) * n], &k[j * n..(j + 1) * n]);
             for t in 0..n {
-                grad[t] += q(t, i) * di + q(t, j) * dj;
+                grad[t] += y[t] * y[i] * row_i[t] * di + y[t] * y[j] * row_j[t] * dj;
             }
         }
 
@@ -237,13 +314,13 @@ pub fn train_resumable(
         }
     }
 
-    let rho = compute_rho(&alpha, &grad, &y, &cap, params.eps);
-    Some(SvmModel::from_training(samples, &alpha, -rho, kernel, iterations))
+    let rho = compute_rho(&alpha, &grad, y, cap);
+    Some((alpha, rho, iterations))
 }
 
 /// LIBSVM `calculate_rho`: average `y_i·G_i` over free support vectors,
 /// falling back to the midpoint of the feasible interval.
-fn compute_rho(alpha: &[f64], grad: &[f64], y: &[f64], cap: &[f64], _eps: f64) -> f64 {
+fn compute_rho(alpha: &[f64], grad: &[f64], y: &[f64], cap: &[f64]) -> f64 {
     let mut n_free = 0usize;
     let mut sum_free = 0.0f64;
     let mut ub = f64::INFINITY;
@@ -277,7 +354,6 @@ fn compute_rho(alpha: &[f64], grad: &[f64], y: &[f64], cap: &[f64], _eps: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::Sample;
 
     fn set(samples: Vec<Sample>) -> TrainSet {
         TrainSet::new(samples).unwrap()
@@ -467,6 +543,31 @@ mod tests {
             train_resumable(&s, Kernel::Linear, &SmoParams::default(), Some(bogus), 0, &mut |_| {
                 true
             });
+    }
+
+    #[test]
+    fn resume_state_check_rejects_states_outside_the_run() {
+        let s = overlapping_set();
+        let params = SmoParams { lambda: 2.0, ..Default::default() };
+        let n = s.len();
+        let ok = SmoState { alpha: vec![0.0; n], grad: vec![-1.0; n], iterations: 1 };
+        assert_eq!(ok.check(&s, &params), Ok(()));
+        let mut short_grad = ok.clone();
+        short_grad.grad.pop();
+        assert!(short_grad.check(&s, &params).unwrap_err().contains("gradient length"));
+        for (i, bad) in [(0, f64::NAN), (1, 1e300), (2, -1e-9), (3, 2.0 * s.samples()[3].c + 1e-9)]
+        {
+            let mut state = ok.clone();
+            state.alpha[i] = bad;
+            let err = state.check(&s, &params).unwrap_err();
+            assert!(err.contains(&format!("alpha {i} ")), "{err}");
+        }
+        let mut at_cap = ok.clone();
+        at_cap.alpha[5] = params.lambda * s.samples()[5].c;
+        assert_eq!(at_cap.check(&s, &params), Ok(()));
+        let mut nan_grad = ok;
+        nan_grad.grad[7] = f64::NAN;
+        assert!(nan_grad.check(&s, &params).unwrap_err().contains("gradient 7"));
     }
 
     #[test]
