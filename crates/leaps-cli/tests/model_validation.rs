@@ -274,3 +274,79 @@ fn checkpoints_that_do_not_fit_the_run_are_model_errors_not_panics() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn hmm_checkpoints_that_do_not_fit_the_run_are_model_errors_not_panics() {
+    let dir = scratch("hmm-ckpt");
+    let data = dir.join("data");
+    let s = |p: &PathBuf| p.to_str().unwrap().to_owned();
+    let out = leaps(&[
+        "gen",
+        "--scenario",
+        "vim_reverse_tcp",
+        "--out",
+        &s(&data),
+        "--events",
+        "400",
+        "--seed",
+        "6",
+    ]);
+    assert!(out.status.success(), "gen: {}", stderr(&out));
+    let (benign, mixed) = (s(&data.join("benign.log")), s(&data.join("mixed.log")));
+    let (ckpt, model) = (dir.join("ckpt"), dir.join("out.model"));
+    let train = |extra: &[&str]| {
+        let mut args = vec!["train", "--benign", &benign, "--mixed", &mixed, "--seed", "6"];
+        let (model, ckpt) = (s(&model), s(&ckpt));
+        args.extend(["--method", "hmm", "--out", &model, "--checkpoint-dir", &ckpt]);
+        args.extend(extra);
+        leaps(&args)
+    };
+    // An expired deadline pauses after the first Baum–Welch iteration.
+    let out = train(&["--deadline-secs", "0"]);
+    assert_eq!(out.status.code(), Some(8), "{}", stderr(&out));
+    let file = "hmm-benign.ckpt";
+    let good = std::fs::read_to_string(ckpt.join(file)).unwrap();
+    let dims = good.lines().find_map(|l| l.strip_prefix("p dims ")).expect("dims record");
+    let (states, symbols) = dims.split_once(' ').unwrap();
+    let states: usize = states.parse().unwrap();
+    let symbols: usize = symbols.parse().unwrap();
+
+    let cases = [
+        // One symbol fewer than the run's alphabet, B shrunk to match:
+        // this used to panic on the resume dimension asserts.
+        (
+            edit_record(
+                &edit_record(&good, "dims", |v| v[1] = (symbols - 1).to_string()),
+                "b",
+                |v| v.truncate(states * (symbols - 1)),
+            ),
+            "symbols",
+        ),
+        // π NaN or a row summing to 0.5: these used to resume silently.
+        (edit_record(&good, "pi", |v| v[0] = "NaN".into()), "pi holds NaN"),
+        (
+            edit_record(&good, "pi", |v| {
+                for x in v.iter_mut() {
+                    *x = format!("{:?}", x.parse::<f64>().unwrap() / 2.0);
+                }
+            }),
+            "pi row 0 sums to 0.5",
+        ),
+    ];
+    for (text, needle) in cases {
+        std::fs::write(ckpt.join(file), text).unwrap();
+        let out = train(&["--resume"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(4), "{needle}: {err}");
+        assert!(err.contains(needle) && err.contains(file), "{needle}: {err}");
+        assert!(!err.contains("panicked"), "{err}");
+        assert_eq!(err.trim_end().lines().count(), 1, "one-line error: {err}");
+        assert!(!model.exists(), "{needle}: a refused checkpoint wrote a model");
+    }
+    // The untouched checkpoint still resumes to a model.
+    std::fs::write(ckpt.join(file), good).unwrap();
+    let out = train(&["--resume"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(model.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}

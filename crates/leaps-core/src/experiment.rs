@@ -390,9 +390,15 @@ pub fn render_manifest(report: &SweepReport) -> String {
 
 /// Parses a sweep manifest back into a report.
 ///
+/// A manifest is checked for meaning, not just syntax: every duration is
+/// finite and `≥ 0`, and every metric of an `ok` cell lies in `[0, 1]`
+/// (an honest sweep never writes otherwise: [`Metrics`] reports an
+/// undefined ratio as 0).
+///
 /// # Errors
 ///
-/// [`ModelError`] on malformed input.
+/// [`ModelError`] on malformed or meaningless input, with its line
+/// number.
 pub fn parse_manifest(text: &str) -> Result<SweepReport, ModelError> {
     let mut lines = text.lines();
     if lines.next() != Some(SWEEP_HEADER) {
@@ -421,6 +427,9 @@ pub fn parse_manifest(text: &str) -> Result<SweepReport, ModelError> {
             .ok_or_else(|| bad(line_no, "cell needs a duration".into()))?
             .parse()
             .map_err(|_| bad(line_no, format!("invalid duration in {detail:?}")))?;
+        if !(secs.is_finite() && secs >= 0.0) {
+            return Err(bad(line_no, format!("duration {secs:?} is not a finite time >= 0")));
+        }
         let payload = detail_words.next().unwrap_or("");
         let outcome = match tag {
             "ok" => {
@@ -431,6 +440,12 @@ pub fn parse_manifest(text: &str) -> Result<SweepReport, ModelError> {
                 let [acc, ppv, tpr, tnr, npv] = values.as_slice() else {
                     return Err(bad(line_no, format!("ok cell needs 5 metrics, got {payload:?}")));
                 };
+                let names = ["acc", "ppv", "tpr", "tnr", "npv"];
+                if let Some((name, v)) =
+                    names.iter().zip(&values).find(|(_, v)| !(0.0..=1.0).contains(*v))
+                {
+                    return Err(bad(line_no, format!("metric {name} = {v:?} is outside [0, 1]")));
+                }
                 CellOutcome::Ok(Metrics { acc: *acc, ppv: *ppv, tpr: *tpr, tnr: *tnr, npv: *npv })
             }
             "error" => CellOutcome::Error(payload.to_owned()),
@@ -662,5 +677,30 @@ mod tests {
         assert!(parse_manifest("").is_err());
         assert!(parse_manifest("# LEAPS-SWEEP v1\ncell x Wat ok 0.0\n").is_err());
         assert!(parse_manifest("# LEAPS-SWEEP v1\ncell x WSVM ok 0.0 1.0\n").is_err());
+    }
+
+    #[test]
+    fn meaningless_manifest_values_are_refused_with_their_line() {
+        let ok = "cell vim_reverse_tcp WSVM ok 1.25 0.875 0.5 0.0 1.0 0.6";
+        let good = format!("{SWEEP_HEADER}\n{ok}\n");
+        assert!(parse_manifest(&good).is_ok());
+        for (bad, needle) in [
+            ("cell v WSVM ok 1.25 7.5 0.5 0.0 1.0 0.6", "metric acc = 7.5"),
+            ("cell v WSVM ok 1.25 0.875 NaN 0.0 1.0 0.6", "metric ppv = NaN"),
+            ("cell v WSVM ok 1.25 0.875 0.5 -0.1 1.0 0.6", "metric tpr = -0.1"),
+            ("cell v WSVM ok 1.25 0.875 0.5 0.0 inf 0.6", "metric tnr = inf"),
+            ("cell v WSVM ok 1.25 0.875 0.5 0.0 1.0 1.5", "metric npv = 1.5"),
+            ("cell v WSVM ok NaN 0.875 0.5 0.0 1.0 0.6", "duration NaN"),
+            ("cell v CGraph error -1.0 boom", "duration -1.0"),
+            ("cell v Hmm deadline inf", "duration inf"),
+        ] {
+            let text = format!("{good}{bad}\n");
+            match parse_manifest(&text) {
+                Err(ModelError::BadRecord { line: 3, reason }) => {
+                    assert!(reason.contains(needle), "{bad}: {reason}");
+                }
+                other => panic!("{bad}: expected a bad record at line 3, got {other:?}"),
+            }
+        }
     }
 }

@@ -30,7 +30,7 @@ use leaps_cluster::assign::ClusterAssigner;
 use leaps_cluster::features::{CutRule, FeatureEncoder, PreprocessConfig};
 use leaps_cluster::hier::Linkage;
 use leaps_hmm::classify::{HmmClassifier, SymbolTable};
-use leaps_hmm::hmm::{Hmm, HmmState};
+use leaps_hmm::hmm::{check_stochastic, Hmm, HmmState};
 use leaps_svm::cv::CvState;
 use leaps_svm::kernel::Kernel;
 use leaps_svm::model::SvmModel;
@@ -913,12 +913,6 @@ fn read_svm(lines: &mut Lines<'_>) -> Result<SvmClassifier, ModelError> {
     })
 }
 
-/// How far from 1 a stored probability row may sum. Training renormalises
-/// every row after flooring, so saved rows sum to 1 within a few ulps;
-/// `1e-6` also admits rows edited by hand to six decimal places, while a
-/// row that is not a distribution is refused at load.
-const ROW_SUM_TOLERANCE: f64 = 1e-6;
-
 fn read_hmm_model(lines: &mut Lines<'_>, tag: &str) -> Result<Hmm, ModelError> {
     let rest = lines.expect_prefixed(tag)?;
     let mut parts = rest.split_whitespace();
@@ -946,15 +940,8 @@ fn read_hmm_model(lines: &mut Lines<'_>, tag: &str) -> Result<Hmm, ModelError> {
                 rows * width
             )));
         }
-        if let Some(v) = values.iter().find(|v| !(v.is_finite() && **v >= 0.0)) {
-            return Err(lines.bad(format!("{tag} {name} holds {v}, not a probability")));
-        }
-        let sums = values.chunks(width).map(|row| row.iter().sum::<f64>());
-        if let Some((row, sum)) =
-            sums.enumerate().find(|(_, sum)| (sum - 1.0).abs() > ROW_SUM_TOLERANCE)
-        {
-            return Err(lines.bad(format!("{tag} {name} row {row} sums to {sum}, not 1")));
-        }
+        check_stochastic(&format!("{tag} {name}"), &values, width)
+            .map_err(|reason| lines.bad(reason))?;
         matrices.push(values);
     }
     let b = matrices.pop().expect("pushed above");

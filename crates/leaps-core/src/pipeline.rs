@@ -635,6 +635,7 @@ fn hmm_checkpointed(
     fingerprint: u64,
 ) -> Result<TrainRun, LeapsError> {
     let (encoder, table, benign_symbols, mixed_symbols) = hmm_prelude(benign_train, mixed, config);
+    let params = HmmParams { seed, ..HmmParams::default() };
     const FILES: [&str; 2] = ["hmm-benign.ckpt", "hmm-mixed.ckpt"];
     const STAGES: [&str; 2] = ["hmm-benign", "hmm-mixed"];
     let mut resume = (None, None);
@@ -642,7 +643,11 @@ fn hmm_checkpointed(
         // Both models share the envelope stage tag "hmm"; which model a
         // file belongs to is carried by the file name.
         if let Some(ckpt) = load_stage(spec, file, "hmm", fingerprint)? {
-            let state = hmm_state(&ckpt).map_err(|e| stage_decode_err(spec, file, e))?;
+            // A state that decodes but does not fit this run is refused,
+            // never resumed.
+            let state = hmm_state(&ckpt)
+                .and_then(|state| fitting(state, |s| s.check(table.alphabet_size(), &params)))
+                .map_err(|e| stage_decode_err(spec, file, e))?;
             if which == 0 {
                 resume.0 = Some(state);
             } else {
@@ -657,7 +662,7 @@ fn hmm_checkpointed(
         &mixed_symbols,
         table.alphabet_size(),
         HMM_TRAIN_CHUNK,
-        &HmmParams { seed, ..HmmParams::default() },
+        &params,
         resume,
         &mut |which, state| {
             let ckpt = hmm_checkpoint(state, fingerprint);

@@ -64,6 +64,64 @@ pub struct HmmState {
     pub rng: [u64; 4],
 }
 
+impl HmmState {
+    /// Checks that this state can resume a Baum–Welch run over `symbols`
+    /// symbols with `params`: the run's dimensions, at most
+    /// `params.iterations` completed iterations, and π, A and B
+    /// row-stochastic (see [`check_stochastic`]).
+    ///
+    /// # Errors
+    ///
+    /// A one-line reason naming the first violation.
+    pub fn check(&self, symbols: usize, params: &HmmParams) -> Result<(), String> {
+        let n = params.states;
+        if (self.states, self.symbols) != (n, symbols) {
+            return Err(format!(
+                "resume state count mismatch: {} states x {} symbols, the run {n} x {symbols}",
+                self.states, self.symbols
+            ));
+        }
+        if self.iteration > params.iterations {
+            return Err(format!(
+                "resume state has {} iterations, the run only {}",
+                self.iteration, params.iterations
+            ));
+        }
+        for (name, values, width) in
+            [("pi", &self.pi, n), ("a", &self.a, n), ("b", &self.b, symbols)]
+        {
+            check_stochastic(&format!("resume state {name}"), values, width)?;
+        }
+        Ok(())
+    }
+}
+
+/// How far from 1 a stored probability row may sum. Training renormalises
+/// every row after flooring, so saved rows sum to 1 within a few ulps;
+/// `1e-6` also admits rows edited by hand to six decimal places, while a
+/// row that is not a distribution is refused.
+pub const ROW_SUM_TOLERANCE: f64 = 1e-6;
+
+/// Checks that `values`, read as rows of `width`, are probability
+/// distributions: every value finite and `≥ 0`, every row summing to 1
+/// within [`ROW_SUM_TOLERANCE`]. `name` prefixes the reason.
+///
+/// # Errors
+///
+/// A one-line reason naming the first bad value or row.
+pub fn check_stochastic(name: &str, values: &[f64], width: usize) -> Result<(), String> {
+    if let Some(v) = values.iter().find(|v| !(v.is_finite() && **v >= 0.0)) {
+        return Err(format!("{name} holds {v}, not a probability"));
+    }
+    let sums = values.chunks(width.max(1)).map(|row| row.iter().sum::<f64>());
+    if let Some((row, sum)) =
+        sums.enumerate().find(|(_, sum)| (sum - 1.0).abs() > ROW_SUM_TOLERANCE)
+    {
+        return Err(format!("{name} row {row} sums to {sum}, not 1"));
+    }
+    Ok(())
+}
+
 /// Per-sequence E-step statistics: each training sequence's contribution
 /// to the Baum–Welch accumulators, computed independently of every other
 /// sequence so the E-step can fan out across threads.
@@ -136,9 +194,9 @@ impl Hmm {
     ///
     /// # Panics
     ///
-    /// Panics on the same invalid inputs as [`Hmm::train`], or if
-    /// `resume` disagrees with `params`/`symbols` on dimensions or holds
-    /// more iterations than `params.iterations`.
+    /// Panics on the same invalid inputs as [`Hmm::train`], or with the
+    /// reason [`HmmState::check`] gives if `resume` does not fit
+    /// `symbols` and `params`.
     #[allow(clippy::needless_range_loop)] // Baum-Welch index arithmetic reads best indexed
     pub fn train_resumable(
         sequences: &[Vec<usize>],
@@ -160,14 +218,9 @@ impl Hmm {
         let n = params.states;
         let (mut model, rng_state, start_iteration) = match resume {
             Some(state) => {
-                assert_eq!(state.states, n, "resume state count mismatch");
-                assert_eq!(state.symbols, symbols, "resume symbol count mismatch");
-                assert!(
-                    state.iteration <= params.iterations,
-                    "resume state has {} iterations, params only {}",
-                    state.iteration,
-                    params.iterations
-                );
+                if let Err(reason) = state.check(symbols, params) {
+                    panic!("{reason}");
+                }
                 // Validates the stored state is a reachable generator.
                 let _ = SimRng::from_state(state.rng);
                 (

@@ -25,7 +25,7 @@
 //! bytes already read stay buffered until the newline arrives.
 
 use crate::lock_unpoisoned;
-use crate::proto::{error_family, Command, Reply, PROTOCOL_VERSION};
+use crate::proto::{error_family, push_verdict, Command, Reply, PROTOCOL_VERSION};
 use crate::server::Server;
 use crate::session::{SessionReport, VerdictSink};
 use leaps_core::error::LeapsError;
@@ -202,20 +202,75 @@ pub struct BoundDaemon {
     endpoint: Endpoint,
 }
 
+/// Writes `bytes` with one `write_all` under one hold of a connection's
+/// writer lock, so no other reply or verdict push lands inside them.
+fn write_locked(writer: &Mutex<Stream>, bytes: &[u8]) -> std::io::Result<()> {
+    lock_unpoisoned(writer).write_all(bytes)
+}
+
 /// A [`VerdictSink`] that pushes `VERDICT` lines through a connection's
-/// shared writer.
+/// shared writer, one write per drain batch.
 struct WriterSink {
     writer: Arc<Mutex<Stream>>,
 }
 
 impl VerdictSink for WriterSink {
     fn deliver(&self, pid: u32, verdict: &Verdict) {
-        let line = Reply::Verdict { pid, verdict: verdict.clone() }.to_line();
-        let mut writer = lock_unpoisoned(&self.writer);
+        self.deliver_all(pid, std::slice::from_ref(verdict));
+    }
+
+    fn deliver_all(&self, pid: u32, verdicts: &[Verdict]) {
+        if verdicts.is_empty() {
+            return;
+        }
+        let mut lines = String::with_capacity(verdicts.len() * 80);
+        for verdict in verdicts {
+            push_verdict(&mut lines, pid, verdict);
+            lines.push('\n');
+        }
         // A dead connection is detected by the reader side; drop the
-        // verdict rather than panicking a pool worker.
-        let _ = writeln!(writer, "{line}");
-        let _ = writer.flush();
+        // verdicts rather than panicking a pool worker.
+        let _ = write_locked(&self.writer, lines.as_bytes());
+    }
+}
+
+/// A connection's replies. `EVENT` acks are deferred into `pending`
+/// until the reader holds no further complete line; every other reply
+/// goes out at once, after the acks before it, in one `write_all`. So
+/// every command gets one reply, in command order, and a session's
+/// `VERDICT`s never overtake the `OK open` that precedes its events.
+struct Replies {
+    writer: Arc<Mutex<Stream>>,
+    pending: String,
+}
+
+impl Replies {
+    /// Queues an `EVENT` ack for the next flush.
+    fn defer(&mut self, reply: &Reply) {
+        self.pending.push_str(&reply.to_line());
+        self.pending.push('\n');
+    }
+
+    /// Writes the deferred acks and then `reply`.
+    fn send(&mut self, reply: &Reply) -> std::io::Result<()> {
+        self.defer(reply);
+        self.flush()
+    }
+
+    /// Writes the deferred acks and then `block`, whole lines.
+    fn send_block(&mut self, block: &str) -> std::io::Result<()> {
+        self.pending.push_str(block);
+        self.flush()
+    }
+
+    /// Writes the deferred acks, if any.
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let written = write_locked(&self.writer, self.pending.as_bytes());
+        self.pending.clear();
+        written
     }
 }
 
@@ -345,12 +400,6 @@ fn err_reply(e: &LeapsError) -> Reply {
     Reply::Err { family: error_family(e).to_owned(), message: e.to_string() }
 }
 
-fn write_reply(writer: &Arc<Mutex<Stream>>, reply: &Reply) -> std::io::Result<()> {
-    let mut writer = lock_unpoisoned(writer);
-    writeln!(writer, "{}", reply.to_line())?;
-    writer.flush()
-}
-
 /// Drives one connection's command loop until `BYE`, `SHUTDOWN`, EOF,
 /// an I/O error, shutdown, or the idle TTL expiring, then closes any
 /// sessions the client left open.
@@ -358,7 +407,8 @@ fn write_reply(writer: &Arc<Mutex<Stream>>, reply: &Reply) -> std::io::Result<()
 /// Reads run under the [`CONN_POLL`] deadline; a deadline tick is not an
 /// error but a chance to notice shutdown or idleness. `BufReader` keeps
 /// any partially-read line across ticks, so slow writers are never
-/// corrupted, only rechecked.
+/// corrupted, only rechecked. Deferred `EVENT` acks (see [`Replies`]) are
+/// written before any read that could block, and on every way out.
 fn handle_connection(
     server: &Arc<Server>,
     spans: &ProtoSpans,
@@ -368,11 +418,16 @@ fn handle_connection(
     let _ = stream.set_read_timeout(Some(CONN_POLL));
     let Ok(write_half) = stream.try_clone() else { return };
     let writer = Arc::new(Mutex::new(write_half));
+    let mut replies = Replies { writer: Arc::clone(&writer), pending: String::new() };
     let mut reader = BufReader::new(stream);
     let mut client: Option<String> = None;
     let mut line = String::new();
     let mut last_activity_us = leaps_obs::now_micros();
     loop {
+        // Only a read that finds no complete line buffered can block.
+        if !reader.buffer().contains(&b'\n') && replies.flush().is_err() {
+            break;
+        }
         match reader.read_line(&mut line) {
             Ok(0) => break, // EOF: client went away
             Ok(_) => {}
@@ -384,13 +439,10 @@ fn handle_connection(
                 if let Some(ttl) = server.idle_ttl() {
                     let ttl_us = u64::try_from(ttl.as_micros()).unwrap_or(u64::MAX);
                     if leaps_obs::now_micros().saturating_sub(last_activity_us) > ttl_us {
-                        let _ = write_reply(
-                            &writer,
-                            &Reply::Err {
-                                family: "proto".to_owned(),
-                                message: format!("idle for over {}s, closing", ttl.as_secs_f64()),
-                            },
-                        );
+                        let _ = replies.send(&Reply::Err {
+                            family: "proto".to_owned(),
+                            message: format!("idle for over {}s, closing", ttl.as_secs_f64()),
+                        });
                         break;
                     }
                 }
@@ -404,24 +456,28 @@ fn handle_connection(
             line.clear();
             continue;
         }
-        let reply = match Command::parse_line(&line) {
-            Err(e) => Reply::Err { family: "proto".to_owned(), message: e.to_string() },
+        let written = match Command::parse_line(&line) {
+            Err(e) => {
+                replies.send(&Reply::Err { family: "proto".to_owned(), message: e.to_string() })
+            }
             Ok(command) => {
+                let is_event = matches!(command, Command::Event { .. });
                 let latency = spans.start(&command);
                 let outcome = dispatch(server, &writer, &mut client, command);
                 drop(latency);
                 match outcome {
-                    Dispatch::Reply(reply) => reply,
-                    Dispatch::Done => {
-                        line.clear();
-                        continue;
+                    Dispatch::Reply(reply) if is_event => {
+                        replies.defer(&reply);
+                        Ok(())
                     }
+                    Dispatch::Reply(reply) => replies.send(&reply),
+                    Dispatch::Block(block) => replies.send_block(&block),
                     Dispatch::Last(reply) => {
-                        let _ = write_reply(&writer, &reply);
+                        let _ = replies.send(&reply);
                         break;
                     }
                     Dispatch::Shutdown(reply) => {
-                        let _ = write_reply(&writer, &reply);
+                        let _ = replies.send(&reply);
                         server.begin_shutdown();
                         endpoint.wake();
                         break;
@@ -430,10 +486,11 @@ fn handle_connection(
             }
         };
         line.clear();
-        if write_reply(&writer, &reply).is_err() {
+        if written.is_err() {
             break;
         }
     }
+    let _ = replies.flush();
     if let Some(client) = client {
         server.close_client(&client);
     }
@@ -446,9 +503,9 @@ enum Dispatch {
     Last(Reply),
     /// Reply, then shut the daemon down.
     Shutdown(Reply),
-    /// The handler already wrote its reply (a multi-line block that had
-    /// to go out under one writer lock); keep the connection open.
-    Done,
+    /// A multi-line reply (whole lines), which must go out in one write;
+    /// keep the connection open.
+    Block(String),
 }
 
 /// Per-command daemon latency histograms, `proto.<verb>.us` in the
@@ -504,14 +561,14 @@ impl ProtoSpans {
     }
 }
 
-/// Serves `METRICS [reset]`: snapshots the server's registry, then
-/// writes the `OK metrics n=<k>` acknowledgement and all `k` `METRIC`
-/// lines in **one** buffered write under **one** writer-lock hold, so
-/// concurrent `VERDICT` pushes can never land inside the block. With
-/// `reset`, counters and histograms are zeroed after the snapshot
-/// (gauges keep their level — they track live state, not history); the
-/// counters `HEALTH` shows are among them.
-fn write_metrics_block(server: &Server, writer: &Arc<Mutex<Stream>>, reset: bool) -> Dispatch {
+/// Serves `METRICS [reset]`: snapshots the server's registry and renders
+/// the `OK metrics n=<k>` acknowledgement and all `k` `METRIC` lines as
+/// one [`Dispatch::Block`], written in **one** `write_all` under **one**
+/// writer-lock hold, so concurrent `VERDICT` pushes can never land
+/// inside the block. With `reset`, counters and histograms are zeroed
+/// after the snapshot (gauges keep their level — they track live state,
+/// not history); the counters `HEALTH` shows are among them.
+fn metrics_block(server: &Server, reset: bool) -> Dispatch {
     let registry = server.metrics();
     let snapshot = registry.snapshot();
     if reset {
@@ -523,11 +580,7 @@ fn write_metrics_block(server: &Server, writer: &Arc<Mutex<Stream>>, reset: bool
         block.push_str(&Reply::Metric { metric: entry }.to_line());
         block.push('\n');
     }
-    let mut writer = lock_unpoisoned(writer);
-    // A dead connection surfaces on the reader side; nothing to do here.
-    let _ = writer.write_all(block.as_bytes());
-    let _ = writer.flush();
-    Dispatch::Done
+    Dispatch::Block(block)
 }
 
 fn dispatch(
@@ -554,7 +607,7 @@ fn dispatch(
         return Dispatch::Reply(Reply::Ok { detail: health_detail(server) });
     }
     if let Command::Metrics { reset } = command {
-        return write_metrics_block(server, writer, reset);
+        return metrics_block(server, reset);
     }
     if let Command::Panic { shard } = command {
         if std::env::var("LEAPS_CHAOS").as_deref() != Ok("1") {

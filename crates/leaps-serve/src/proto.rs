@@ -446,7 +446,9 @@ impl Reply {
             Reply::Err { family, message } => format!("ERR {family} {message}"),
             Reply::Busy { pid, shed } => format!("BUSY pid={pid} shed={shed}"),
             Reply::Verdict { pid, verdict } => {
-                format!("VERDICT pid={pid} {}", verdict.to_line())
+                let mut line = String::new();
+                push_verdict(&mut line, *pid, verdict);
+                line
             }
             Reply::Metric { metric } => format!("METRIC {}", metric.to_line()),
         }
@@ -494,6 +496,15 @@ impl Reply {
             _ => Err(ProtoError::new(format!("unknown reply {verb:?}"))),
         }
     }
+}
+
+/// Appends the `VERDICT` line of session `pid` (no newline) to `out`:
+/// the one rendering of a verdict push, shared by [`Reply::to_line`] and
+/// the daemon's batched verdict writer.
+pub(crate) fn push_verdict(out: &mut String, pid: u32, verdict: &Verdict) {
+    use fmt::Write as _;
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "VERDICT pid={pid} {}", verdict.to_line());
 }
 
 /// The `ERR` family token for a [`LeapsError`], mirroring the CLI's

@@ -36,6 +36,15 @@ pub type SessionKey = (String, u32);
 pub trait VerdictSink: Send + Sync {
     /// Delivers one verdict of session `pid`.
     fn deliver(&self, pid: u32, verdict: &Verdict);
+
+    /// Delivers one drain batch of session `pid`'s verdicts, in order.
+    /// The drain loop calls only this; the default hands each verdict to
+    /// [`VerdictSink::deliver`].
+    fn deliver_all(&self, pid: u32, verdicts: &[Verdict]) {
+        for verdict in verdicts {
+            self.deliver(pid, verdict);
+        }
+    }
 }
 
 /// A [`VerdictSink`] that buffers verdicts in memory — the in-process
@@ -74,6 +83,10 @@ impl BufferSink {
 impl VerdictSink for BufferSink {
     fn deliver(&self, _pid: u32, verdict: &Verdict) {
         lock_unpoisoned(&self.verdicts).push(verdict.clone());
+    }
+
+    fn deliver_all(&self, _pid: u32, verdicts: &[Verdict]) {
+        lock_unpoisoned(&self.verdicts).extend_from_slice(verdicts);
     }
 }
 
@@ -228,9 +241,7 @@ pub(crate) fn drain(session: &Session) {
         verdicts.clear();
         detector.push_all_into(batch.drain(..), &mut verdicts);
         drop(detector);
-        for verdict in &verdicts {
-            session.sink.deliver(session.pid, verdict);
-        }
+        session.sink.deliver_all(session.pid, &verdicts);
         session.serve.verdicts.get().add(verdicts.len() as u64);
         session.serve.degraded.get().add(verdicts.iter().filter(|v| v.degraded).count() as u64);
         lock_unpoisoned(&session.state).verdicts += verdicts.len() as u64;

@@ -521,3 +521,159 @@ fn each_server_reports_only_its_own_counts() {
     assert_eq!(health_over_the_wire(&calm), expected(0, 0));
     reaper.join().unwrap();
 }
+
+/// A raw connection for reply-order tests: bursts go out in one `write`,
+/// and replies are read line by line (`VERDICT` pushes included).
+struct Raw {
+    writer: std::net::TcpStream,
+    reader: std::io::BufReader<std::net::TcpStream>,
+}
+
+impl Raw {
+    fn connect(endpoint: &Endpoint) -> Raw {
+        let Endpoint::Tcp(addr) = endpoint else { unreachable!("TCP daemon") };
+        let writer = std::net::TcpStream::connect(addr).unwrap();
+        writer.set_read_timeout(Some(std::time::Duration::from_secs(20))).unwrap();
+        let reader = std::io::BufReader::new(writer.try_clone().unwrap());
+        Raw { writer, reader }
+    }
+
+    /// Sends every command in one `write_all`.
+    fn burst(&mut self, commands: &[Command]) {
+        use std::io::Write;
+        let text: String = commands.iter().map(|c| c.to_line() + "\n").collect();
+        self.writer.write_all(text.as_bytes()).unwrap();
+    }
+
+    fn line(&mut self) -> String {
+        use std::io::BufRead;
+        let mut line = String::new();
+        assert!(self.reader.read_line(&mut line).unwrap() > 0, "daemon closed the connection");
+        line.trim_end().to_owned()
+    }
+
+    /// Reads lines until `acks` acknowledgements arrived; returns every
+    /// line read, verdicts included, in arrival order.
+    fn until_acks(&mut self, acks: usize) -> Vec<String> {
+        let mut lines = Vec::new();
+        let mut seen = 0;
+        while seen < acks {
+            let line = self.line();
+            if !line.starts_with("VERDICT ") {
+                seen += 1;
+            }
+            lines.push(line);
+        }
+        lines
+    }
+}
+
+/// A TCP daemon over the tiny model and a raw connection that has said
+/// `HELLO` and opened session 7.
+fn raw_daemon(tag: &str) -> (Raw, std::thread::JoinHandle<usize>) {
+    let server = Arc::new(Server::new(&config(tag)));
+    let bound = Endpoint::Tcp("127.0.0.1:0".to_owned()).bind().unwrap();
+    let endpoint = bound.endpoint().clone();
+    let daemon = std::thread::spawn(move || bound.run(&server).unwrap());
+    let mut raw = Raw::connect(&endpoint);
+    raw.burst(&[
+        Command::Hello { client: tag.into() },
+        Command::Open { pid: 7, model: "tiny".into() },
+    ]);
+    assert!(raw.line().starts_with("OK hello"));
+    assert_eq!(raw.line(), "OK open pid=7 model=tiny");
+    (raw, daemon)
+}
+
+fn shut_down(mut raw: Raw, daemon: std::thread::JoinHandle<usize>) {
+    raw.burst(&[Command::Shutdown]);
+    let lines = raw.until_acks(1);
+    assert_eq!(lines.last().map(String::as_str), Some("OK shutdown"));
+    daemon.join().unwrap();
+}
+
+#[test]
+fn one_write_of_events_gets_one_ack_each_in_command_order() {
+    let (mut raw, daemon) = raw_daemon("burst-acks");
+    // Events alternate between the open session 7 and the never-opened
+    // session 8, so the expected acks alternate `OK event` / `ERR`.
+    let n = 200;
+    let commands: Vec<Command> = (0..n)
+        .map(|i| Command::Event { pid: if i % 2 == 0 { 7 } else { 8 }, event: event(i, true) })
+        .collect();
+    raw.burst(&commands);
+    let acks: Vec<String> =
+        raw.until_acks(n as usize).into_iter().filter(|l| !l.starts_with("VERDICT ")).collect();
+    assert_eq!(acks.len(), n as usize);
+    for (i, ack) in acks.iter().enumerate() {
+        if i % 2 == 0 {
+            assert_eq!(ack, "OK event", "ack {i}");
+        } else {
+            assert!(ack.starts_with("ERR proto"), "ack {i}: {ack}");
+        }
+    }
+    shut_down(raw, daemon);
+}
+
+#[test]
+fn a_reopened_session_never_pushes_verdicts_before_its_open_ack() {
+    let (mut raw, daemon) = raw_daemon("reopen");
+    for round in 0..20u64 {
+        // Old session: nums below 1000; reopened session: from 1000 on.
+        let base = round * 2000;
+        let mut commands: Vec<Command> =
+            (0..20).map(|n| Command::Event { pid: 7, event: event(base + n, true) }).collect();
+        commands.push(Command::Close { pid: 7 });
+        commands.push(Command::Open { pid: 7, model: "tiny".into() });
+        commands.extend(
+            (0..20).map(|n| Command::Event { pid: 7, event: event(base + 1000 + n, true) }),
+        );
+        raw.burst(&commands);
+        let lines = raw.until_acks(42);
+        let position = |prefix: &str| lines.iter().position(|l| l.starts_with(prefix)).unwrap();
+        let (close, open) = (position("OK close pid=7"), position("OK open pid=7"));
+        assert!(close < open, "round {round}: {lines:?}");
+        for (i, line) in lines.iter().enumerate() {
+            let Some(body) = line.strip_prefix("VERDICT pid=7 ") else { continue };
+            let num = Verdict::parse_line(body).unwrap().last_event;
+            if num >= base + 1000 {
+                assert!(i > open, "round {round}: new-session verdict before OK open: {lines:?}");
+            } else {
+                assert!(i < close, "round {round}: old-session verdict after OK close: {lines:?}");
+            }
+        }
+        // The acks keep command order around the session change.
+        let acks: Vec<&String> = lines.iter().filter(|l| !l.starts_with("VERDICT ")).collect();
+        assert!(acks[..20].iter().all(|a| *a == "OK event"), "round {round}: {acks:?}");
+        assert!(acks[22..].iter().all(|a| *a == "OK event"), "round {round}: {acks:?}");
+        // The reopened session's verdicts arrive by its next close.
+        raw.burst(&[Command::Close { pid: 7 }, Command::Open { pid: 7, model: "tiny".into() }]);
+        raw.until_acks(2);
+    }
+    shut_down(raw, daemon);
+}
+
+#[test]
+fn a_metrics_block_after_an_event_burst_arrives_whole_after_the_acks() {
+    let (mut raw, daemon) = raw_daemon("metrics-burst");
+    let n = 100;
+    let mut commands: Vec<Command> =
+        (0..n).map(|i| Command::Event { pid: 7, event: event(i, true) }).collect();
+    commands.push(Command::Metrics { reset: false });
+    raw.burst(&commands);
+    let lines = raw.until_acks(n as usize + 1);
+    let acks: Vec<&String> = lines.iter().filter(|l| !l.starts_with("VERDICT ")).collect();
+    assert!(acks[..n as usize].iter().all(|a| *a == "OK event"), "{acks:?}");
+    let header = acks[n as usize];
+    let count: usize = header
+        .strip_prefix("OK metrics n=")
+        .and_then(|k| k.parse().ok())
+        .unwrap_or_else(|| panic!("bad METRICS ack {header:?}"));
+    assert!(count > 0);
+    // The `METRIC` lines follow the header at once, with no verdict
+    // pushed inside the block.
+    let block: Vec<String> = (0..count).map(|_| raw.line()).collect();
+    assert!(block.iter().all(|l| l.starts_with("METRIC ")), "{block:?}");
+    assert!(block.iter().any(|l| l.starts_with("METRIC proto.event.us hist count=")), "{block:?}");
+    shut_down(raw, daemon);
+}

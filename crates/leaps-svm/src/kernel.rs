@@ -53,24 +53,45 @@ impl Kernel {
     #[must_use]
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len(), "kernel arguments differ in dimension");
-        match *self {
-            Kernel::Linear => dot(a, b),
-            Kernel::Gaussian { sigma2 } => {
-                debug_assert!(sigma2 > 0.0, "Gaussian kernel requires sigma2 > 0");
+        let raw = match *self {
+            Kernel::Gaussian { .. } => {
                 let mut d2 = 0.0;
                 for (x, y) in a.iter().zip(b) {
                     let d = x - y;
                     d2 += d * d;
                 }
-                (-d2 / sigma2).exp()
+                d2
             }
-            Kernel::Polynomial { degree, coef0 } => (dot(a, b) + coef0).powi(degree as i32),
+            Kernel::Linear | Kernel::Polynomial { .. } => {
+                // −0.0 is the exact additive identity (as in `Sum for
+                // f64`): an all-zero product sum keeps its sign.
+                let mut dot = -0.0;
+                for (x, y) in a.iter().zip(b) {
+                    dot += x * y;
+                }
+                dot
+            }
+        };
+        self.finish(raw)
+    }
+
+    /// The kernel value from its raw sum over the dimensions, summed in
+    /// dimension order: the squared distance `‖a − b‖²` (from `0.0`) for
+    /// the Gaussian kernel, the dot product `a · b` (from `−0.0`)
+    /// otherwise. The one home of each kernel's final expression, shared
+    /// by [`Kernel::eval`] and the blocked decision of
+    /// [`SvmModel`](crate::SvmModel), so both produce the same bits.
+    #[must_use]
+    pub(crate) fn finish(&self, raw: f64) -> f64 {
+        match *self {
+            Kernel::Linear => raw,
+            Kernel::Gaussian { sigma2 } => {
+                debug_assert!(sigma2 > 0.0, "Gaussian kernel requires sigma2 > 0");
+                (-raw / sigma2).exp()
+            }
+            Kernel::Polynomial { degree, coef0 } => (raw + coef0).powi(degree as i32),
         }
     }
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]

@@ -3,6 +3,9 @@
 use crate::data::Sample;
 use crate::kernel::Kernel;
 
+/// Support vectors per block of the decision layout (see [`SvmModel`]).
+const LANES: usize = 8;
+
 /// A trained binary SVM classifier.
 ///
 /// The decision function is Eq. 5 of the paper (plus the bias term the
@@ -14,9 +17,20 @@ use crate::kernel::Kernel;
 ///
 /// `x` is classified positive (benign) if `f(x) ≥ 0` and negative
 /// (malicious) if `f(x) < 0`.
+///
+/// # Layout
+///
+/// The support vectors live in one contiguous array, dimension-major in
+/// blocks of [`LANES`] vectors: block `b` is rows `b·dim .. (b+1)·dim`,
+/// and lane `l` of row `k` holds feature `k` of support vector
+/// `b·LANES + l`. Lanes past the last support vector hold `0.0` and are
+/// never read into the sum. [`SvmModel::decision`] walks one block at a
+/// time, so each feature of `x` is loaded once per block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SvmModel {
-    support_x: Vec<Vec<f64>>,
+    blocks: Vec<[f64; LANES]>,
+    /// Features per support vector.
+    dim: usize,
     /// `αᵢ·yᵢ` per support vector.
     alpha_y: Vec<f64>,
     bias: f64,
@@ -40,15 +54,16 @@ impl SvmModel {
         iterations: usize,
     ) -> SvmModel {
         check_kernel(kernel);
-        let mut support_x = Vec::new();
+        let mut support = Vec::new();
         let mut alpha_y = Vec::new();
         for (sample, &a) in samples.iter().zip(alpha) {
             if a > 0.0 {
-                support_x.push(sample.x.clone());
+                support.push(sample.x.as_slice());
                 alpha_y.push(a * sample.y);
             }
         }
-        SvmModel { support_x, alpha_y, bias, kernel, iterations }
+        let dim = samples.first().map_or(0, |s| s.x.len());
+        SvmModel { blocks: pack(&support, dim), dim, alpha_y, bias, kernel, iterations }
     }
 
     /// Reassembles a model from persisted parts. `support_x` and
@@ -56,8 +71,8 @@ impl SvmModel {
     ///
     /// # Panics
     ///
-    /// Panics if the lengths differ or the kernel fails
-    /// [`Kernel::validate`].
+    /// Panics if the lengths differ, the support vectors differ in
+    /// dimension, or the kernel fails [`Kernel::validate`].
     #[must_use]
     pub fn from_parts(
         support_x: Vec<Vec<f64>>,
@@ -67,15 +82,34 @@ impl SvmModel {
     ) -> SvmModel {
         assert_eq!(support_x.len(), alpha_y.len(), "parts length mismatch");
         check_kernel(kernel);
-        SvmModel { support_x, alpha_y, bias, kernel, iterations: 0 }
+        let dim = support_x.first().map_or(0, Vec::len);
+        assert!(support_x.iter().all(|sv| sv.len() == dim), "support vectors differ in dimension");
+        let support: Vec<&[f64]> = support_x.iter().map(Vec::as_slice).collect();
+        SvmModel { blocks: pack(&support, dim), dim, alpha_y, bias, kernel, iterations: 0 }
     }
 
     /// The raw decision value `f(x)`.
+    ///
+    /// Bit-identical to `bias + Σᵢ αᵢyᵢ·kernel.eval(xᵢ, x)` summed in
+    /// support-vector order: each lane accumulates its raw sum in
+    /// dimension order exactly as [`Kernel::eval`] does, and
+    /// [`Kernel::finish`] (the scalar `exp` for the Gaussian kernel) runs
+    /// once per support vector.
     #[must_use]
     pub fn decision(&self, x: &[f64]) -> f64 {
+        debug_assert!(
+            self.alpha_y.is_empty() || x.len() == self.dim,
+            "kernel arguments differ in dimension"
+        );
         let mut sum = self.bias;
-        for (sv, &ay) in self.support_x.iter().zip(&self.alpha_y) {
-            sum += ay * self.kernel.eval(sv, x);
+        for (block, alpha_y) in self.block_rows().zip(self.alpha_y.chunks(LANES)) {
+            let raw = match self.kernel {
+                Kernel::Gaussian { .. } => squared_distances(block, x),
+                Kernel::Linear | Kernel::Polynomial { .. } => dots(block, x),
+            };
+            for (&ay, &r) in alpha_y.iter().zip(&raw) {
+                sum += ay * self.kernel.finish(r);
+            }
         }
         sum
     }
@@ -94,12 +128,23 @@ impl SvmModel {
     /// Number of support vectors.
     #[must_use]
     pub fn support_vector_count(&self) -> usize {
-        self.support_x.len()
+        self.alpha_y.len()
     }
 
-    /// Iterates `(αᵢ·yᵢ, support vector)` pairs.
-    pub fn dual_coefficients(&self) -> impl Iterator<Item = (f64, &Vec<f64>)> {
-        self.alpha_y.iter().copied().zip(self.support_x.iter())
+    /// Iterates `(αᵢ·yᵢ, support vector)` pairs in support-vector order.
+    pub fn dual_coefficients(&self) -> impl Iterator<Item = (f64, Vec<f64>)> + '_ {
+        self.alpha_y.iter().enumerate().map(|(i, &ay)| {
+            let rows = &self.blocks[i / LANES * self.dim..][..self.dim];
+            (ay, rows.iter().map(|row| row[i % LANES]).collect())
+        })
+    }
+
+    /// The row slices of each block, in support-vector order. A model
+    /// of zero-dimensional vectors yields empty blocks, one per
+    /// [`LANES`] support vectors.
+    fn block_rows(&self) -> impl Iterator<Item = &[[f64; LANES]]> {
+        let blocks = self.alpha_y.len().div_ceil(LANES);
+        (0..blocks).map(|b| &self.blocks[b * self.dim..(b + 1) * self.dim])
     }
 
     /// Bias term `b`.
@@ -126,6 +171,44 @@ pub(crate) fn check_kernel(kernel: Kernel) {
     if let Err(reason) = kernel.validate() {
         panic!("{reason}");
     }
+}
+
+/// Packs `support` (each of length `dim`) into the blocked layout of
+/// [`SvmModel`].
+fn pack(support: &[&[f64]], dim: usize) -> Vec<[f64; LANES]> {
+    let mut blocks = vec![[0.0; LANES]; support.len().div_ceil(LANES) * dim];
+    for (i, sv) in support.iter().enumerate() {
+        let rows = &mut blocks[i / LANES * dim..][..dim];
+        for (row, &v) in rows.iter_mut().zip(*sv) {
+            row[i % LANES] = v;
+        }
+    }
+    blocks
+}
+
+/// `‖svₗ − x‖²` for the [`LANES`] support vectors of one block, each
+/// summed from `0.0` in dimension order as [`Kernel::eval`] sums it.
+fn squared_distances(block: &[[f64; LANES]], x: &[f64]) -> [f64; LANES] {
+    let mut d2 = [0.0; LANES];
+    for (row, &xk) in block.iter().zip(x) {
+        for (acc, &v) in d2.iter_mut().zip(row) {
+            let d = v - xk;
+            *acc += d * d;
+        }
+    }
+    d2
+}
+
+/// `svₗ · x` for the [`LANES`] support vectors of one block, each summed
+/// from `−0.0` in dimension order as [`Kernel::eval`] sums it.
+fn dots(block: &[[f64; LANES]], x: &[f64]) -> [f64; LANES] {
+    let mut dot = [-0.0; LANES];
+    for (row, &xk) in block.iter().zip(x) {
+        for (acc, &v) in dot.iter_mut().zip(row) {
+            *acc += v * xk;
+        }
+    }
+    dot
 }
 
 #[cfg(test)]

@@ -139,7 +139,7 @@ proptest! {
             let any_weighted = set
                 .samples()
                 .iter()
-                .any(|s| &s.x == sv && s.c > 0.0);
+                .any(|s| s.x == sv && s.c > 0.0);
             prop_assert!(any_weighted, "alpha_y {ay} on zero-weight point");
         }
     }

@@ -192,7 +192,7 @@ proptest! {
             let matching: Vec<&Sample> = set
                 .samples()
                 .iter()
-                .filter(|s| &s.x == sv)
+                .filter(|s| s.x == sv)
                 .collect();
             prop_assert!(!matching.is_empty());
             let max_cap = matching

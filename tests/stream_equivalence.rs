@@ -130,3 +130,30 @@ fn svm_stream_verdicts_are_the_batch_decisions_bit_for_bit() {
 fn hmm_stream_verdicts_are_the_batch_scores_bit_for_bit() {
     assert_stream_matches_batch(Method::Hmm);
 }
+
+/// The blocked `SvmModel::decision` returns the bits of the per-SV
+/// `Kernel::eval` sum (Eq. 5 in SV order) on real encoded windows of
+/// held-out data.
+#[test]
+fn blocked_svm_decision_is_the_per_sv_kernel_sum_on_held_out_windows() {
+    for name in ["vim_reverse_tcp", "putty_reverse_https", "chrome_reverse_https"] {
+        let scenario = Scenario::by_name(name).unwrap();
+        let d = Dataset::materialize(scenario, &GenParams::small(), 5).unwrap();
+        let classifier =
+            train_classifier(Method::Wsvm, &d.benign, &d.mixed, &PipelineConfig::fast(), 5);
+        let Classifier::Svm(svm) = &classifier else { unreachable!("WSVM trains an SVM") };
+        let held_out = Dataset::materialize(scenario, &GenParams::small(), 6).unwrap();
+        let refs: Vec<&PartitionedEvent> =
+            held_out.mixed.iter().chain(&held_out.malicious).collect();
+        let (points, _) = svm.encoder.encode_sequence(&refs);
+        assert!(points.len() > 100, "{name}: only {} windows", points.len());
+        let support: Vec<(f64, Vec<f64>)> = svm.model.dual_coefficients().collect();
+        for (i, x) in points.iter().enumerate() {
+            let mut want = svm.model.bias();
+            for (alpha_y, sv) in &support {
+                want += alpha_y * svm.model.kernel().eval(sv, x);
+            }
+            assert_eq!(svm.model.decision(x).to_bits(), want.to_bits(), "{name} window {i}");
+        }
+    }
+}
