@@ -249,9 +249,13 @@ fn cmd_gen(args: &Args) -> Result<(), Failure> {
 fn cmd_eval(args: &Args) -> Result<(), Failure> {
     let scenario = scenario_of(args)?;
     let method = method_of(args)?;
+    let runs = args.parse_or("runs", 3usize)?;
+    if runs == 0 {
+        return Err(Failure::usage("--runs must be >= 1"));
+    }
     let experiment = Experiment {
         gen: gen_params(args)?,
-        runs: args.parse_or("runs", 3usize)?,
+        runs,
         seed: args.parse_or("seed", 0x1ea5u64)?,
         ..Experiment::default()
     };
@@ -283,61 +287,42 @@ fn load_log(path: &str, lenient: bool) -> Result<Vec<PartitionedEvent>, Failure>
     Ok(partition_events(&events))
 }
 
-fn train_from_logs(args: &Args) -> Result<leaps::core::pipeline::Classifier, Failure> {
-    let lenient = args.enabled("lenient");
-    let benign = load_log(args.required("benign")?, lenient)?;
-    let mixed = load_log(args.required("mixed")?, lenient)?;
-    let method = method_of(args)?;
-    let seed = args.parse_or("seed", 0x1ea5u64)?;
-    println!(
-        "training {} on {} benign + {} mixed events...",
-        method.label(),
-        benign.len(),
-        mixed.len()
-    );
-    let classifier =
-        try_train_classifier(method, &benign, &mixed, &PipelineConfig::default(), seed)
-            .map_err(LeapsError::from)?;
-    Ok(classifier)
-}
-
-/// The checkpointed training path of `leaps train --checkpoint-dir`.
-fn train_checkpointed(
+/// Trains a classifier from the `--benign` and `--mixed` raw logs. With a
+/// spec (`leaps train --checkpoint-dir`), the long-running stages
+/// checkpoint to its directory and pause at its deadline (exit 8).
+fn train_from_logs(
     args: &Args,
-    dir: &str,
+    spec: Option<&CheckpointSpec>,
 ) -> Result<leaps::core::pipeline::Classifier, Failure> {
     let lenient = args.enabled("lenient");
     let benign = load_log(args.required("benign")?, lenient)?;
     let mixed = load_log(args.required("mixed")?, lenient)?;
     let method = method_of(args)?;
     let seed = args.parse_or("seed", 0x1ea5u64)?;
-    let every = args.parse_or("checkpoint-every", 200usize)?;
-    if every == 0 {
-        return Err(Failure::usage("--checkpoint-every must be >= 1"));
-    }
-    let spec = CheckpointSpec {
-        resume: args.enabled("resume"),
-        every,
-        deadline: args
-            .parse_opt::<u64>("deadline-secs")?
-            .map(|secs| leaps::obs::now_micros().saturating_add(secs.saturating_mul(1_000_000))),
-        ..CheckpointSpec::new(dir)
+    let checkpoints = match spec {
+        Some(spec) => format!(
+            " (checkpoints in {}{})",
+            spec.dir.display(),
+            if spec.resume { ", resuming" } else { "" }
+        ),
+        None => String::new(),
     };
     println!(
-        "training {} on {} benign + {} mixed events (checkpoints in {dir}{})...",
+        "training {} on {} benign + {} mixed events{checkpoints}...",
         method.label(),
         benign.len(),
-        mixed.len(),
-        if spec.resume { ", resuming" } else { "" }
+        mixed.len()
     );
-    let run = try_train_classifier_checkpointed(
-        method,
-        &benign,
-        &mixed,
-        &PipelineConfig::default(),
-        seed,
-        &spec,
-    )?;
+    let config = PipelineConfig::default();
+    let run = match spec {
+        Some(spec) => {
+            try_train_classifier_checkpointed(method, &benign, &mixed, &config, seed, spec)?
+        }
+        None => TrainRun::Done(Box::new(
+            try_train_classifier(method, &benign, &mixed, &config, seed)
+                .map_err(LeapsError::from)?,
+        )),
+    };
     match run {
         TrainRun::Done(classifier) => Ok(*classifier),
         TrainRun::Paused { stage, progress } => Err(LeapsError::deadline(format!(
@@ -355,10 +340,24 @@ fn cmd_train(args: &Args) -> Result<(), Failure> {
             return Err(Failure::usage(format!("--{flag} requires --checkpoint-dir")));
         }
     }
-    let classifier = match args.get("checkpoint-dir") {
-        Some(dir) => train_checkpointed(args, dir)?,
-        None => train_from_logs(args)?,
+    let spec = match args.get("checkpoint-dir") {
+        Some(dir) => {
+            let every = args.parse_or("checkpoint-every", 200usize)?;
+            if every == 0 {
+                return Err(Failure::usage("--checkpoint-every must be >= 1"));
+            }
+            Some(CheckpointSpec {
+                resume: args.enabled("resume"),
+                every,
+                deadline: args.parse_opt::<u64>("deadline-secs")?.map(|secs| {
+                    leaps::obs::now_micros().saturating_add(secs.saturating_mul(1_000_000))
+                }),
+                ..CheckpointSpec::new(dir)
+            })
+        }
+        None => None,
     };
+    let classifier = train_from_logs(args, spec.as_ref())?;
     let text = save_classifier(&classifier);
     // Crash-safe: a kill mid-save leaves the old model (or nothing),
     // never a torn file a later `detect`/`serve` would choke on.
@@ -384,7 +383,7 @@ fn cmd_detect(args: &Args) -> Result<(), Failure> {
             println!("loaded model from {path}");
             classifier
         }
-        None => train_from_logs(args)?,
+        None => train_from_logs(args, None)?,
     };
     let mut detector = StreamDetector::new(classifier);
     let verdicts = detector.push_all(target.iter().cloned());

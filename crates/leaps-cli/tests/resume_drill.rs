@@ -247,3 +247,53 @@ fn resume_flags_require_checkpoint_dir() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--checkpoint-dir"));
 }
+
+/// A stage checkpoint that cannot be written stops training with a
+/// one-line I/O error (exit 6) and no model file: a directory squats on
+/// the stage's checkpoint path, so the atomic rename onto it fails.
+fn assert_unwritable_checkpoint(tag: &str, method: &str, stage_file: &str, extra: &[&str]) {
+    let dir = scratch(tag);
+    let (benign, mixed) = gen_logs(&dir, "400", "11");
+    let ckpt = dir.join("ckpt");
+    std::fs::create_dir_all(ckpt.join(stage_file)).unwrap();
+    let model = dir.join("out.model");
+    let mut args = vec![
+        "train",
+        "--benign",
+        &benign,
+        "--mixed",
+        &mixed,
+        "--method",
+        method,
+        "--seed",
+        "11",
+        "--out",
+        model.to_str().unwrap(),
+        "--checkpoint-dir",
+        ckpt.to_str().unwrap(),
+    ];
+    args.extend_from_slice(extra);
+    let out = leaps(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(6), "{stage_file}: {stderr}");
+    assert!(stderr.contains(stage_file), "the error names the checkpoint: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr.trim_end().lines().count(), 1, "one-line error: {stderr}");
+    assert!(!model.exists(), "a failed checkpoint write must not leave a model");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unwritable_cv_checkpoint_is_an_io_error() {
+    assert_unwritable_checkpoint("cv-io", "wsvm", "cv.ckpt", &[]);
+}
+
+#[test]
+fn unwritable_smo_checkpoint_is_an_io_error() {
+    assert_unwritable_checkpoint("smo-io", "wsvm", "smo.ckpt", &["--checkpoint-every", "1"]);
+}
+
+#[test]
+fn unwritable_hmm_checkpoint_is_an_io_error() {
+    assert_unwritable_checkpoint("hmm-io", "hmm", "hmm-mixed.ckpt", &[]);
+}

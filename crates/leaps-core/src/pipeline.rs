@@ -19,6 +19,16 @@
 //! The plain-SVM baseline is the same pipeline with all mixed weights
 //! forced to 1; the call-graph baseline replaces steps 2–5 with BCG/MCG
 //! construction.
+//!
+//! There is one training path. Its long-running stages (the CV grid and
+//! the SMO solve of step 5, or the two Baum–Welch runs of the HMM) offer
+//! their state at each checkpoint boundary to a stage sink.
+//! [`try_train_classifier_checkpointed`] gives the sink a
+//! [`CheckpointSpec`]: it writes each state to the stage's file and
+//! pauses at the deadline. [`try_train_classifier`] runs the same path
+//! without a spec, so the sink builds and writes nothing and no stage
+//! pauses. The universal classifier ([`crate::universal`]) pools several
+//! applications through the same step 3–5 functions.
 
 use crate::config::{PipelineConfig, WeightMode, WeightPolarity};
 use crate::error::{DataError, LeapsError};
@@ -34,12 +44,12 @@ use leaps_cgraph::classify::{CallGraphClassifier, Decision};
 use leaps_cluster::features::FeatureEncoder;
 use leaps_etw::rng::SimRng;
 use leaps_hmm::classify::{HmmClassifier, SymbolTable};
-use leaps_hmm::hmm::HmmParams;
+use leaps_hmm::hmm::{HmmParams, HmmState};
 use leaps_svm::cv::{GridSearch, Scoring};
 use leaps_svm::data::{Sample, TrainSet};
 use leaps_svm::kernel::Kernel;
 use leaps_svm::model::SvmModel;
-use leaps_svm::smo::{train as smo_train, train_resumable as smo_train_resumable, SmoParams};
+use leaps_svm::smo::{train_resumable as smo_train_resumable, SmoParams};
 use leaps_trace::partition::PartitionedEvent;
 use std::path::PathBuf;
 
@@ -189,7 +199,8 @@ pub fn train_classifier(
 /// inputs too damaged or too small to train on, reports which input fell
 /// short. This is the entry point for pipelines fed by lossy telemetry,
 /// where fault injection or lenient parsing may have consumed most of a
-/// log.
+/// log. It runs the training path of
+/// [`try_train_classifier_checkpointed`] without a checkpoint spec.
 ///
 /// # Errors
 ///
@@ -208,173 +219,12 @@ pub fn try_train_classifier(
     config: &PipelineConfig,
     seed: u64,
 ) -> Result<Classifier, DataError> {
-    config.validate();
-    if benign_train.is_empty() {
-        return Err(DataError::EmptyLog { role: "benign training" });
-    }
-    if mixed.is_empty() {
-        return Err(DataError::EmptyLog { role: "mixed" });
-    }
-    match method {
-        Method::CGraph => {
-            Ok(Classifier::CGraph(CallGraphClassifier::fit(benign_train.iter(), mixed.iter())))
-        }
-        Method::Svm | Method::Wsvm => {
-            Ok(Classifier::Svm(train_svm_family(method, benign_train, mixed, config, seed)?))
-        }
-        Method::Hmm => Ok(Classifier::Hmm(train_hmm(benign_train, mixed, config, seed))),
+    match train(method, benign_train, mixed, config, seed, None) {
+        Ok(classifier) => Ok(classifier),
+        Err(Halt::Failed(LeapsError::Data(e))) => Err(e),
+        Err(halt) => unreachable!("training without checkpoints halted: {halt:?}"),
     }
 }
-
-/// Length of HMM training chunks: long enough for transition statistics,
-/// short enough that the mixed log yields many sequences.
-const HMM_TRAIN_CHUNK: usize = 50;
-
-/// Output of [`hmm_prelude`]: fitted encoder, interned symbol table and
-/// the benign/mixed symbol streams.
-type HmmPrelude = (FeatureEncoder, SymbolTable<(u32, u32, u32)>, Vec<usize>, Vec<usize>);
-
-/// The deterministic prefix of HMM training: encoder fit + symbol
-/// interning. Shared between the plain and checkpointed paths so both
-/// feed the exact same symbol streams into Baum–Welch.
-fn hmm_prelude(
-    benign_train: &[PartitionedEvent],
-    mixed: &[PartitionedEvent],
-    config: &PipelineConfig,
-) -> HmmPrelude {
-    let mut fit_events: Vec<&PartitionedEvent> = benign_train.iter().collect();
-    fit_events.extend(mixed.iter());
-    let encoder = FeatureEncoder::fit(&fit_events, config.preprocess);
-
-    let mut table: SymbolTable<(u32, u32, u32)> = SymbolTable::new();
-    let benign_symbols: Vec<usize> =
-        benign_train.iter().map(|e| table.intern(encoder.tuple(e))).collect();
-    let mixed_symbols: Vec<usize> = mixed.iter().map(|e| table.intern(encoder.tuple(e))).collect();
-    (encoder, table, benign_symbols, mixed_symbols)
-}
-
-fn train_hmm(
-    benign_train: &[PartitionedEvent],
-    mixed: &[PartitionedEvent],
-    config: &PipelineConfig,
-    seed: u64,
-) -> HmmDetector {
-    let (encoder, table, benign_symbols, mixed_symbols) = hmm_prelude(benign_train, mixed, config);
-    let clf = HmmClassifier::fit(
-        &benign_symbols,
-        &mixed_symbols,
-        table.alphabet_size(),
-        HMM_TRAIN_CHUNK,
-        &HmmParams { seed, ..HmmParams::default() },
-    );
-    HmmDetector { clf, encoder, table }
-}
-
-/// The deterministic prefix of SVM-family training: encoder fit, CFG
-/// weights, coalesced/sampled training set, and grid construction
-/// (steps 1–4 of the module docs, everything before the long-running CV
-/// and SMO stages). Pure function of its arguments — the checkpointed
-/// path recomputes it on resume and lands in the exact same state.
-fn svm_prelude(
-    method: Method,
-    benign_train: &[PartitionedEvent],
-    mixed: &[PartitionedEvent],
-    config: &PipelineConfig,
-    seed: u64,
-) -> Result<(FeatureEncoder, TrainSet, GridSearch), DataError> {
-    // 1. Fit the feature encoder on everything available at training time.
-    let mut fit_events: Vec<&PartitionedEvent> = benign_train.iter().collect();
-    fit_events.extend(mixed.iter());
-    let encoder = FeatureEncoder::fit(&fit_events, config.preprocess);
-
-    // 2. CFG-guided benignity weights for mixed events (WSVM only).
-    let maliciousness: Box<dyn Fn(u64) -> f64> = match method {
-        Method::Wsvm => {
-            let bcfg = infer_cfg(benign_train);
-            let mcfg = infer_cfg(mixed);
-            let weights = match config.weight_mode {
-                WeightMode::AddressSpace => assess_weights(&bcfg.cfg, &mcfg, config.weight),
-                WeightMode::Aligned => leaps_cfg::align::assess_weights_aligned(&bcfg, &mcfg),
-            };
-            match config.weight_polarity {
-                WeightPolarity::Maliciousness => Box::new(move |num| weights.maliciousness(num)),
-                WeightPolarity::Benignity => Box::new(move |num| weights.benignity_or_default(num)),
-            }
-        }
-        _ => Box::new(|_| 1.0),
-    };
-
-    // 3. Coalesced, weighted training points.
-    let benign_refs: Vec<&PartitionedEvent> = benign_train.iter().collect();
-    let mixed_refs: Vec<&PartitionedEvent> = mixed.iter().collect();
-    let (benign_points, _) = encoder.encode_sequence(&benign_refs);
-    let (mixed_points, mixed_covers) = encoder.encode_sequence(&mixed_refs);
-    let window = config.preprocess.window;
-    if benign_points.is_empty() {
-        return Err(DataError::TooFewEvents {
-            role: "benign training events",
-            needed: window,
-            got: benign_train.len(),
-        });
-    }
-    if mixed_points.is_empty() {
-        return Err(DataError::TooFewEvents {
-            role: "mixed events",
-            needed: window,
-            got: mixed.len(),
-        });
-    }
-
-    let mut samples: Vec<Sample> = Vec::new();
-    let mut rng = SimRng::new(seed ^ 0x7ea1_11ed);
-    for point in &benign_points {
-        if rng.chance(config.sample_fraction) {
-            samples.push(Sample::new(point.clone(), 1.0, 1.0));
-        }
-    }
-    // Sample the same expected number of points from each class (the
-    // paper samples 20% "from each dataset"); the mixed log is larger
-    // than the benign training half, so its fraction is scaled down.
-    let negative_fraction =
-        config.sample_fraction * benign_points.len() as f64 / mixed_points.len() as f64;
-    for (point, cover) in mixed_points.iter().zip(&mixed_covers) {
-        if rng.chance(negative_fraction.min(1.0)) {
-            let c = coalesced_weight(cover, |i| maliciousness(mixed[i].num), config.weight_floor);
-            samples.push(Sample::new(point.clone(), -1.0, c));
-        }
-    }
-    let train_set = TrainSet::new(samples).map_err(DataError::Degenerate)?;
-
-    // 4. The (λ, σ²) tuning grid; running it is the caller's job.
-    let grid = GridSearch {
-        lambdas: config.tuning.lambdas.clone(),
-        sigma2s: config.tuning.sigma2s.clone(),
-        folds: config.tuning.folds,
-        seed,
-        scoring: Scoring::WeightedBalanced,
-    };
-    Ok((encoder, train_set, grid))
-}
-
-fn train_svm_family(
-    method: Method,
-    benign_train: &[PartitionedEvent],
-    mixed: &[PartitionedEvent],
-    config: &PipelineConfig,
-    seed: u64,
-) -> Result<SvmClassifier, DataError> {
-    let (encoder, train_set, grid) = svm_prelude(method, benign_train, mixed, config, seed)?;
-    // 5. Tune (λ, σ²) and train the final model on the full training set.
-    let best = grid.run(&train_set);
-    let model = smo_train(
-        &train_set,
-        Kernel::Gaussian { sigma2: best.sigma2 },
-        &SmoParams { lambda: best.lambda, ..Default::default() },
-    );
-    Ok(SvmClassifier { model, encoder, tuned: (best.lambda, best.sigma2) })
-}
-
-// ------------------------------------------------- checkpointed training
 
 /// Checkpointing configuration for [`try_train_classifier_checkpointed`].
 #[derive(Debug, Clone)]
@@ -411,6 +261,12 @@ impl CheckpointSpec {
     fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| leaps_obs::now_micros() >= d)
     }
+
+    /// The checkpoint file of `stage` (`cv`, `smo`, `hmm-benign`,
+    /// `hmm-mixed`).
+    fn file(&self, stage: &str) -> PathBuf {
+        self.dir.join(format!("{stage}.ckpt"))
+    }
 }
 
 /// Outcome of a checkpointed training run.
@@ -429,15 +285,14 @@ pub enum TrainRun {
     },
 }
 
-/// Checkpointed variant of [`try_train_classifier`]: the long-running
-/// training stages (CV grid, SMO, Baum–Welch) write their state to
-/// `spec.dir` through the atomic-write protocol at every checkpoint
-/// boundary, and pause when `spec.deadline` passes. A later run with
-/// `spec.resume` picks up from the saved state and produces a model
-/// **bit-identical** to an uninterrupted run (DESIGN.md §13): all
-/// stochastic choices are either re-derived from `seed` (the
-/// deterministic prelude) or carried in the checkpoint itself (the
-/// Baum–Welch initialization).
+/// [`try_train_classifier`] with checkpoints: the long-running training
+/// stages (CV grid, SMO, Baum–Welch) write their state to `spec.dir`
+/// through the atomic-write protocol at every checkpoint boundary, and
+/// pause when `spec.deadline` passes. A later run with `spec.resume`
+/// picks up from the saved state and produces a model **bit-identical**
+/// to an uninterrupted run (DESIGN.md §13): all stochastic choices are
+/// either re-derived from `seed` (everything before the first stage) or
+/// carried in the checkpoint itself (the Baum–Welch initialization).
 ///
 /// # Errors
 ///
@@ -457,6 +312,45 @@ pub fn try_train_classifier_checkpointed(
     seed: u64,
     spec: &CheckpointSpec,
 ) -> Result<TrainRun, LeapsError> {
+    match train(method, benign_train, mixed, config, seed, Some(spec)) {
+        Ok(classifier) => Ok(TrainRun::Done(Box::new(classifier))),
+        Err(Halt::Paused { stage, progress }) => Ok(TrainRun::Paused { stage, progress }),
+        Err(Halt::Failed(e)) => Err(e),
+    }
+}
+
+/// Why a training run stopped without a classifier.
+#[derive(Debug)]
+pub(crate) enum Halt {
+    /// A stage paused at a checkpoint boundary past the deadline.
+    Paused { stage: &'static str, progress: u64 },
+    /// Bad data, or a checkpoint that could not be written or read.
+    Failed(LeapsError),
+}
+
+impl From<LeapsError> for Halt {
+    fn from(e: LeapsError) -> Halt {
+        Halt::Failed(e)
+    }
+}
+
+impl From<DataError> for Halt {
+    fn from(e: DataError) -> Halt {
+        Halt::Failed(e.into())
+    }
+}
+
+/// The one training path. With a spec, the stages checkpoint through a
+/// [`StageSink`] bound to this run; without one, nothing touches the disk
+/// and no stage pauses.
+fn train(
+    method: Method,
+    benign_train: &[PartitionedEvent],
+    mixed: &[PartitionedEvent],
+    config: &PipelineConfig,
+    seed: u64,
+    spec: Option<&CheckpointSpec>,
+) -> Result<Classifier, Halt> {
     config.validate();
     if benign_train.is_empty() {
         return Err(DataError::EmptyLog { role: "benign training" }.into());
@@ -464,199 +358,162 @@ pub fn try_train_classifier_checkpointed(
     if mixed.is_empty() {
         return Err(DataError::EmptyLog { role: "mixed" }.into());
     }
-    std::fs::create_dir_all(&spec.dir)
-        .map_err(|e| LeapsError::io(spec.dir.display().to_string(), &e))?;
-    // Everything that shapes the training trajectory goes into the
-    // fingerprint, so a checkpoint can never silently resume a
-    // different run.
-    let fingerprint = fingerprint64(&[
-        method.label(),
-        &seed.to_string(),
-        &benign_train.len().to_string(),
-        &mixed.len().to_string(),
-        &format!("{config:?}"),
-    ]);
+    let mut sink = match spec {
+        Some(spec) => {
+            std::fs::create_dir_all(&spec.dir)
+                .map_err(|e| LeapsError::io(spec.dir.display().to_string(), &e))?;
+            // Everything that shapes the training trajectory goes into
+            // the fingerprint, so a checkpoint can never silently resume
+            // a different run.
+            let fingerprint = fingerprint64(&[
+                method.label(),
+                &seed.to_string(),
+                &benign_train.len().to_string(),
+                &mixed.len().to_string(),
+                &format!("{config:?}"),
+            ]);
+            StageSink { spec: Some(spec), fingerprint, halt: None }
+        }
+        None => StageSink::off(),
+    };
     match method {
         // Call-graph fitting is a single linear pass — quicker than a
         // checkpoint write; it never pauses.
-        Method::CGraph => Ok(TrainRun::Done(Box::new(Classifier::CGraph(
-            CallGraphClassifier::fit(benign_train.iter(), mixed.iter()),
-        )))),
-        Method::Svm | Method::Wsvm => {
-            svm_checkpointed(method, benign_train, mixed, config, seed, spec, fingerprint)
+        Method::CGraph => {
+            Ok(Classifier::CGraph(CallGraphClassifier::fit(benign_train.iter(), mixed.iter())))
         }
-        Method::Hmm => hmm_checkpointed(benign_train, mixed, config, seed, spec, fingerprint),
+        Method::Svm | Method::Wsvm => {
+            svm_classifier(method, benign_train, mixed, config, seed, &mut sink)
+        }
+        Method::Hmm => hmm_classifier(benign_train, mixed, config, seed, &mut sink),
     }
 }
 
-/// Loads and validates one stage's checkpoint for resume; `Ok(None)`
-/// when not resuming or the file does not exist yet.
-fn load_stage(
-    spec: &CheckpointSpec,
-    file: &str,
-    stage: &str,
+/// Where the long-running stages (CV grid, SMO, Baum–Welch) offer their
+/// state at each checkpoint boundary. With a spec, the sink writes the
+/// state to the stage's file and pauses once the deadline has passed;
+/// without one, it lets every stage run to the end and writes nothing.
+pub(crate) struct StageSink<'a> {
+    spec: Option<&'a CheckpointSpec>,
+    /// Binds the checkpoints to one run (see [`train`]).
     fingerprint: u64,
-) -> Result<Option<Checkpoint>, LeapsError> {
-    let path = spec.dir.join(file);
-    if !spec.resume || !path.exists() {
-        return Ok(None);
+    /// Why the last stage stopped early: the I/O error that stopped it,
+    /// or the pause point.
+    halt: Option<Halt>,
+}
+
+impl StageSink<'_> {
+    /// The sink of a run without checkpoints.
+    pub(crate) fn off() -> StageSink<'static> {
+        StageSink { spec: None, fingerprint: 0, halt: None }
     }
-    let ckpt = load_checkpoint_file(&path)?;
-    let in_file = |inner: ModelError| {
-        LeapsError::Model(ModelError::InFile {
-            path: path.display().to_string(),
-            inner: Box::new(inner),
-        })
-    };
-    verify_checkpoint(&ckpt, stage, fingerprint).map_err(in_file)?;
-    Ok(Some(ckpt))
-}
 
-/// Wraps a `ModelError` from decoding `file`'s payload with the path.
-fn stage_decode_err(spec: &CheckpointSpec, file: &str, inner: ModelError) -> LeapsError {
-    LeapsError::Model(ModelError::InFile {
-        path: spec.dir.join(file).display().to_string(),
-        inner: Box::new(inner),
-    })
-}
-
-/// Keeps a decoded checkpoint state that passes its run's `check`; one
-/// that fails is a bad record at the state's first payload line.
-fn fitting<S>(state: S, check: impl FnOnce(&S) -> Result<(), String>) -> Result<S, ModelError> {
-    check(&state).map_err(|reason| ModelError::BadRecord { line: CKPT_PAYLOAD_LINE, reason })?;
-    Ok(state)
-}
-
-fn svm_checkpointed(
-    method: Method,
-    benign_train: &[PartitionedEvent],
-    mixed: &[PartitionedEvent],
-    config: &PipelineConfig,
-    seed: u64,
-    spec: &CheckpointSpec,
-    fingerprint: u64,
-) -> Result<TrainRun, LeapsError> {
-    let (encoder, train_set, grid) = svm_prelude(method, benign_train, mixed, config, seed)?;
-    // The seed-expanded generator state, recorded in the CV/SMO
-    // checkpoints: both stages are deterministic given the seed, so it
-    // is never consumed on resume.
-    let rng_state = SimRng::new(seed).state();
-
-    // Stage 1: the CV grid, checkpointed per (λ, σ²) chunk. A state that
-    // decodes but does not fit this grid is refused, never resumed.
-    let cv_resume = match load_stage(spec, "cv.ckpt", "cv", fingerprint)? {
-        Some(ckpt) => Some(
-            cv_state(&ckpt)
-                .and_then(|state| fitting(state, |s| s.check(grid.cell_count(&train_set))))
-                .map_err(|e| stage_decode_err(spec, "cv.ckpt", e))?,
-        ),
-        None => None,
-    };
-    let cv_path = spec.dir.join("cv.ckpt");
-    let mut io_error: Option<LeapsError> = None;
-    let mut paused: Option<u64> = None;
-    let best = grid.run_resumable(&train_set, cv_resume, &mut |state| {
-        let ckpt = cv_checkpoint(state, fingerprint, rng_state);
-        if let Err(e) = save_checkpoint_to(&cv_path, &ckpt) {
-            io_error = Some(e);
+    /// Offers one boundary's state of `stage`; `checkpoint` builds it
+    /// from the run's fingerprint, only when there is a spec. Returns
+    /// whether the stage goes on.
+    fn offer(&mut self, stage: &'static str, checkpoint: impl FnOnce(u64) -> Checkpoint) -> bool {
+        let Some(spec) = self.spec else {
+            return true;
+        };
+        let ckpt = checkpoint(self.fingerprint);
+        if let Err(e) = save_checkpoint_to(&spec.file(stage), &ckpt) {
+            self.halt = Some(Halt::Failed(e));
             return false;
         }
         if spec.expired() {
-            paused = Some(ckpt.progress);
+            self.halt = Some(Halt::Paused { stage, progress: ckpt.progress });
             return false;
         }
         true
-    });
-    if let Some(e) = io_error {
-        return Err(e);
     }
-    let Some(best) = best else {
-        let progress = paused.expect("CV paused without a deadline or I/O error");
-        return Ok(TrainRun::Paused { stage: "cv", progress });
-    };
 
-    // Stage 2: the final SMO solve, checkpointed every `spec.every`
-    // iterations. The kernel matrix is recomputed (it is a pure function
-    // of the training set), only the solver state is persisted.
-    let params = SmoParams { lambda: best.lambda, ..Default::default() };
-    let smo_resume = match load_stage(spec, "smo.ckpt", "smo", fingerprint)? {
-        Some(ckpt) => Some(
-            smo_state(&ckpt)
-                .and_then(|state| fitting(state, |s| s.check(&train_set, &params)))
-                .map_err(|e| stage_decode_err(spec, "smo.ckpt", e))?,
-        ),
-        None => None,
-    };
-    let smo_path = spec.dir.join("smo.ckpt");
-    let mut paused: Option<u64> = None;
-    let model = smo_train_resumable(
-        &train_set,
-        Kernel::Gaussian { sigma2: best.sigma2 },
-        &params,
-        smo_resume,
-        spec.every,
-        &mut |state| {
-            let ckpt = smo_checkpoint(state, fingerprint, rng_state);
-            if let Err(e) = save_checkpoint_to(&smo_path, &ckpt) {
-                io_error = Some(e);
-                return false;
-            }
-            if spec.expired() {
-                paused = Some(ckpt.progress);
-                return false;
-            }
-            true
-        },
-    );
-    if let Some(e) = io_error {
-        return Err(e);
+    /// Why a stage returned no result: it stopped at an [`offer`].
+    ///
+    /// [`offer`]: StageSink::offer
+    fn stopped(&mut self) -> Halt {
+        self.halt.take().expect("a stage stopped without an I/O error or a pause")
     }
-    let Some(model) = model else {
-        let progress = paused.expect("SMO paused without a deadline or I/O error");
-        return Ok(TrainRun::Paused { stage: "smo", progress });
-    };
 
-    for file in ["cv.ckpt", "smo.ckpt"] {
-        let _ = std::fs::remove_file(spec.dir.join(file));
+    /// The saved state of `stage` when resuming: its file's envelope must
+    /// carry stage tag `tag` and this run's fingerprint, and the state
+    /// `decode` reads from it must pass `fits`, or it is refused as a
+    /// model error naming the file. `Ok(None)` without a spec, when not
+    /// resuming, or when the file does not exist yet.
+    fn resume<S>(
+        &self,
+        stage: &str,
+        tag: &str,
+        decode: impl FnOnce(&Checkpoint) -> Result<S, ModelError>,
+        fits: impl FnOnce(&S) -> Result<(), String>,
+    ) -> Result<Option<S>, LeapsError> {
+        let Some(spec) = self.spec.filter(|spec| spec.resume) else {
+            return Ok(None);
+        };
+        let path = spec.file(stage);
+        if !path.exists() {
+            return Ok(None);
+        }
+        let ckpt = load_checkpoint_file(&path)?;
+        let in_file = |inner: ModelError| {
+            LeapsError::Model(ModelError::InFile {
+                path: path.display().to_string(),
+                inner: Box::new(inner),
+            })
+        };
+        verify_checkpoint(&ckpt, tag, self.fingerprint).map_err(in_file)?;
+        // A state that decodes but does not fit this run is refused,
+        // never resumed: a bad record at its first payload line.
+        let state = decode(&ckpt)
+            .and_then(|state| {
+                fits(&state)
+                    .map_err(|reason| ModelError::BadRecord { line: CKPT_PAYLOAD_LINE, reason })?;
+                Ok(state)
+            })
+            .map_err(in_file)?;
+        Ok(Some(state))
     }
-    Ok(TrainRun::Done(Box::new(Classifier::Svm(SvmClassifier {
-        model,
-        encoder,
-        tuned: (best.lambda, best.sigma2),
-    }))))
+
+    /// Removes the stage files of a run that completed.
+    fn clear(&self, stages: &[&str]) {
+        if let Some(spec) = self.spec {
+            for stage in stages {
+                let _ = std::fs::remove_file(spec.file(stage));
+            }
+        }
+    }
 }
 
-fn hmm_checkpointed(
+/// Length of HMM training chunks: long enough for transition statistics,
+/// short enough that the mixed log yields many sequences.
+const HMM_TRAIN_CHUNK: usize = 50;
+
+/// The two Baum–Welch runs, benign model first.
+const HMM_STAGES: [&str; 2] = ["hmm-benign", "hmm-mixed"];
+
+/// The HMM extension: encoder fit, symbol interning, then the two
+/// Baum–Welch runs, whose iterations are offered to `sink`.
+fn hmm_classifier(
     benign_train: &[PartitionedEvent],
     mixed: &[PartitionedEvent],
     config: &PipelineConfig,
     seed: u64,
-    spec: &CheckpointSpec,
-    fingerprint: u64,
-) -> Result<TrainRun, LeapsError> {
-    let (encoder, table, benign_symbols, mixed_symbols) = hmm_prelude(benign_train, mixed, config);
+    sink: &mut StageSink,
+) -> Result<Classifier, Halt> {
+    let fit_events: Vec<&PartitionedEvent> = benign_train.iter().chain(mixed).collect();
+    let encoder = FeatureEncoder::fit(&fit_events, config.preprocess);
+    let mut table: SymbolTable<(u32, u32, u32)> = SymbolTable::new();
+    let benign_symbols: Vec<usize> =
+        benign_train.iter().map(|e| table.intern(encoder.tuple(e))).collect();
+    let mixed_symbols: Vec<usize> = mixed.iter().map(|e| table.intern(encoder.tuple(e))).collect();
+
+    // Both models share the envelope stage tag "hmm"; which model a file
+    // belongs to is carried by the file name.
     let params = HmmParams { seed, ..HmmParams::default() };
-    const FILES: [&str; 2] = ["hmm-benign.ckpt", "hmm-mixed.ckpt"];
-    const STAGES: [&str; 2] = ["hmm-benign", "hmm-mixed"];
-    let mut resume = (None, None);
-    for (which, file) in FILES.iter().enumerate() {
-        // Both models share the envelope stage tag "hmm"; which model a
-        // file belongs to is carried by the file name.
-        if let Some(ckpt) = load_stage(spec, file, "hmm", fingerprint)? {
-            // A state that decodes but does not fit this run is refused,
-            // never resumed.
-            let state = hmm_state(&ckpt)
-                .and_then(|state| fitting(state, |s| s.check(table.alphabet_size(), &params)))
-                .map_err(|e| stage_decode_err(spec, file, e))?;
-            if which == 0 {
-                resume.0 = Some(state);
-            } else {
-                resume.1 = Some(state);
-            }
-        }
-    }
-    let mut io_error: Option<LeapsError> = None;
-    let mut paused: Option<(&'static str, u64)> = None;
+    let fits = |state: &HmmState| state.check(table.alphabet_size(), &params);
+    let resume = (
+        sink.resume(HMM_STAGES[0], "hmm", hmm_state, fits)?,
+        sink.resume(HMM_STAGES[1], "hmm", hmm_state, fits)?,
+    );
     let clf = HmmClassifier::fit_resumable(
         &benign_symbols,
         &mixed_symbols,
@@ -664,30 +521,150 @@ fn hmm_checkpointed(
         HMM_TRAIN_CHUNK,
         &params,
         resume,
-        &mut |which, state| {
-            let ckpt = hmm_checkpoint(state, fingerprint);
-            if let Err(e) = save_checkpoint_to(&spec.dir.join(FILES[which]), &ckpt) {
-                io_error = Some(e);
-                return false;
-            }
-            if spec.expired() {
-                paused = Some((STAGES[which], ckpt.progress));
-                return false;
-            }
-            true
-        },
+        &mut |which, state| sink.offer(HMM_STAGES[which], |fp| hmm_checkpoint(state, fp)),
     );
-    if let Some(e) = io_error {
-        return Err(e);
+    let clf = clf.ok_or_else(|| sink.stopped())?;
+    sink.clear(&HMM_STAGES);
+    Ok(Classifier::Hmm(HmmDetector { clf, encoder, table }))
+}
+
+/// Steps 2–5 of the module docs for one application.
+fn svm_classifier(
+    method: Method,
+    benign_train: &[PartitionedEvent],
+    mixed: &[PartitionedEvent],
+    config: &PipelineConfig,
+    seed: u64,
+    sink: &mut StageSink,
+) -> Result<Classifier, Halt> {
+    let fit_events: Vec<&PartitionedEvent> = benign_train.iter().chain(mixed).collect();
+    let encoder = FeatureEncoder::fit(&fit_events, config.preprocess);
+    let mut samples = Vec::new();
+    let mut rng = SimRng::new(seed ^ 0x7ea1_11ed);
+    let (benign_points, mixed_points) =
+        sample_points(method, &encoder, benign_train, mixed, config, &mut rng, &mut samples);
+    let too_few =
+        |role, got| DataError::TooFewEvents { role, needed: config.preprocess.window, got };
+    if benign_points == 0 {
+        return Err(too_few("benign training events", benign_train.len()).into());
     }
-    let Some(clf) = clf else {
-        let (stage, progress) = paused.expect("HMM paused without a deadline or I/O error");
-        return Ok(TrainRun::Paused { stage, progress });
+    if mixed_points == 0 {
+        return Err(too_few("mixed events", mixed.len()).into());
+    }
+    let train_set = TrainSet::new(samples).map_err(DataError::Degenerate)?;
+    let svm = tune_and_solve(encoder, &train_set, &tuning_grid(config, seed), sink)?;
+    Ok(Classifier::Svm(svm))
+}
+
+/// Step 3: the maliciousness of each mixed event, by event number. WSVM
+/// scores it with Algorithm 2 against the CFG of the application's
+/// benign training events; the plain SVM weighs every event 1.
+fn mixed_maliciousness(
+    method: Method,
+    benign_train: &[PartitionedEvent],
+    mixed: &[PartitionedEvent],
+    config: &PipelineConfig,
+) -> Box<dyn Fn(u64) -> f64> {
+    if method != Method::Wsvm {
+        return Box::new(|_| 1.0);
+    }
+    let bcfg = infer_cfg(benign_train);
+    let mcfg = infer_cfg(mixed);
+    let weights = match config.weight_mode {
+        WeightMode::AddressSpace => assess_weights(&bcfg.cfg, &mcfg, config.weight),
+        WeightMode::Aligned => leaps_cfg::align::assess_weights_aligned(&bcfg, &mcfg),
     };
-    for file in FILES {
-        let _ = std::fs::remove_file(spec.dir.join(file));
+    match config.weight_polarity {
+        WeightPolarity::Maliciousness => Box::new(move |num| weights.maliciousness(num)),
+        WeightPolarity::Benignity => Box::new(move |num| weights.benignity_or_default(num)),
     }
-    Ok(TrainRun::Done(Box::new(Classifier::Hmm(HmmDetector { clf, encoder, table }))))
+}
+
+/// Steps 3–4 for one application: coalesces its benign training events
+/// and its mixed events into points and appends a sample of each class
+/// to `samples`, drawing from `rng` (benign: label +1, weight 1; mixed:
+/// label −1, weight = coalesced maliciousness). Returns how many benign
+/// and mixed points the logs coalesced into.
+pub(crate) fn sample_points(
+    method: Method,
+    encoder: &FeatureEncoder,
+    benign_train: &[PartitionedEvent],
+    mixed: &[PartitionedEvent],
+    config: &PipelineConfig,
+    rng: &mut SimRng,
+    samples: &mut Vec<Sample>,
+) -> (usize, usize) {
+    let maliciousness = mixed_maliciousness(method, benign_train, mixed, config);
+    let benign_refs: Vec<&PartitionedEvent> = benign_train.iter().collect();
+    let mixed_refs: Vec<&PartitionedEvent> = mixed.iter().collect();
+    let (benign_points, _) = encoder.encode_sequence(&benign_refs);
+    let (mixed_points, mixed_covers) = encoder.encode_sequence(&mixed_refs);
+    let counts = (benign_points.len(), mixed_points.len());
+    for point in benign_points {
+        if rng.chance(config.sample_fraction) {
+            samples.push(Sample::new(point, 1.0, 1.0));
+        }
+    }
+    // Sample the same expected number of points from each class (the
+    // paper samples 20% "from each dataset"); the mixed log is larger
+    // than the benign training half, so its fraction is scaled down.
+    let negative_fraction = config.sample_fraction * counts.0 as f64 / counts.1.max(1) as f64;
+    for (point, cover) in mixed_points.into_iter().zip(&mixed_covers) {
+        if rng.chance(negative_fraction.min(1.0)) {
+            let c = coalesced_weight(cover, |i| maliciousness(mixed[i].num), config.weight_floor);
+            samples.push(Sample::new(point, -1.0, c));
+        }
+    }
+    counts
+}
+
+/// The (λ, σ²) cross-validation grid of `config`, its folds drawn from
+/// `seed`.
+pub(crate) fn tuning_grid(config: &PipelineConfig, seed: u64) -> GridSearch {
+    GridSearch {
+        lambdas: config.tuning.lambdas.clone(),
+        sigma2s: config.tuning.sigma2s.clone(),
+        folds: config.tuning.folds,
+        seed,
+        scoring: Scoring::WeightedBalanced,
+    }
+}
+
+/// Step 5: tunes (λ, σ²) over `grid`, then trains the final model on the
+/// full set. The CV grid offers its state to `sink` after each (λ, σ²)
+/// chunk and the SMO solve every `spec.every` iterations; the kernel
+/// matrix is recomputed on resume (a pure function of the set), only the
+/// solver state is saved.
+pub(crate) fn tune_and_solve(
+    encoder: FeatureEncoder,
+    train_set: &TrainSet,
+    grid: &GridSearch,
+    sink: &mut StageSink,
+) -> Result<SvmClassifier, Halt> {
+    // The seed-expanded generator state, recorded in the CV/SMO
+    // checkpoints: both stages are deterministic given the seed, so it
+    // is never consumed on resume.
+    let rng_state = SimRng::new(grid.seed).state();
+
+    let cv_resume = sink.resume("cv", "cv", cv_state, |s| s.check(grid.cell_count(train_set)))?;
+    let best = grid.run_resumable(train_set, cv_resume, &mut |state| {
+        sink.offer("cv", |fp| cv_checkpoint(state, fp, rng_state))
+    });
+    let best = best.ok_or_else(|| sink.stopped())?;
+
+    let params = SmoParams { lambda: best.lambda, ..Default::default() };
+    let smo_resume = sink.resume("smo", "smo", smo_state, |s| s.check(train_set, &params))?;
+    let model = smo_train_resumable(
+        train_set,
+        Kernel::Gaussian { sigma2: best.sigma2 },
+        &params,
+        smo_resume,
+        sink.spec.map_or(0, |spec| spec.every),
+        &mut |state| sink.offer("smo", |fp| smo_checkpoint(state, fp, rng_state)),
+    );
+    let model = model.ok_or_else(|| sink.stopped())?;
+    sink.clear(&["cv", "smo"]);
+    Ok(SvmClassifier { model, encoder, tuned: (best.lambda, best.sigma2) })
 }
 
 /// Coalesced-point weight: mean maliciousness over the covered events,
@@ -923,6 +900,11 @@ mod tests {
     }
 
     #[test]
+    fn svm_interrupted_at_every_checkpoint_is_bit_identical() {
+        interrupt_everywhere(Method::Svm);
+    }
+
+    #[test]
     fn hmm_interrupted_at_every_checkpoint_is_bit_identical() {
         interrupt_everywhere(Method::Hmm);
     }
@@ -931,19 +913,20 @@ mod tests {
     fn cgraph_checkpointed_never_pauses() {
         let d = dataset("vim_reverse_tcp");
         let (train, _) = d.split_benign(0.5, 1);
+        let cfg = PipelineConfig::fast();
         let dir = scratch_dir("cgraph");
         let mut spec = CheckpointSpec::new(&dir);
         spec.deadline = Some(0); // expired from the start: pause at every boundary
-        let run = try_train_classifier_checkpointed(
-            Method::CGraph,
-            &train,
-            &d.mixed,
-            &PipelineConfig::fast(),
-            7,
-            &spec,
-        )
-        .unwrap();
-        assert!(matches!(run, TrainRun::Done(_)));
+        let run =
+            try_train_classifier_checkpointed(Method::CGraph, &train, &d.mixed, &cfg, 7, &spec)
+                .unwrap();
+        let TrainRun::Done(done) = run else { panic!("call-graph training paused: {run:?}") };
+        let clean = train_classifier(Method::CGraph, &train, &d.mixed, &cfg, 7);
+        assert_eq!(
+            crate::persist::save_classifier(&done),
+            crate::persist::save_classifier(&clean),
+            "checkpointed call-graph model differs from the plain one"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,18 +8,15 @@
 //! each mixed log is scored against its own application's benign CFG —
 //! and only the statistical model is shared.
 
-use crate::config::{PipelineConfig, WeightMode, WeightPolarity};
+use crate::config::PipelineConfig;
 use crate::dataset::Dataset;
 use crate::metrics::Metrics;
-use crate::pipeline::{Method, SvmClassifier};
-use leaps_cfg::infer::infer_cfg;
-use leaps_cfg::weight::assess_weights;
+use crate::pipeline::{
+    sample_points, tune_and_solve, tuning_grid, Method, StageSink, SvmClassifier,
+};
 use leaps_cluster::features::FeatureEncoder;
 use leaps_etw::rng::SimRng;
-use leaps_svm::cv::{GridSearch, Scoring};
-use leaps_svm::data::{Sample, TrainSet};
-use leaps_svm::kernel::Kernel;
-use leaps_svm::smo::{train as smo_train, SmoParams};
+use leaps_svm::data::TrainSet;
 use leaps_trace::partition::PartitionedEvent;
 
 /// A universal (cross-application) SVM-family classifier together with
@@ -65,65 +62,17 @@ impl UniversalClassifier {
         let encoder = FeatureEncoder::fit(&fit_events, config.preprocess);
 
         // Pool weighted samples, dataset by dataset (weights are computed
-        // against each application's own benign CFG).
-        let mut samples: Vec<Sample> = Vec::new();
+        // against each application's own benign CFG), from one generator.
+        let mut samples = Vec::new();
         let mut rng = SimRng::new(seed ^ 0x0411);
         for (d, (train, _)) in datasets.iter().zip(&splits) {
-            let maliciousness: Box<dyn Fn(u64) -> f64> = if method == Method::Wsvm {
-                let bcfg = infer_cfg(train);
-                let mcfg = infer_cfg(&d.mixed);
-                let weights = match config.weight_mode {
-                    WeightMode::AddressSpace => assess_weights(&bcfg.cfg, &mcfg, config.weight),
-                    WeightMode::Aligned => leaps_cfg::align::assess_weights_aligned(&bcfg, &mcfg),
-                };
-                match config.weight_polarity {
-                    WeightPolarity::Maliciousness => {
-                        Box::new(move |num| weights.maliciousness(num))
-                    }
-                    WeightPolarity::Benignity => {
-                        Box::new(move |num| weights.benignity_or_default(num))
-                    }
-                }
-            } else {
-                Box::new(|_| 1.0)
-            };
-
-            let train_refs: Vec<&PartitionedEvent> = train.iter().collect();
-            let mixed_refs: Vec<&PartitionedEvent> = d.mixed.iter().collect();
-            let (benign_points, _) = encoder.encode_sequence(&train_refs);
-            let (mixed_points, covers) = encoder.encode_sequence(&mixed_refs);
-            for p in &benign_points {
-                if rng.chance(config.sample_fraction) {
-                    samples.push(Sample::new(p.clone(), 1.0, 1.0));
-                }
-            }
-            let neg_fraction = config.sample_fraction * benign_points.len() as f64
-                / mixed_points.len().max(1) as f64;
-            for (p, cover) in mixed_points.iter().zip(&covers) {
-                if rng.chance(neg_fraction.min(1.0)) {
-                    let c = cover.iter().map(|&i| maliciousness(d.mixed[i].num)).sum::<f64>()
-                        / cover.len() as f64;
-                    samples.push(Sample::new(p.clone(), -1.0, c.max(config.weight_floor)));
-                }
-            }
+            sample_points(method, &encoder, train, &d.mixed, config, &mut rng, &mut samples);
         }
         let train_set = TrainSet::new(samples).expect("pooled training set is degenerate");
-        let grid = GridSearch {
-            lambdas: config.tuning.lambdas.clone(),
-            sigma2s: config.tuning.sigma2s.clone(),
-            folds: config.tuning.folds,
-            seed,
-            scoring: Scoring::WeightedBalanced,
-        };
-        let best = grid.run(&train_set);
-        let model = smo_train(
-            &train_set,
-            Kernel::Gaussian { sigma2: best.sigma2 },
-            &SmoParams { lambda: best.lambda, ..Default::default() },
-        );
-        UniversalClassifier {
-            classifier: SvmClassifier { model, encoder, tuned: (best.lambda, best.sigma2) },
-        }
+        let classifier =
+            tune_and_solve(encoder, &train_set, &tuning_grid(config, seed), &mut StageSink::off())
+                .expect("training without checkpoints never halts");
+        UniversalClassifier { classifier }
     }
 
     /// Evaluates the universal classifier on one dataset's held-out
