@@ -77,13 +77,19 @@ impl CallGraphClassifier {
     /// 3. Otherwise **undecidable**: relations seen in neither graph.
     #[must_use]
     pub fn classify(&self, event: &PartitionedEvent) -> Decision {
-        let chain = chain_of(event);
+        self.classify_chain(&chain_of(event))
+    }
+
+    /// [`Self::classify`] of an event whose system-stack invocation chain
+    /// (its `module!function` symbols in caller order) is `chain`.
+    #[must_use]
+    pub fn classify_chain(&self, chain: &[String]) -> Decision {
         if chain.is_empty() {
             return Decision::Undecidable;
         }
         // Whole-chain evidence first: an invocation chain that only ever
         // occurred under infection is the strongest malicious signal.
-        if self.mcg.has_chain(&chain) && !self.bcg.has_chain(&chain) {
+        if self.mcg.has_chain(chain) && !self.bcg.has_chain(chain) {
             return Decision::Malicious;
         }
         let mut all_in_bcg = true;

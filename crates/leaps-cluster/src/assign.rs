@@ -233,18 +233,27 @@ impl Hasher for NameHasher {
 }
 
 /// The names of one set being assigned, split into vocabulary ids and
-/// names the vocabulary has never seen. Repeats are allowed; they count
-/// once.
-#[derive(Debug, Default)]
+/// names the vocabulary has never seen, plus the work buffers of its
+/// assignment. Repeats are allowed; they count once. A query is reused
+/// from one set to the next, so assigning allocates nothing once the
+/// buffers have grown to the vocabulary.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SetQuery {
     known: Vec<u32>,
     unknown: Vec<String>,
+    /// Per member, `|q ∩ m|`.
+    hits: Vec<u32>,
+    /// Per cluster, whether a member the query meets is in it.
+    listed: Vec<bool>,
+    /// The listed clusters, each once, in order of first meeting.
+    touched: Vec<u32>,
 }
 
 impl SetQuery {
-    /// An empty query with room for `names` known names.
-    pub(crate) fn with_capacity(names: usize) -> SetQuery {
-        SetQuery { known: Vec::with_capacity(names), unknown: Vec::new() }
+    /// Forgets the names added so far (the buffers keep their room).
+    pub(crate) fn clear(&mut self) {
+        self.known.clear();
+        self.unknown.clear();
     }
 }
 
@@ -294,23 +303,27 @@ impl IndexedAssigner {
 
     /// Assigns the set gathered in `query` to its nearest cluster: the
     /// label [`ClusterAssigner::assign`] gives the sorted, deduplicated
-    /// set of its names.
+    /// set of its names. The query's names stay until it is cleared.
     pub(crate) fn assign_query(&self, query: &mut SetQuery) -> u32 {
-        query.known.sort_unstable();
-        query.known.dedup();
-        query.unknown.sort_unstable();
-        query.unknown.dedup();
-        let query_len = query.known.len() + query.unknown.len();
+        let SetQuery { known, unknown, hits, listed, touched } = query;
+        known.sort_unstable();
+        known.dedup();
+        unknown.sort_unstable();
+        unknown.dedup();
+        let query_len = known.len() + unknown.len();
         let labels = &self.assigner.labels;
         let n_clusters = self.n_clusters();
-        let mut hits = vec![0u32; labels.len()];
+        hits.clear();
+        hits.resize(labels.len(), 0);
         // The clusters with a member the query meets, each listed once.
         // Appending is branch-free: every label is written, and the end
         // only advances past labels not yet listed.
-        let mut listed = vec![false; n_clusters];
-        let mut touched = vec![0u32; n_clusters + 1];
+        listed.clear();
+        listed.resize(n_clusters, false);
+        touched.clear();
+        touched.resize(n_clusters + 1, 0);
         let mut n_touched = 0;
-        for &id in &query.known {
+        for &id in known.iter() {
             for &m in self.postings.get(id as usize) {
                 hits[m as usize] += 1;
                 let k = labels[m as usize];
@@ -322,7 +335,8 @@ impl IndexedAssigner {
         touched.truncate(n_touched);
         if query_len == 0 {
             // An empty query is at 0 from an empty member, not 1: sum all.
-            touched = (0..n_clusters as u32).collect();
+            touched.clear();
+            touched.extend(0..n_clusters as u32);
             listed.fill(true);
         }
         // Each cluster's sum is independent of the others, so they may be
@@ -334,7 +348,7 @@ impl IndexedAssigner {
                 best = (mean, k);
             }
         };
-        for &k in &touched {
+        for &k in touched.iter() {
             let members = self.clusters.get(k as usize);
             let sum = members.iter().fold(0.0, |sum, &m| {
                 let m = m as usize;
@@ -402,11 +416,20 @@ mod tests {
         indexed: &IndexedAssigner,
         names: impl IntoIterator<Item = &'a str>,
     ) -> u32 {
-        let mut query = SetQuery::default();
+        assign_in(indexed, &mut SetQuery::default(), names)
+    }
+
+    /// [`assign_names`] through a caller's (possibly used) query.
+    fn assign_in<'a>(
+        indexed: &IndexedAssigner,
+        query: &mut SetQuery,
+        names: impl IntoIterator<Item = &'a str>,
+    ) -> u32 {
+        query.clear();
         for name in names {
-            indexed.add(&mut query, name);
+            indexed.add(query, name);
         }
-        indexed.assign_query(&mut query)
+        indexed.assign_query(query)
     }
 
     /// Vocabulary names are `n0..n7`; queries also draw `n8..n11`, which
@@ -439,21 +462,29 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The interned assignment returns the reference scan's label for
-        /// any query: repeated names, unseen names and the empty query.
+        /// any query: repeated names, unseen names and the empty query,
+        /// through a fresh query and through one reused across queries.
         #[test]
         fn indexed_assignment_matches_the_string_scan(
             vocab in vocabulary(),
             queries in prop::collection::vec(prop::collection::vec(name(12), 0..7), 1..8),
         ) {
             let indexed = IndexedAssigner::new(vocab.clone());
+            let mut reused = SetQuery::default();
             for query in &queries {
                 let mut set = query.clone();
                 set.sort_unstable();
                 set.dedup();
+                let names = || query.iter().map(String::as_str);
                 prop_assert_eq!(
-                    assign_names(&indexed, query.iter().map(String::as_str)),
+                    assign_names(&indexed, names()),
                     vocab.assign(&set),
                     "query {:?} over {:?}", query, vocab
+                );
+                prop_assert_eq!(
+                    assign_in(&indexed, &mut reused, names()),
+                    vocab.assign(&set),
+                    "reused query {:?} over {:?}", query, vocab
                 );
             }
         }

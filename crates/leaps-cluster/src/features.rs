@@ -57,6 +57,18 @@ impl Default for PreprocessConfig {
     }
 }
 
+/// Reusable work buffers for encoding events, one per encoding thread:
+/// the Lib and Func queries of the event at hand, their assignment
+/// buffers, and the `module!function` symbols of an owned event. Encoding
+/// through a scratch allocates nothing once its buffers have grown to the
+/// encoder's vocabulary (names the vocabulary has never seen excepted).
+#[derive(Debug, Clone, Default)]
+pub struct EncodeScratch {
+    libs: SetQuery,
+    funcs: SetQuery,
+    symbols: String,
+}
+
 /// A trained feature encoder: cluster vocabularies for Lib and Func sets,
 /// interned once when the encoder is fitted or reassembled.
 #[derive(Debug, Clone)]
@@ -138,26 +150,63 @@ impl FeatureEncoder {
     ///
     /// The Lib set is the system stack's modules and the Func set its
     /// `module!function` symbols ([`PartitionedEvent::lib_set`] and
-    /// [`PartitionedEvent::func_set`]), gathered straight from the frames
-    /// without building either set.
+    /// [`PartitionedEvent::func_set`]). Allocates fresh work buffers;
+    /// encoders of many events use [`Self::tuple_in`].
     #[must_use]
     pub fn tuple(&self, event: &PartitionedEvent) -> (u32, u32, u32) {
-        let frames = event.system_stack.len();
-        let mut libs = SetQuery::with_capacity(frames);
-        let mut funcs = SetQuery::with_capacity(frames);
-        let mut symbol = String::with_capacity(64);
+        self.tuple_in(&mut EncodeScratch::default(), event)
+    }
+
+    /// [`Self::tuple`] through reusable work buffers: writes the system
+    /// stack's `module!function` symbols into one buffer and hands them
+    /// to [`Self::tuple_of`].
+    pub fn tuple_in(
+        &self,
+        scratch: &mut EncodeScratch,
+        event: &PartitionedEvent,
+    ) -> (u32, u32, u32) {
+        let mut symbols = std::mem::take(&mut scratch.symbols);
+        symbols.clear();
+        symbols.reserve(
+            event.system_stack.iter().map(|f| f.module.len() + 1 + f.function.len()).sum(),
+        );
         for frame in &event.system_stack {
-            self.lib_assigner.add(&mut libs, &frame.module);
-            symbol.clear();
-            symbol.push_str(&frame.module);
-            symbol.push('!');
-            symbol.push_str(&frame.function);
-            self.func_assigner.add(&mut funcs, &symbol);
+            symbols.push_str(&frame.module);
+            symbols.push('!');
+            symbols.push_str(&frame.function);
+        }
+        let mut rest = symbols.as_str();
+        let frames = event.system_stack.iter().map(|frame| {
+            let (symbol, tail) = rest.split_at(frame.module.len() + 1 + frame.function.len());
+            rest = tail;
+            (frame.module.as_str(), symbol)
+        });
+        let tuple = self.tuple_of(scratch, event.etype, frames);
+        scratch.symbols = symbols;
+        tuple
+    }
+
+    /// The one encode routine: the 3-tuple of an event of type `etype`
+    /// whose system stack holds `frames`, each given as its module name
+    /// and its `module!function` symbol, borrowed from wherever the
+    /// caller holds them (an owned event, or a protocol line).
+    pub fn tuple_of<'a>(
+        &self,
+        scratch: &mut EncodeScratch,
+        etype: EventType,
+        frames: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> (u32, u32, u32) {
+        let EncodeScratch { libs, funcs, .. } = scratch;
+        libs.clear();
+        funcs.clear();
+        for (module, symbol) in frames {
+            self.lib_assigner.add(libs, module);
+            self.func_assigner.add(funcs, symbol);
         }
         (
-            event.etype.as_u32(),
-            self.lib_assigner.assign_query(&mut libs),
-            self.func_assigner.assign_query(&mut funcs),
+            etype.as_u32(),
+            self.lib_assigner.assign_query(libs),
+            self.func_assigner.assign_query(funcs),
         )
     }
 
@@ -166,11 +215,12 @@ impl FeatureEncoder {
     /// comparably.
     #[must_use]
     pub fn encode(&self, event: &PartitionedEvent) -> [f64; 3] {
-        let (e, l, f) = self.tuple(event);
-        self.normalize(e, l, f)
+        self.normalize(self.tuple(event))
     }
 
-    fn normalize(&self, e: u32, l: u32, f: u32) -> [f64; 3] {
+    /// Scales a [`Self::tuple`] to the normalized feature triple.
+    #[must_use]
+    pub fn normalize(&self, (e, l, f): (u32, u32, u32)) -> [f64; 3] {
         [
             f64::from(e) / (EventType::ALL.len() - 1) as f64,
             f64::from(l) / self.lib_assigner.n_clusters().max(2).saturating_sub(1) as f64,
@@ -189,7 +239,9 @@ impl FeatureEncoder {
         &self,
         events: &[&PartitionedEvent],
     ) -> (Vec<Vec<f64>>, Vec<Vec<usize>>) {
-        let per_event: Vec<[f64; 3]> = events.iter().map(|e| self.encode(e)).collect();
+        let mut scratch = EncodeScratch::default();
+        let per_event: Vec<[f64; 3]> =
+            events.iter().map(|e| self.normalize(self.tuple_in(&mut scratch, e))).collect();
         let w = self.config.window;
         let s = self.config.stride;
         let mut points = Vec::new();
@@ -345,6 +397,28 @@ mod tests {
     #[should_panic(expected = "empty event set")]
     fn fit_rejects_empty_input() {
         let _ = FeatureEncoder::fit(&[], PreprocessConfig::default());
+    }
+
+    #[test]
+    fn one_reused_scratch_encodes_like_fresh_buffers() {
+        // Fit on one scenario, encode another (unseen names) with one
+        // scratch reused across events, empty system stacks included.
+        let logs = Scenario::by_name("putty_reverse_https")
+            .unwrap()
+            .generate_events(&GenParams::small(), 3);
+        let other = partition_events(&parse_log(&write_log(&logs.malicious)).unwrap().events);
+        let enc = fit(&events(), PreprocessConfig::default());
+        let mut scratch = EncodeScratch::default();
+        let mut stripped = other[0].clone();
+        stripped.system_stack.clear();
+        for e in events().iter().take(200).chain(other.iter().take(200)).chain([&stripped]) {
+            let fresh = enc.tuple(e);
+            assert_eq!(enc.tuple_in(&mut scratch, e), fresh);
+            let symbols: Vec<String> = e.system_stack.iter().map(|f| f.symbol()).collect();
+            let frames =
+                e.system_stack.iter().zip(&symbols).map(|(f, s)| (f.module.as_str(), s.as_str()));
+            assert_eq!(enc.tuple_of(&mut scratch, e.etype, frames), fresh);
+        }
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub mod features;
 pub mod hier;
 
 pub use dissim::{jaccard_dissimilarity, DistanceMatrix};
-pub use features::{FeatureEncoder, PreprocessConfig};
+pub use features::{EncodeScratch, FeatureEncoder, PreprocessConfig};
 pub use hier::{Dendrogram, Linkage};

@@ -116,7 +116,20 @@ impl HmmDetector {
     /// The dense HMM observation symbol of one event.
     #[must_use]
     pub fn symbol(&self, event: &PartitionedEvent) -> usize {
-        self.table.lookup(&self.encoder.tuple(event))
+        self.symbol_of(self.encoder.tuple(event))
+    }
+
+    /// The observation symbol of an encoder tuple (see
+    /// [`FeatureEncoder::tuple`]); unseen tuples map to the unknown symbol.
+    #[must_use]
+    pub fn symbol_of(&self, tuple: (u32, u32, u32)) -> usize {
+        self.table.lookup(&tuple)
+    }
+
+    /// The fitted feature encoder whose tuples the symbol table maps.
+    #[must_use]
+    pub fn encoder(&self) -> &FeatureEncoder {
+        &self.encoder
     }
 
     /// The preprocessing configuration (window/stride) of the encoder.

@@ -4,6 +4,8 @@
 
 use crate::pipeline::Classifier;
 use leaps_cgraph::classify::Decision;
+pub use leaps_cluster::features::EncodeScratch;
+use leaps_etw::event::EventType;
 use leaps_trace::partition::PartitionedEvent;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -103,13 +105,58 @@ pub struct StreamStats {
     pub degraded_verdicts: usize,
 }
 
-/// One event of the rolling window, encoded once when it arrives.
-#[derive(Debug, Clone, Copy)]
-enum Encoded {
+/// One event as a classifier reads it at detection, encoded once when it
+/// arrives. Every classifier reads only an event's type and its system
+/// stack; the application stack feeds CFG inference at training only.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Encoded {
     /// The normalized feature triple (SVM family).
     Triple([f64; 3]),
     /// The observation symbol (HMM).
     Symbol(usize),
+    /// The per-event decision (call-graph model).
+    Decision(Decision),
+}
+
+impl Classifier {
+    /// Encodes one event for a [`StreamDetector`] over this classifier.
+    pub fn encode(&self, scratch: &mut EncodeScratch, event: &PartitionedEvent) -> Encoded {
+        match self {
+            Classifier::CGraph(model) => Encoded::Decision(model.classify(event)),
+            Classifier::Svm(svm) => {
+                Encoded::Triple(svm.encoder.normalize(svm.encoder.tuple_in(scratch, event)))
+            }
+            Classifier::Hmm(hmm) => {
+                Encoded::Symbol(hmm.symbol_of(hmm.encoder().tuple_in(scratch, event)))
+            }
+        }
+    }
+
+    /// [`Classifier::encode`] of an event of type `etype` whose system
+    /// stack holds `frames`, each given as its module name and its
+    /// `module!function` symbol, borrowed (the daemon passes slices of
+    /// the protocol line). The same item as `encode` gives the owned
+    /// event.
+    pub fn encode_frames<'a>(
+        &self,
+        scratch: &mut EncodeScratch,
+        etype: EventType,
+        frames: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Encoded {
+        match self {
+            Classifier::CGraph(model) => {
+                let chain: Vec<String> =
+                    frames.into_iter().map(|(_, symbol)| symbol.to_owned()).collect();
+                Encoded::Decision(model.classify_chain(&chain))
+            }
+            Classifier::Svm(svm) => {
+                Encoded::Triple(svm.encoder.normalize(svm.encoder.tuple_of(scratch, etype, frames)))
+            }
+            Classifier::Hmm(hmm) => {
+                Encoded::Symbol(hmm.symbol_of(hmm.encoder().tuple_of(scratch, etype, frames)))
+            }
+        }
+    }
 }
 
 /// An incremental detector wrapping a trained [`Classifier`].
@@ -143,6 +190,8 @@ pub struct StreamDetector {
     point: Vec<f64>,
     /// Reused per verdict: the window's HMM symbols.
     symbols: Vec<usize>,
+    /// Reused per event by [`StreamDetector::push`].
+    scratch: EncodeScratch,
     /// Highest sequence number accepted so far (gap/reorder detection).
     last_num: Option<u64>,
     /// Sequence number of the most recently accepted event (duplicate
@@ -177,6 +226,7 @@ impl StreamDetector {
             ring: VecDeque::new(),
             point: Vec::new(),
             symbols: Vec::new(),
+            scratch: EncodeScratch::default(),
             last_num: None,
             prev_num: None,
             stats: StreamStats::default(),
@@ -218,7 +268,26 @@ impl StreamDetector {
     /// counted and mark the verdicts whose window spans them as
     /// [`Verdict::degraded`].
     pub fn push(&mut self, event: PartitionedEvent) -> Option<Verdict> {
-        let num = event.num;
+        let encoded = self.classifier.encode(&mut self.scratch, &event);
+        self.push_encoded(event.num, encoded)
+    }
+
+    /// [`StreamDetector::push`] of event `num`, already encoded by this
+    /// detector's classifier ([`Classifier::encode`] or
+    /// [`Classifier::encode_frames`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `encoded` is not the kind of item this detector's
+    /// classifier encodes.
+    pub fn push_encoded(&mut self, num: u64, encoded: Encoded) -> Option<Verdict> {
+        let decision = match (&*self.classifier, encoded) {
+            (Classifier::CGraph(_), Encoded::Decision(decision)) => Some(decision),
+            (Classifier::Svm(_), Encoded::Triple(_)) | (Classifier::Hmm(_), Encoded::Symbol(_)) => {
+                None
+            }
+            _ => panic!("encoded item does not match the detector's classifier"),
+        };
         if self.prev_num == Some(num) {
             self.stats.duplicates += 1;
             return None;
@@ -238,19 +307,14 @@ impl StreamDetector {
         }
         self.prev_num = Some(num);
         self.stats.accepted += 1;
-        let encoded = match &*self.classifier {
-            Classifier::CGraph(model) => {
-                let decision = model.classify(&event);
-                return Some(Verdict {
-                    last_event: num,
-                    benign: decision == Decision::Benign,
-                    score: None,
-                    degraded: false,
-                });
-            }
-            Classifier::Svm(svm) => Encoded::Triple(svm.encoder.encode(&event)),
-            Classifier::Hmm(hmm) => Encoded::Symbol(hmm.symbol(&event)),
-        };
+        if let Some(decision) = decision {
+            return Some(Verdict {
+                last_event: num,
+                benign: decision == Decision::Benign,
+                score: None,
+                degraded: false,
+            });
+        }
         if self.ring.len() == self.window {
             self.ring.pop_front();
         }
@@ -295,13 +359,8 @@ impl StreamDetector {
         Some(Verdict { last_event: num, benign: value >= 0.0, score: Some(value), degraded })
     }
 
-    /// Feeds many events, appending every verdict to `out`.
-    ///
-    /// This is the allocation-free hot path shared by [`push_all`] and
-    /// the `leaps-serve` session drain loop: the caller owns (and
-    /// reuses) the output buffer across batches.
-    ///
-    /// [`push_all`]: StreamDetector::push_all
+    /// Feeds many events, appending every verdict to `out`: the caller
+    /// owns (and reuses) the output buffer across batches.
     pub fn push_all_into(
         &mut self,
         events: impl IntoIterator<Item = PartitionedEvent>,
@@ -541,6 +600,36 @@ mod tests {
         b.push_all_into(test.iter().take(80).cloned(), &mut out);
         assert_eq!(out[0], sentinel, "existing contents are preserved");
         assert_eq!(&out[1..], &expected[..]);
+    }
+
+    #[test]
+    fn push_is_encode_then_push_encoded_for_every_classifier() {
+        let d = dataset();
+        let (train, test) = d.split_benign(0.5, 5);
+        let stream: Vec<PartitionedEvent> = test.iter().chain(&d.malicious).cloned().collect();
+        for method in [Method::Wsvm, Method::Hmm, Method::CGraph] {
+            let clf =
+                Arc::new(train_classifier(method, &train, &d.mixed, &PipelineConfig::fast(), 5));
+            let mut pushed = StreamDetector::new(Arc::clone(&clf));
+            let mut encoded = StreamDetector::new(Arc::clone(&clf));
+            let mut scratch = EncodeScratch::default();
+            let expected = pushed.push_all(stream.iter().cloned());
+            let got: Vec<Verdict> = stream
+                .iter()
+                .filter_map(|e| encoded.push_encoded(e.num, clf.encode(&mut scratch, e)))
+                .collect();
+            assert_eq!(got, expected, "{method:?}");
+            assert_eq!(encoded.stats(), pushed.stats(), "{method:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match the detector's classifier")]
+    fn an_item_of_another_classifier_kind_is_refused() {
+        let d = dataset();
+        let (train, _) = d.split_benign(0.5, 5);
+        let clf = train_classifier(Method::Wsvm, &train, &d.mixed, &PipelineConfig::fast(), 5);
+        let _ = StreamDetector::new(clf).push_encoded(0, Encoded::Symbol(1));
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! Unix domain socket or TCP.
 //!
 //! One thread accepts connections; each connection gets a handler
-//! thread. Detection work never runs on either — events are queued into
-//! the session table and scored by the server's worker pool, which
+//! thread. The handler checks each `EVENT` line in place and encodes the
+//! event's system-stack names, slices of the line, with its session's
+//! classifier; no owned event is ever built. The encoded item is queued
+//! into the session table and scored by the server's worker pool, which
 //! pushes `VERDICT` lines back through the connection's shared writer.
 //! A flooding client therefore cannot stall the accept loop: its
 //! session's queue sheds (answering `BUSY`) while every other
@@ -25,11 +27,13 @@
 //! bytes already read stay buffered until the newline arrives.
 
 use crate::lock_unpoisoned;
-use crate::proto::{error_family, push_verdict, Command, Reply, PROTOCOL_VERSION};
+use crate::proto::{
+    error_family, push_verdict, Command, EventBody, Reply, Request, PROTOCOL_VERSION,
+};
 use crate::server::Server;
-use crate::session::{SessionReport, VerdictSink};
+use crate::session::{Session, SessionReport, Submit, VerdictSink};
 use leaps_core::error::LeapsError;
-use leaps_core::stream::Verdict;
+use leaps_core::stream::{EncodeScratch, Verdict};
 use leaps_obs::{Histogram, Lazy, MetricsRegistry, Snapshot, Span, Value};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
@@ -247,7 +251,7 @@ struct Replies {
 impl Replies {
     /// Queues an `EVENT` ack for the next flush.
     fn defer(&mut self, reply: &Reply) {
-        self.pending.push_str(&reply.to_line());
+        reply.push_line(&mut self.pending);
         self.pending.push('\n');
     }
 
@@ -408,7 +412,9 @@ fn err_reply(e: &LeapsError) -> Reply {
 /// error but a chance to notice shutdown or idleness. `BufReader` keeps
 /// any partially-read line across ticks, so slow writers are never
 /// corrupted, only rechecked. Deferred `EVENT` acks (see [`Replies`]) are
-/// written before any read that could block, and on every way out.
+/// written before any read that could block, and on every way out; the
+/// drains the burst's events wait for start just before them, and before
+/// any other command.
 fn handle_connection(
     server: &Arc<Server>,
     spans: &ProtoSpans,
@@ -421,14 +427,22 @@ fn handle_connection(
     let mut replies = Replies { writer: Arc::clone(&writer), pending: String::new() };
     let mut reader = BufReader::new(stream);
     let mut client: Option<String> = None;
-    let mut line = String::new();
+    let mut scratch = EncodeScratch::default();
+    let mut drains: Vec<Arc<Session>> = Vec::new();
+    let mut line: Vec<u8> = Vec::new();
     let mut last_activity_us = leaps_obs::now_micros();
     loop {
-        // Only a read that finds no complete line buffered can block.
-        if !reader.buffer().contains(&b'\n') && replies.flush().is_err() {
-            break;
+        // Only a read that finds no complete line buffered can block:
+        // the burst's drains start and its acks go out first.
+        if !reader.buffer().contains(&b'\n') {
+            start_drains(server, &mut drains);
+            if replies.flush().is_err() {
+                break;
+            }
         }
-        match reader.read_line(&mut line) {
+        // Bytes, not `read_line`: a line that is not UTF-8 gets an
+        // `ERR proto` reply like any other malformed line.
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) => break, // EOF: client went away
             Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
@@ -452,24 +466,28 @@ fn handle_connection(
             Err(_) => break,
         }
         last_activity_us = leaps_obs::now_micros();
-        if line.trim().is_empty() {
+        let Some(request) = Request::read(&line) else {
             line.clear();
             continue;
-        }
-        let written = match Command::parse_line(&line) {
+        };
+        let written = match request {
             Err(e) => {
                 replies.send(&Reply::Err { family: "proto".to_owned(), message: e.to_string() })
             }
-            Ok(command) => {
-                let is_event = matches!(command, Command::Event { .. });
+            Ok(Request::Event { pid, body }) => {
+                let latency = Span::new(spans.event.get());
+                let reply =
+                    submit_event(server, client.as_deref(), pid, &body, &mut scratch, &mut drains);
+                drop(latency);
+                replies.defer(&reply);
+                Ok(())
+            }
+            Ok(Request::Command(command)) => {
+                start_drains(server, &mut drains);
                 let latency = spans.start(&command);
                 let outcome = dispatch(server, &writer, &mut client, command);
                 drop(latency);
                 match outcome {
-                    Dispatch::Reply(reply) if is_event => {
-                        replies.defer(&reply);
-                        Ok(())
-                    }
                     Dispatch::Reply(reply) => replies.send(&reply),
                     Dispatch::Block(block) => replies.send_block(&block),
                     Dispatch::Last(reply) => {
@@ -490,9 +508,52 @@ fn handle_connection(
             break;
         }
     }
+    start_drains(server, &mut drains);
     let _ = replies.flush();
     if let Some(client) = client {
         server.close_client(&client);
+    }
+}
+
+/// Serves one checked `EVENT` line: encodes the body's system-stack
+/// names with the session's own classifier and queues the item. A
+/// session left with no drain in flight joins `drains`, to be started
+/// once for the whole read burst ([`start_drains`]).
+fn submit_event(
+    server: &Server,
+    client: Option<&str>,
+    pid: u32,
+    body: &EventBody<'_>,
+    scratch: &mut EncodeScratch,
+    drains: &mut Vec<Arc<Session>>,
+) -> Reply {
+    let Some(client) = client else {
+        return Reply::Err { family: "proto".to_owned(), message: "HELLO first".to_owned() };
+    };
+    let submitted =
+        server.submit_with(client, pid, body.num(), |classifier| body.encode(classifier, scratch));
+    match submitted {
+        Ok((outcome, idle)) => {
+            if let Some(session) = idle {
+                if !drains.iter().any(|queued| Arc::ptr_eq(queued, &session)) {
+                    drains.push(session);
+                }
+            }
+            match outcome {
+                Submit::Accepted { .. } => Reply::Ok { detail: "event".to_owned() },
+                Submit::Busy { shed } => Reply::Busy { pid, shed },
+            }
+        }
+        Err(e) => err_reply(&e),
+    }
+}
+
+/// Starts the drains the connection's queued events wait for. A burst
+/// of events thus wakes each session's pool worker once, not once per
+/// event that finds the worker idle.
+fn start_drains(server: &Server, drains: &mut Vec<Arc<Session>>) {
+    for session in drains.drain(..) {
+        server.start_drain(&session);
     }
 }
 
@@ -628,6 +689,7 @@ fn dispatch(
         | Command::Panic { .. } => {
             unreachable!("handled above")
         }
+        Command::Event { .. } => unreachable!("EVENT lines are read as `Request::Event`"),
         Command::Open { pid, model } => {
             let sink = Arc::new(WriterSink { writer: Arc::clone(writer) });
             match server.open(client, pid, &model, sink) {
@@ -637,13 +699,6 @@ fn dispatch(
                 Err(e) => Dispatch::Reply(err_reply(&e)),
             }
         }
-        Command::Event { pid, event } => match server.submit(client, pid, event) {
-            Ok(crate::session::Submit::Accepted { .. }) => {
-                Dispatch::Reply(Reply::Ok { detail: "event".to_owned() })
-            }
-            Ok(crate::session::Submit::Busy { shed }) => Dispatch::Reply(Reply::Busy { pid, shed }),
-            Err(e) => Dispatch::Reply(err_reply(&e)),
-        },
         Command::Close { pid } => match server.close(client, pid) {
             Ok(report) => Dispatch::Reply(Reply::Ok {
                 detail: format!("close pid={pid} {}", report_fields(&report)),

@@ -1,7 +1,9 @@
 //! The `leaps-serve` line protocol.
 //!
 //! Every message is one UTF-8 line (`\n`-terminated, no embedded
-//! newlines). A client drives the session state machine:
+//! newlines); the daemon answers a line that is not UTF-8 with
+//! `ERR proto` and keeps the connection, as for any malformed line. A
+//! client drives the session state machine:
 //!
 //! ```text
 //! client → server                      server → client
@@ -69,7 +71,8 @@
 //! stream many processes concurrently over one connection.
 
 use leaps_core::error::LeapsError;
-use leaps_core::stream::Verdict;
+use leaps_core::pipeline::Classifier;
+use leaps_core::stream::{EncodeScratch, Encoded, Verdict};
 use leaps_etw::event::{EventType, Provenance, StackFrame};
 use leaps_etw::Va;
 use leaps_trace::partition::PartitionedEvent;
@@ -162,74 +165,164 @@ fn encode_frames(frames: &[StackFrame]) -> String {
 /// Returns [`ProtoError`] on any missing field, unknown key or malformed
 /// token.
 pub fn decode_event(body: &str) -> Result<PartitionedEvent, ProtoError> {
-    let mut num = None;
-    let mut etype = None;
-    let mut tid = None;
-    let mut truth = None;
-    let mut app = None;
-    let mut sys = None;
-    for token in body.split_ascii_whitespace() {
-        let (key, value) = token
-            .split_once('=')
-            .ok_or_else(|| ProtoError::new(format!("bare token {token:?}")))?;
-        match key {
-            "num" => {
-                num = Some(value.parse().map_err(|_| ProtoError::new("bad num"))?);
+    Ok(EventBody::parse(body)?.to_event())
+}
+
+/// An `EVENT` body whose every field and frame token has been checked,
+/// with both stacks still borrowed from the line. [`decode_event`] builds
+/// the owned event from it; the daemon encodes the system stack's names
+/// straight from it ([`EventBody::encode`]) and never builds the event.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EventBody<'a> {
+    num: u64,
+    etype: EventType,
+    tid: u32,
+    truth: Option<Provenance>,
+    app: &'a str,
+    sys: &'a str,
+}
+
+impl<'a> EventBody<'a> {
+    /// Checks an `EVENT` body, field by field in line order, so the first
+    /// fault named is the first one in the line.
+    pub(crate) fn parse(body: &'a str) -> Result<EventBody<'a>, ProtoError> {
+        let mut num = None;
+        let mut etype = None;
+        let mut tid = None;
+        let mut truth = None;
+        let mut app = None;
+        let mut sys = None;
+        for token in body.split_ascii_whitespace() {
+            let (key, value) = token
+                .split_once('=')
+                .ok_or_else(|| ProtoError::new(format!("bare token {token:?}")))?;
+            match key {
+                "num" => {
+                    num = Some(value.parse().map_err(|_| ProtoError::new("bad num"))?);
+                }
+                "type" => {
+                    etype =
+                        Some(EventType::from_name(value).ok_or_else(|| {
+                            ProtoError::new(format!("unknown event type {value:?}"))
+                        })?);
+                }
+                "tid" => {
+                    tid = Some(value.parse().map_err(|_| ProtoError::new("bad tid"))?);
+                }
+                "src" => {
+                    truth = Some(match value {
+                        "benign" => Some(Provenance::Benign),
+                        "malicious" => Some(Provenance::Malicious),
+                        "-" => None,
+                        other => return Err(ProtoError::new(format!("bad src {other:?}"))),
+                    });
+                }
+                "app" => app = Some(check_frames(value)?),
+                "sys" => sys = Some(check_frames(value)?),
+                other => return Err(ProtoError::new(format!("unknown event field {other:?}"))),
             }
-            "type" => {
-                etype = Some(
-                    EventType::from_name(value)
-                        .ok_or_else(|| ProtoError::new(format!("unknown event type {value:?}")))?,
-                );
-            }
-            "tid" => {
-                tid = Some(value.parse().map_err(|_| ProtoError::new("bad tid"))?);
-            }
-            "src" => {
-                truth = Some(match value {
-                    "benign" => Some(Provenance::Benign),
-                    "malicious" => Some(Provenance::Malicious),
-                    "-" => None,
-                    other => return Err(ProtoError::new(format!("bad src {other:?}"))),
-                });
-            }
-            "app" => app = Some(decode_frames(value)?),
-            "sys" => sys = Some(decode_frames(value)?),
-            other => return Err(ProtoError::new(format!("unknown event field {other:?}"))),
+        }
+        let missing = |field| move || ProtoError::new(format!("event body missing {field}"));
+        Ok(EventBody {
+            num: num.ok_or_else(missing("num"))?,
+            etype: etype.ok_or_else(missing("type"))?,
+            tid: tid.ok_or_else(missing("tid"))?,
+            truth: truth.ok_or_else(missing("src"))?,
+            app: app.ok_or_else(missing("app"))?,
+            sys: sys.ok_or_else(missing("sys"))?,
+        })
+    }
+
+    /// The event's sequence number.
+    pub(crate) fn num(&self) -> u64 {
+        self.num
+    }
+
+    /// The system stack's names in caller order: each frame's module and
+    /// its `module!function` symbol, both slices of the line.
+    pub(crate) fn sys_names(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        frames(self.sys).map_while(Result::ok).map(|frame| (frame.module(), frame.symbol))
+    }
+
+    /// The detector item of this event under `classifier`, encoded from
+    /// the borrowed system-stack names: the item
+    /// [`Classifier::encode`] gives the decoded event.
+    pub(crate) fn encode(&self, classifier: &Classifier, scratch: &mut EncodeScratch) -> Encoded {
+        classifier.encode_frames(scratch, self.etype, self.sys_names())
+    }
+
+    /// The owned event.
+    pub(crate) fn to_event(self) -> PartitionedEvent {
+        let owned = |text| frames(text).map_while(Result::ok).map(Frame::to_stack_frame).collect();
+        PartitionedEvent {
+            num: self.num,
+            etype: self.etype,
+            tid: self.tid,
+            truth: self.truth,
+            app_stack: owned(self.app),
+            system_stack: owned(self.sys),
         }
     }
-    let missing = |field| move || ProtoError::new(format!("event body missing {field}"));
-    Ok(PartitionedEvent {
-        num: num.ok_or_else(missing("num"))?,
-        etype: etype.ok_or_else(missing("type"))?,
-        tid: tid.ok_or_else(missing("tid"))?,
-        truth: truth.ok_or_else(missing("src"))?,
-        app_stack: app.ok_or_else(missing("app"))?,
-        system_stack: sys.ok_or_else(missing("sys"))?,
-    })
 }
 
-fn decode_frames(text: &str) -> Result<Vec<StackFrame>, ProtoError> {
-    if text == "-" {
-        return Ok(Vec::new());
+/// One `module!function@hexaddr@inapp` frame token, borrowed.
+#[derive(Debug, Clone, Copy)]
+struct Frame<'a> {
+    /// `module!function`.
+    symbol: &'a str,
+    /// Byte length of the module name, the part of `symbol` before its
+    /// first `!`.
+    module_len: usize,
+    addr: u64,
+    in_app: bool,
+}
+
+impl<'a> Frame<'a> {
+    fn module(&self) -> &'a str {
+        &self.symbol[..self.module_len]
     }
-    text.split(',').map(decode_frame).collect()
+
+    fn to_stack_frame(self) -> StackFrame {
+        let function = &self.symbol[self.module_len + 1..];
+        StackFrame::new(self.module(), function, Va(self.addr), self.in_app)
+    }
 }
 
-fn decode_frame(token: &str) -> Result<StackFrame, ProtoError> {
+/// The frame tokenizer: the frames of one stack field, comma-separated
+/// tokens in caller order, or none for `-`.
+fn frames(text: &str) -> impl Iterator<Item = Result<Frame<'_>, ProtoError>> {
+    let tokens = if text == "-" { None } else { Some(text.split(',')) };
+    tokens.into_iter().flatten().map(parse_frame)
+}
+
+/// Checks every frame token of a stack field, returning the field.
+fn check_frames(text: &str) -> Result<&str, ProtoError> {
+    for frame in frames(text) {
+        frame?;
+    }
+    Ok(text)
+}
+
+fn parse_frame(token: &str) -> Result<Frame<'_>, ProtoError> {
     // Split from the right: addr and flag are the last two `@` fields,
-    // whatever characters the symbol itself contains.
-    let mut parts = token.rsplitn(3, '@');
-    let flag = parts.next().filter(|f| matches!(*f, "0" | "1"));
-    let addr = parts.next().and_then(|a| u64::from_str_radix(a, 16).ok());
-    let symbol = parts.next();
-    let (Some(flag), Some(addr), Some(symbol)) = (flag, addr, symbol) else {
-        return Err(ProtoError::new(format!("bad frame token {token:?}")));
+    // whatever characters the symbol itself contains. Every delimiter is
+    // ASCII, so a byte scan finds it.
+    let bad = || ProtoError::new(format!("bad frame token {token:?}"));
+    let bytes = token.as_bytes();
+    let flag_at = bytes.iter().rposition(|&b| b == b'@').ok_or_else(bad)?;
+    let addr_at = bytes[..flag_at].iter().rposition(|&b| b == b'@').ok_or_else(bad)?;
+    let in_app = match &bytes[flag_at + 1..] {
+        b"0" => false,
+        b"1" => true,
+        _ => return Err(bad()),
     };
-    let (module, function) = symbol
-        .split_once('!')
+    let addr = u64::from_str_radix(&token[addr_at + 1..flag_at], 16).map_err(|_| bad())?;
+    let symbol = &token[..addr_at];
+    let module_len = symbol
+        .bytes()
+        .position(|b| b == b'!')
         .ok_or_else(|| ProtoError::new(format!("frame symbol {symbol:?} lacks `!`")))?;
-    Ok(StackFrame::new(module, function, Va(addr), flag == "1"))
+    Ok(Frame { symbol, module_len, addr, in_app })
 }
 
 // -------------------------------------------------------------- commands
@@ -319,66 +412,109 @@ impl Command {
     ///
     /// Returns [`ProtoError`] on an unknown verb or malformed arguments.
     pub fn parse_line(line: &str) -> Result<Command, ProtoError> {
+        Ok(match Request::parse(line)? {
+            Request::Event { pid, body } => Command::Event { pid, event: body.to_event() },
+            Request::Command(command) => command,
+        })
+    }
+}
+
+/// One client line as the daemon acts on it: an `EVENT` keeps its body
+/// borrowed from the line, and every other verb is a [`Command`].
+/// [`Command::parse_line`] is this parse plus the owned event, so both
+/// accept the same lines and name the same fault.
+#[derive(Debug)]
+pub(crate) enum Request<'a> {
+    /// `EVENT pid=<pid> <body>`.
+    Event {
+        /// Session pid.
+        pid: u32,
+        /// The checked body.
+        body: EventBody<'a>,
+    },
+    /// Any other verb.
+    Command(Command),
+}
+
+impl<'a> Request<'a> {
+    /// Parses one line as read from a connection, which may hold any
+    /// bytes. A line that is not UTF-8 is a protocol fault like any other
+    /// malformed line; a blank line is `None` and gets no reply.
+    pub(crate) fn read(line: &'a [u8]) -> Option<Result<Request<'a>, ProtoError>> {
+        match std::str::from_utf8(line) {
+            Ok(text) if text.trim().is_empty() => None,
+            Ok(text) => Some(Request::parse(text)),
+            Err(e) => Some(Err(ProtoError::new(format!("line is not UTF-8: {e}")))),
+        }
+    }
+
+    /// Parses one protocol line.
+    pub(crate) fn parse(line: &'a str) -> Result<Request<'a>, ProtoError> {
         let line = line.trim_end_matches(['\r', '\n']);
         let (verb, rest) = match line.split_once(' ') {
             Some((v, r)) => (v, r.trim_start()),
             None => (line, ""),
         };
-        match verb {
-            "HELLO" => {
-                if !valid_name(rest) {
-                    return Err(ProtoError::new(format!("bad client id {rest:?}")));
-                }
-                Ok(Command::Hello { client: rest.to_owned() })
-            }
-            "OPEN" => {
-                let pid = field_u32(rest, "pid")?;
-                let model = field_str(rest, "model")?;
-                if !valid_name(&model) {
-                    return Err(ProtoError::new(format!("bad model name {model:?}")));
-                }
-                Ok(Command::Open { pid, model })
-            }
-            "EVENT" => {
-                let (pid_token, body) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| ProtoError::new("EVENT needs pid=<pid> and a body"))?;
-                let pid = field_u32(pid_token, "pid")?;
-                Ok(Command::Event { pid, event: decode_event(body)? })
-            }
-            "CLOSE" => Ok(Command::Close { pid: field_u32(rest, "pid")? }),
-            "STATS" => {
-                if rest.is_empty() {
-                    Ok(Command::Stats { pid: None })
-                } else {
-                    Ok(Command::Stats { pid: Some(field_u32(rest, "pid")?) })
-                }
-            }
-            "RELOAD" => {
-                let model = field_str(rest, "model")?;
-                if !valid_name(&model) {
-                    return Err(ProtoError::new(format!("bad model name {model:?}")));
-                }
-                Ok(Command::Reload { model })
-            }
-            "HEALTH" if rest.is_empty() => Ok(Command::Health),
-            "METRICS" if rest.is_empty() => Ok(Command::Metrics { reset: false }),
-            "METRICS" if rest == "reset" => Ok(Command::Metrics { reset: true }),
-            "SHUTDOWN" if rest.is_empty() => Ok(Command::Shutdown),
-            "BYE" if rest.is_empty() => Ok(Command::Bye),
-            "PANIC" => {
-                let shard = if rest.is_empty() { 0 } else { field_u32(rest, "shard")? };
-                Ok(Command::Panic { shard })
-            }
-            _ => Err(ProtoError::new(format!("unknown command {verb:?}"))),
+        if verb == "EVENT" {
+            let (pid_token, body) = rest
+                .split_once(' ')
+                .ok_or_else(|| ProtoError::new("EVENT needs pid=<pid> and a body"))?;
+            let pid = field_u32(pid_token, "pid")?;
+            return Ok(Request::Event { pid, body: EventBody::parse(body)? });
         }
+        parse_command(verb, rest).map(Request::Command)
     }
 }
 
-fn field_str(rest: &str, key: &str) -> Result<String, ProtoError> {
+/// Parses the arguments `rest` of any verb but `EVENT`.
+fn parse_command(verb: &str, rest: &str) -> Result<Command, ProtoError> {
+    match verb {
+        "HELLO" => {
+            if !valid_name(rest) {
+                return Err(ProtoError::new(format!("bad client id {rest:?}")));
+            }
+            Ok(Command::Hello { client: rest.to_owned() })
+        }
+        "OPEN" => {
+            let pid = field_u32(rest, "pid")?;
+            let model = field_str(rest, "model")?;
+            if !valid_name(model) {
+                return Err(ProtoError::new(format!("bad model name {model:?}")));
+            }
+            Ok(Command::Open { pid, model: model.to_owned() })
+        }
+        "CLOSE" => Ok(Command::Close { pid: field_u32(rest, "pid")? }),
+        "STATS" => {
+            if rest.is_empty() {
+                Ok(Command::Stats { pid: None })
+            } else {
+                Ok(Command::Stats { pid: Some(field_u32(rest, "pid")?) })
+            }
+        }
+        "RELOAD" => {
+            let model = field_str(rest, "model")?;
+            if !valid_name(model) {
+                return Err(ProtoError::new(format!("bad model name {model:?}")));
+            }
+            Ok(Command::Reload { model: model.to_owned() })
+        }
+        "HEALTH" if rest.is_empty() => Ok(Command::Health),
+        "METRICS" if rest.is_empty() => Ok(Command::Metrics { reset: false }),
+        "METRICS" if rest == "reset" => Ok(Command::Metrics { reset: true }),
+        "SHUTDOWN" if rest.is_empty() => Ok(Command::Shutdown),
+        "BYE" if rest.is_empty() => Ok(Command::Bye),
+        "PANIC" => {
+            let shard = if rest.is_empty() { 0 } else { field_u32(rest, "shard")? };
+            Ok(Command::Panic { shard })
+        }
+        _ => Err(ProtoError::new(format!("unknown command {verb:?}"))),
+    }
+}
+
+/// The value of the first `key=value` token of `rest`.
+fn field_str<'a>(rest: &'a str, key: &str) -> Result<&'a str, ProtoError> {
     rest.split_ascii_whitespace()
-        .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
-        .map(str::to_owned)
+        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
         .ok_or_else(|| ProtoError::new(format!("missing {key}=")))
 }
 
@@ -440,18 +576,26 @@ impl Reply {
     /// Serializes the reply as one protocol line (no newline).
     #[must_use]
     pub fn to_line(&self) -> String {
-        match self {
-            Reply::Ok { detail } if detail.is_empty() => "OK".to_owned(),
-            Reply::Ok { detail } => format!("OK {detail}"),
-            Reply::Err { family, message } => format!("ERR {family} {message}"),
-            Reply::Busy { pid, shed } => format!("BUSY pid={pid} shed={shed}"),
+        let mut line = String::new();
+        self.push_line(&mut line);
+        line
+    }
+
+    /// Appends [`Reply::to_line`] to `out`.
+    pub(crate) fn push_line(&self, out: &mut String) {
+        use fmt::Write as _;
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            Reply::Ok { detail } if detail.is_empty() => write!(out, "OK"),
+            Reply::Ok { detail } => write!(out, "OK {detail}"),
+            Reply::Err { family, message } => write!(out, "ERR {family} {message}"),
+            Reply::Busy { pid, shed } => write!(out, "BUSY pid={pid} shed={shed}"),
             Reply::Verdict { pid, verdict } => {
-                let mut line = String::new();
-                push_verdict(&mut line, *pid, verdict);
-                line
+                push_verdict(out, *pid, verdict);
+                Ok(())
             }
-            Reply::Metric { metric } => format!("METRIC {}", metric.to_line()),
-        }
+            Reply::Metric { metric } => write!(out, "METRIC {}", metric.to_line()),
+        };
     }
 
     /// Parses one protocol line into a reply.
@@ -645,6 +789,166 @@ mod tests {
             Reply::parse_line("METRIC h hist count=1 sum=2 buckets=1,0").is_err(),
             "truncated buckets"
         );
+    }
+
+    /// The partitioned events of a generated mixed log, built once.
+    fn real_events() -> &'static [PartitionedEvent] {
+        use leaps_etw::logfmt::write_log;
+        use leaps_etw::scenario::{GenParams, Scenario};
+        use leaps_trace::parser::parse_log;
+        use leaps_trace::partition::partition_events;
+        static EVENTS: std::sync::OnceLock<Vec<PartitionedEvent>> = std::sync::OnceLock::new();
+        EVENTS.get_or_init(|| {
+            let logs = Scenario::by_name("vim_reverse_tcp")
+                .unwrap()
+                .generate_events(&GenParams::small(), 3);
+            partition_events(&parse_log(&write_log(&logs.mixed)).unwrap().events)
+        })
+    }
+
+    /// Checks that the daemon's reading of `line` ([`Request::read`])
+    /// agrees with [`Command::parse_line`]: both accept it, or both name
+    /// the same fault. Bytes that are not UTF-8 are a fault of their own.
+    fn check_parity(line: &[u8]) -> Result<(), String> {
+        let daemon = Request::read(line).map(|r| r.map(|_| ()).map_err(|e| e.message));
+        match std::str::from_utf8(line) {
+            Err(_) => match daemon {
+                Some(Err(message)) if message.starts_with("line is not UTF-8: ") => Ok(()),
+                other => Err(format!("non-UTF-8 line read as {other:?}")),
+            },
+            Ok(text) if text.trim().is_empty() => match daemon {
+                None => Ok(()),
+                Some(other) => Err(format!("blank line read as {other:?}")),
+            },
+            Ok(text) => {
+                let reference = Command::parse_line(text).map(|_| ()).map_err(|e| e.message);
+                if daemon == Some(reference.clone()) {
+                    Ok(())
+                } else {
+                    Err(format!("{text:?}: daemon {daemon:?}, parse_line {reference:?}"))
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_daemon_names_the_fault_parse_line_names() {
+        let body = encode_event(&sample_event());
+        let damaged = [
+            body.replace("num=42", "num=x"),
+            body.replace("type=TcpSend", "type=Nope"),
+            body.replace("src=malicious", "src=evil"),
+            "num=1 type=TcpSend tid=0 src=- app=-".to_owned(),
+            format!("{body} zz=1"),
+            body.replace("@1,", "@2,"),
+            body.replace("vim!main", "vim_main"),
+            body.replace("num=42 ", "num=42 bare "),
+        ];
+        for case in &damaged {
+            let line = format!("EVENT pid=3 {case}");
+            assert!(Command::parse_line(&line).is_err(), "{line}");
+            check_parity(line.as_bytes()).unwrap();
+        }
+        for line in [
+            "EVENT pid=3",
+            "EVENT pid=x num=1",
+            "NOPE",
+            "OPEN pid=3",
+            "HELLO ../etc",
+            "PANIC shard=x",
+            "",
+            "  \r\n",
+            "\u{3000}",
+        ] {
+            check_parity(line.as_bytes()).unwrap();
+        }
+        check_parity(format!("EVENT pid=3 {body}\r\n").as_bytes()).unwrap();
+        check_parity(b"EVENT pid=1 num=\xff\xfe").unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Truncated and byte-mutated real `EVENT` lines never panic the
+        /// daemon's reader, and it names the fault `parse_line` names.
+        #[test]
+        fn damaged_event_lines_keep_parity_and_never_panic(
+            pick in 0usize..1 << 16,
+            cut in 0usize..1 << 16,
+            mutations in proptest::prop::collection::vec((0usize..1 << 16, 0u8..=255), 0..4),
+            truncate in 0u8..3,
+        ) {
+            let events = real_events();
+            let command = Command::Event { pid: 5, event: events[pick % events.len()].clone() };
+            let mut line = command.to_line().into_bytes();
+            if truncate > 0 {
+                line.truncate(cut % (line.len() + 1));
+            }
+            for &(at, byte) in &mutations {
+                if !line.is_empty() {
+                    let at = at % line.len();
+                    line[at] = byte;
+                }
+            }
+            if let Err(e) = check_parity(&line) {
+                proptest::prop_assert!(false, "{e}");
+            }
+        }
+
+        /// The daemon's encode, from the names borrowed from an `EVENT`
+        /// body, is the owned encode of the decoded event, bit for bit:
+        /// with names the encoder has never seen and with empty stacks.
+        #[test]
+        fn borrowed_names_encode_like_the_decoded_event(
+            pick in 0usize..1 << 16,
+            frames in proptest::prop::collection::vec((0usize..1 << 16, 0u8..4), 0..7),
+            keep_real in proptest::prop::bool::ANY,
+        ) {
+            let (encoder, known) = fitted_encoder();
+            let mut event = real_events()[pick % real_events().len()].clone();
+            if !keep_real {
+                // Known frames, frames with an unknown function or module,
+                // and an empty stack when `frames` is empty.
+                event.system_stack = frames
+                    .iter()
+                    .map(|&(i, kind)| {
+                        let mut frame = known[i % known.len()].clone();
+                        match kind {
+                            1 => frame.function = format!("Unseen{i}"),
+                            2 => frame.module = format!("unseen{}", i % 3),
+                            _ => {}
+                        }
+                        frame
+                    })
+                    .collect();
+            }
+            let body = encode_event(&event);
+            let fields = EventBody::parse(&body).unwrap();
+            let mut scratch = EncodeScratch::default();
+            let borrowed =
+                encoder.normalize(encoder.tuple_of(&mut scratch, event.etype, fields.sys_names()));
+            let owned = encoder.encode(&decode_event(&body).unwrap());
+            proptest::prop_assert_eq!(borrowed.map(f64::to_bits), owned.map(f64::to_bits), "{}", body);
+        }
+    }
+
+    /// An encoder fitted on the real events, and their distinct system
+    /// frames.
+    fn fitted_encoder() -> &'static (leaps_cluster::FeatureEncoder, Vec<StackFrame>) {
+        static FITTED: std::sync::OnceLock<(leaps_cluster::FeatureEncoder, Vec<StackFrame>)> =
+            std::sync::OnceLock::new();
+        FITTED.get_or_init(|| {
+            let refs: Vec<&PartitionedEvent> = real_events().iter().collect();
+            let encoder = leaps_cluster::FeatureEncoder::fit(
+                &refs,
+                leaps_cluster::PreprocessConfig::default(),
+            );
+            let mut known: Vec<StackFrame> =
+                real_events().iter().flat_map(|e| e.system_stack.iter().cloned()).collect();
+            known.sort_by(|a, b| (&a.module, &a.function).cmp(&(&b.module, &b.function)));
+            known.dedup_by(|a, b| a.module == b.module && a.function == b.function);
+            (encoder, known)
+        })
     }
 
     #[test]

@@ -16,7 +16,8 @@ use crate::lock_unpoisoned;
 use crate::registry::Registry;
 use crate::session::{drain, Session, SessionKey, SessionReport, Submit, VerdictSink};
 use leaps_core::error::LeapsError;
-use leaps_core::stream::StreamDetector;
+use leaps_core::pipeline::Classifier;
+use leaps_core::stream::{EncodeScratch, Encoded};
 use leaps_obs::{Counter, Gauge, Lazy, MetricsRegistry};
 use leaps_par::pool::Pool;
 use leaps_trace::partition::PartitionedEvent;
@@ -199,7 +200,7 @@ impl Server {
         if self.is_shutting_down() {
             return Err(LeapsError::protocol("server is shutting down"));
         }
-        let detector = StreamDetector::new(self.registry.get(model)?);
+        let classifier = self.registry.get(model)?;
         let mut sessions = lock_unpoisoned(&self.sessions);
         let key: SessionKey = (client.to_owned(), pid);
         if sessions.contains_key(&key) {
@@ -207,7 +208,7 @@ impl Server {
         }
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed);
         let serve = Arc::clone(&self.serve);
-        let session = Session::new(pid, model.to_owned(), shard, detector, sink, serve);
+        let session = Session::new(pid, model.to_owned(), shard, classifier, sink, serve);
         sessions.insert(key, Arc::new(session));
         self.serve.opened.get().inc();
         self.serve.sessions.get().add(1);
@@ -216,9 +217,10 @@ impl Server {
 
     /// Submits one event to session `(client, pid)`.
     ///
-    /// Never blocks on detection work: the event is queued (shedding the
-    /// oldest queued event if the queue is full) and a drain job is
-    /// scheduled on the session's pool shard if none is in flight.
+    /// Never blocks on detection work: the event is encoded with the
+    /// session's classifier and queued (shedding the oldest queued event
+    /// if the queue is full), and a drain job is scheduled on the
+    /// session's pool shard if none is in flight.
     ///
     /// # Errors
     ///
@@ -230,8 +232,34 @@ impl Server {
         pid: u32,
         event: PartitionedEvent,
     ) -> Result<Submit, LeapsError> {
+        let (outcome, idle) = self.submit_with(client, pid, event.num, |classifier| {
+            classifier.encode(&mut EncodeScratch::default(), &event)
+        })?;
+        if let Some(session) = idle {
+            self.start_drain(&session);
+        }
+        Ok(outcome)
+    }
+
+    /// Queues event `num` of session `(client, pid)`, encoded by `encode`
+    /// with the classifier the session was opened with (never a fresh
+    /// registry lookup, so a `RELOAD` leaves open sessions on their
+    /// model). Encoding runs on the calling thread, before the queue lock
+    /// is taken.
+    ///
+    /// Schedules nothing. If no drain is in flight, the session comes
+    /// back for the caller to pass to [`Server::start_drain`]: at once,
+    /// or, in the daemon, once per read burst.
+    pub(crate) fn submit_with(
+        &self,
+        client: &str,
+        pid: u32,
+        num: u64,
+        encode: impl FnOnce(&Classifier) -> Encoded,
+    ) -> Result<(Submit, Option<Arc<Session>>), LeapsError> {
         let session = self.session(client, pid)?;
-        let (outcome, schedule) = {
+        let item = (num, encode(&session.classifier));
+        let (outcome, idle) = {
             let mut state = lock_unpoisoned(&session.state);
             if state.closing {
                 return Err(LeapsError::protocol(format!(
@@ -249,16 +277,24 @@ impl Server {
             } else {
                 Submit::Accepted { queued: state.queue.len() + 1 }
             };
-            state.queue.push_back(event);
-            let schedule = !state.scheduled;
-            state.scheduled = true;
-            (outcome, schedule)
+            state.queue.push_back(item);
+            (outcome, !state.scheduled)
         };
-        if schedule {
-            let worker_session = Arc::clone(&session);
-            self.pool.submit(session.shard, move || drain(&worker_session));
+        Ok((outcome, idle.then_some(session)))
+    }
+
+    /// Schedules a drain of `session` on its pool shard, unless one is in
+    /// flight or its queue is empty.
+    pub(crate) fn start_drain(&self, session: &Arc<Session>) {
+        {
+            let mut state = lock_unpoisoned(&session.state);
+            if state.scheduled || state.queue.is_empty() {
+                return;
+            }
+            state.scheduled = true;
         }
-        Ok(outcome)
+        let worker_session = Arc::clone(session);
+        self.pool.submit(session.shard, move || drain(&worker_session));
     }
 
     /// Drains and closes session `(client, pid)`, returning its final

@@ -1,6 +1,11 @@
-//! Per-session state: a bounded event queue feeding one
+//! Per-session state: a bounded queue of encoded events feeding one
 //! [`StreamDetector`], with load shedding, a verdict sink, and a drain
 //! loop run on pool workers.
+//!
+//! Events are encoded before they are queued, by the submitting thread,
+//! with the classifier the session was opened with: each queue item is
+//! `(sequence number, Encoded)`. The drain only slides the window and
+//! scores it ([`StreamDetector::push_encoded`]).
 //!
 //! # Ordering and determinism
 //!
@@ -22,8 +27,8 @@
 
 use crate::lock_unpoisoned;
 use crate::server::ServeMetrics;
-use leaps_core::stream::{StreamDetector, StreamStats, Verdict};
-use leaps_trace::partition::PartitionedEvent;
+use leaps_core::pipeline::Classifier;
+use leaps_core::stream::{Encoded, StreamDetector, StreamStats, Verdict};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -124,7 +129,8 @@ pub struct SessionReport {
 }
 
 pub(crate) struct QueueState {
-    pub(crate) queue: VecDeque<PartitionedEvent>,
+    /// Encoded events, oldest first: `(sequence number, item)`.
+    pub(crate) queue: VecDeque<(u64, Encoded)>,
     pub(crate) scheduled: bool,
     pub(crate) closing: bool,
     pub(crate) shed: u64,
@@ -146,6 +152,10 @@ pub struct Session {
     pub(crate) state: Mutex<QueueState>,
     /// Signalled by the drain loop when the queue runs dry.
     pub(crate) idle: Condvar,
+    /// The classifier the session was opened with, which encodes its
+    /// events; a `RELOAD` never changes it. Held apart from the detector,
+    /// whose lock the drain holds while it scores.
+    pub(crate) classifier: Arc<Classifier>,
     pub(crate) detector: Mutex<StreamDetector>,
     pub(crate) sink: Arc<dyn VerdictSink>,
     /// The server's counters; the drain records verdicts into them.
@@ -161,7 +171,7 @@ impl Session {
         pid: u32,
         model: String,
         shard: usize,
-        detector: StreamDetector,
+        classifier: Arc<Classifier>,
         sink: Arc<dyn VerdictSink>,
         serve: Arc<ServeMetrics>,
     ) -> Session {
@@ -179,7 +189,8 @@ impl Session {
                 last_activity_us: leaps_obs::now_micros(),
             }),
             idle: Condvar::new(),
-            detector: Mutex::new(detector),
+            detector: Mutex::new(StreamDetector::new(Arc::clone(&classifier))),
+            classifier,
             sink,
             serve,
         }
@@ -222,7 +233,7 @@ pub(crate) fn drain(session: &Session) {
         }
     }
     let _guard = PanicGuard(session);
-    let mut batch: Vec<PartitionedEvent> = Vec::new();
+    let mut batch: Vec<(u64, Encoded)> = Vec::new();
     let mut verdicts: Vec<Verdict> = Vec::new();
     loop {
         {
@@ -239,7 +250,9 @@ pub(crate) fn drain(session: &Session) {
         // proceed while the detector works or a slow sink blocks.
         let mut detector = lock_unpoisoned(&session.detector);
         verdicts.clear();
-        detector.push_all_into(batch.drain(..), &mut verdicts);
+        for (num, encoded) in batch.drain(..) {
+            verdicts.extend(detector.push_encoded(num, encoded));
+        }
         drop(detector);
         session.sink.deliver_all(session.pid, &verdicts);
         session.serve.verdicts.get().add(verdicts.len() as u64);

@@ -677,3 +677,19 @@ fn a_metrics_block_after_an_event_burst_arrives_whole_after_the_acks() {
     assert!(block.iter().any(|l| l.starts_with("METRIC proto.event.us hist count=")), "{block:?}");
     shut_down(raw, daemon);
 }
+
+#[test]
+fn a_line_that_is_not_utf8_gets_an_error_and_the_connection_lives_on() {
+    use std::io::Write;
+    let (mut raw, daemon) = raw_daemon("not-utf8");
+    raw.writer.write_all(b"EVENT pid=7 num=\xff\xfe\n").unwrap();
+    let reply = raw.line();
+    assert!(reply.starts_with("ERR proto line is not UTF-8: "), "{reply}");
+    // The same connection and its open session keep working.
+    raw.burst(&[Command::Event { pid: 7, event: event(0, true) }, Command::Stats { pid: Some(7) }]);
+    let acks: Vec<String> =
+        raw.until_acks(2).into_iter().filter(|l| !l.starts_with("VERDICT ")).collect();
+    assert_eq!(acks[0], "OK event");
+    assert!(acks[1].contains(" session.submitted=1 "), "{}", acks[1]);
+    shut_down(raw, daemon);
+}
