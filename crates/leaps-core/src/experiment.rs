@@ -16,7 +16,7 @@ use crate::config::PipelineConfig;
 use crate::dataset::Dataset;
 use crate::error::LeapsError;
 use crate::metrics::Metrics;
-use crate::persist::{write_atomic, ModelError};
+use crate::persist::{write_atomic, ModelError, Records};
 use crate::pipeline::{try_train_classifier, Method};
 use leaps_etw::rng::splitmix64;
 use leaps_etw::scenario::{GenParams, Scenario};
@@ -400,60 +400,33 @@ pub fn render_manifest(report: &SweepReport) -> String {
 /// [`ModelError`] on malformed or meaningless input, with its line
 /// number.
 pub fn parse_manifest(text: &str) -> Result<SweepReport, ModelError> {
-    let mut lines = text.lines();
-    if lines.next() != Some(SWEEP_HEADER) {
-        return Err(ModelError::BadHeader);
-    }
-    let bad = |line: usize, reason: String| ModelError::BadRecord { line, reason };
+    let mut records = Records::new(text, SWEEP_HEADER)?;
     let mut report = SweepReport::default();
-    for (i, line) in lines.enumerate() {
-        let line_no = i + 2;
-        let rest = line
-            .strip_prefix("cell ")
-            .ok_or_else(|| bad(line_no, format!("expected `cell ...`, got {line:?}")))?;
-        let mut words = rest.splitn(4, ' ');
-        let (Some(scenario), Some(method), Some(tag), detail) =
-            (words.next(), words.next(), words.next(), words.next())
-        else {
-            return Err(bad(line_no, "cell needs scenario, method and outcome".into()));
-        };
+    while let Some(mut r) = records.next_record("cell")? {
+        let scenario = r.word("scenario")?.to_owned();
+        let method = r.word("method")?;
         let method = Method::from_label(method)
-            .ok_or_else(|| bad(line_no, format!("unknown method {method:?}")))?;
-        let detail = detail.unwrap_or("");
-        let mut detail_words = detail.splitn(2, ' ');
-        let secs: f64 = detail_words
-            .next()
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| bad(line_no, "cell needs a duration".into()))?
-            .parse()
-            .map_err(|_| bad(line_no, format!("invalid duration in {detail:?}")))?;
-        if !(secs.is_finite() && secs >= 0.0) {
-            return Err(bad(line_no, format!("duration {secs:?} is not a finite time >= 0")));
+            .ok_or_else(|| r.bad(format!("unknown method {method:?}")))?;
+        let tag = r.word("outcome")?;
+        let secs = r.finite("duration")?;
+        if secs < 0.0 {
+            return Err(r.bad(format!("duration {secs:?} is not a finite time >= 0")));
         }
-        let payload = detail_words.next().unwrap_or("");
         let outcome = match tag {
-            "ok" => {
-                let values: Result<Vec<f64>, _> =
-                    payload.split_whitespace().map(str::parse).collect();
-                let values =
-                    values.map_err(|_| bad(line_no, format!("invalid metrics {payload:?}")))?;
-                let [acc, ppv, tpr, tnr, npv] = values.as_slice() else {
-                    return Err(bad(line_no, format!("ok cell needs 5 metrics, got {payload:?}")));
-                };
-                let names = ["acc", "ppv", "tpr", "tnr", "npv"];
-                if let Some((name, v)) =
-                    names.iter().zip(&values).find(|(_, v)| !(0.0..=1.0).contains(*v))
-                {
-                    return Err(bad(line_no, format!("metric {name} = {v:?} is outside [0, 1]")));
-                }
-                CellOutcome::Ok(Metrics { acc: *acc, ppv: *ppv, tpr: *tpr, tnr: *tnr, npv: *npv })
-            }
-            "error" => CellOutcome::Error(payload.to_owned()),
-            "panicked" => CellOutcome::Panicked(payload.to_owned()),
+            "ok" => CellOutcome::Ok(Metrics {
+                acc: r.unit("metric acc")?,
+                ppv: r.unit("metric ppv")?,
+                tpr: r.unit("metric tpr")?,
+                tnr: r.unit("metric tnr")?,
+                npv: r.unit("metric npv")?,
+            }),
+            "error" => CellOutcome::Error(r.rest().to_owned()),
+            "panicked" => CellOutcome::Panicked(r.rest().to_owned()),
             "deadline" => CellOutcome::Deadline,
-            other => return Err(bad(line_no, format!("unknown outcome {other:?}"))),
+            other => return Err(r.bad(format!("unknown outcome {other:?}"))),
         };
-        report.cells.push(CellReport { scenario: scenario.to_owned(), method, outcome, secs });
+        r.end()?;
+        report.cells.push(CellReport { scenario, method, outcome, secs });
     }
     Ok(report)
 }

@@ -6,7 +6,9 @@
 //! The format is line-oriented `LEAPS-MODEL v1`: one record per line,
 //! space-separated tokens. Symbols (`module!function`) and set members
 //! never contain whitespace, and floats are written with Rust's `{:?}`
-//! (shortest round-trip representation), so parsing is exact.
+//! (shortest round-trip representation), so parsing is exact. Only
+//! blank lines may follow the last record. Checkpoints and sweep
+//! manifests are read by the same `Records` reader.
 //!
 //! # Crash-safe writes
 //!
@@ -37,6 +39,7 @@ use leaps_svm::model::SvmModel;
 use leaps_svm::smo::SmoState;
 use std::error::Error;
 use std::fmt;
+use std::str::{FromStr, Lines, SplitWhitespace};
 
 /// Magic first line of a model file.
 pub const MODEL_HEADER: &str = "# LEAPS-MODEL v1";
@@ -116,23 +119,22 @@ pub fn save_classifier(classifier: &Classifier) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ModelError`] on malformed input.
+/// Returns [`ModelError`] on malformed input, including a non-blank
+/// line after the last record.
 pub fn load_classifier(text: &str) -> Result<Classifier, ModelError> {
-    let mut lines = Lines::new(text);
-    if lines.next_line() != Some(MODEL_HEADER) {
-        return Err(ModelError::BadHeader);
-    }
-    let kind_line = lines.expect_prefixed("kind")?;
-    match kind_line {
+    let mut records = Records::new(text, MODEL_HEADER)?;
+    let classifier = match records.read("kind", |r| r.word("model kind"))? {
         "cgraph" => {
-            let bcg = read_call_graph(&mut lines, "bcg")?;
-            let mcg = read_call_graph(&mut lines, "mcg")?;
-            Ok(Classifier::CGraph(CallGraphClassifier::from_parts(bcg, mcg)))
+            let bcg = read_call_graph(&mut records, "bcg")?;
+            let mcg = read_call_graph(&mut records, "mcg")?;
+            Classifier::CGraph(CallGraphClassifier::from_parts(bcg, mcg))
         }
-        "svm" => Ok(Classifier::Svm(read_svm(&mut lines)?)),
-        "hmm" => Ok(Classifier::Hmm(read_hmm(&mut lines)?)),
-        other => Err(lines.bad(format!("unknown model kind {other:?}"))),
-    }
+        "svm" => Classifier::Svm(read_svm(&mut records)?),
+        "hmm" => Classifier::Hmm(read_hmm(&mut records)?),
+        other => return Err(records.bad(format!("unknown model kind {other:?}"))),
+    };
+    records.finish()?;
+    Ok(classifier)
 }
 
 // ----------------------------------------------------------- file helpers
@@ -209,9 +211,17 @@ pub fn save_classifier_to(
 ///
 /// [`LeapsError::Io`] or [`LeapsError::Model`], both naming `path`.
 pub fn load_classifier_file(path: &std::path::Path) -> Result<Classifier, LeapsError> {
+    load_file(path, load_classifier)
+}
+
+/// Reads `path` and parses it with `load`, naming the file in every error.
+fn load_file<T>(
+    path: &std::path::Path,
+    load: fn(&str) -> Result<T, ModelError>,
+) -> Result<T, LeapsError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| LeapsError::io(path.display().to_string(), &e))?;
-    load_classifier(&text).map_err(|inner| {
+    load(&text).map_err(|inner| {
         LeapsError::Model(ModelError::InFile {
             path: path.display().to_string(),
             inner: Box::new(inner),
@@ -300,47 +310,24 @@ pub fn save_checkpoint(ckpt: &Checkpoint) -> String {
 ///
 /// Returns [`ModelError`] on malformed input, including a missing `end`
 /// marker (a truncation the atomic write protocol makes unreachable in
-/// practice, but hand-edited or foreign files get a diagnosis).
+/// practice, but hand-edited or foreign files get a diagnosis) and a
+/// non-blank line after it.
 pub fn load_checkpoint(text: &str) -> Result<Checkpoint, ModelError> {
-    let mut lines = Lines::new(text);
-    if lines.next_line() != Some(CKPT_HEADER) {
-        return Err(ModelError::BadHeader);
-    }
-    let stage = lines.expect_prefixed("stage")?.to_owned();
-    let fingerprint = {
-        let rest = lines.expect_prefixed("fingerprint")?;
-        lines.parse(rest, "fingerprint")?
-    };
-    let progress = {
-        let rest = lines.expect_prefixed("progress")?;
-        lines.parse(rest, "progress")?
-    };
-    let rng = {
-        let rest = lines.expect_prefixed("rng")?;
-        let words: Vec<&str> = rest.split_whitespace().collect();
-        let [a, b, c, d] = words.as_slice() else {
-            return Err(lines.bad("rng needs 4 words".into()));
-        };
-        [
-            lines.parse(a, "rng word")?,
-            lines.parse(b, "rng word")?,
-            lines.parse(c, "rng word")?,
-            lines.parse(d, "rng word")?,
-        ]
-    };
-    let n: usize = {
-        let rest = lines.expect_prefixed("payload")?;
-        lines.parse_count(rest, "payload count")?
-    };
+    let mut records = Records::new(text, CKPT_HEADER)?;
+    let stage = records.read("stage", |r| r.word("stage"))?.to_owned();
+    let fingerprint = records.read("fingerprint", |r| r.parse("fingerprint"))?;
+    let progress = records.read("progress", |r| r.parse("progress"))?;
+    let rng = records.read("rng", |r| {
+        Ok([r.parse("rng word")?, r.parse("rng word")?, r.parse("rng word")?, r.parse("rng word")?])
+    })?;
+    let n = records.read("payload", |r| r.count("payload count"))?;
     let mut payload = Vec::with_capacity(n);
     for _ in 0..n {
-        payload.push(lines.expect_prefixed("p")?.to_owned());
+        payload.push(records.record("p")?.rest().to_owned());
     }
-    match lines.next_line() {
-        Some("end") => Ok(Checkpoint { stage, fingerprint, progress, rng, payload }),
-        Some(other) => Err(lines.bad(format!("expected `end`, got {other:?}"))),
-        None => Err(ModelError::Truncated),
-    }
+    records.read("end", |_| Ok(()))?;
+    records.finish()?;
+    Ok(Checkpoint { stage, fingerprint, progress, rng, payload })
 }
 
 /// Saves a checkpoint to `path` via the crash-safe [`write_atomic`]
@@ -364,14 +351,7 @@ pub fn save_checkpoint_to(path: &std::path::Path, ckpt: &Checkpoint) -> Result<(
 ///
 /// [`LeapsError::Io`] or [`LeapsError::Model`], both naming `path`.
 pub fn load_checkpoint_file(path: &std::path::Path) -> Result<Checkpoint, LeapsError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| LeapsError::io(path.display().to_string(), &e))?;
-    load_checkpoint(&text).map_err(|inner| {
-        LeapsError::Model(ModelError::InFile {
-            path: path.display().to_string(),
-            inner: Box::new(inner),
-        })
-    })
+    load_file(path, load_checkpoint)
 }
 
 /// Checks a loaded checkpoint against the stage and configuration
@@ -406,10 +386,13 @@ pub fn verify_checkpoint(
     Ok(())
 }
 
-fn float_record(tag: &str, values: &[f64]) -> String {
+/// `tag` followed by `values` as `{:?}` floats (shortest round-trip
+/// representation): one record line, without its newline.
+fn float_record<'v>(tag: &str, values: impl IntoIterator<Item = &'v f64>) -> String {
+    use std::fmt::Write;
     let mut line = String::from(tag);
     for v in values {
-        line.push_str(&format!(" {v:?}"));
+        let _ = write!(line, " {v:?}");
     }
     line
 }
@@ -418,38 +401,11 @@ fn float_record(tag: &str, values: &[f64]) -> String {
 /// stage, fingerprint, progress, rng, payload-count precede).
 pub(crate) const CKPT_PAYLOAD_LINE: usize = 7;
 
-/// 1-based line number of payload record `index` in the checkpoint file.
-fn payload_line_no(index: usize) -> usize {
-    CKPT_PAYLOAD_LINE + index
-}
-
-fn payload_record<'a>(
-    ckpt: &'a Checkpoint,
-    index: usize,
-    tag: &str,
-) -> Result<&'a str, ModelError> {
-    let record = ckpt.payload.get(index).ok_or(ModelError::Truncated)?;
-    if record == tag {
-        return Ok("");
+impl Checkpoint {
+    /// The payload records, numbered as the lines of the checkpoint file.
+    fn records(&self) -> Records<impl Iterator<Item = &str>> {
+        Records { lines: self.payload.iter().map(String::as_str), line_no: CKPT_PAYLOAD_LINE - 1 }
     }
-    record.strip_prefix(tag).and_then(|r| r.strip_prefix(' ')).ok_or_else(|| {
-        ModelError::BadRecord {
-            line: payload_line_no(index),
-            reason: format!("expected `{tag} ...`, got {record:?}"),
-        }
-    })
-}
-
-fn payload_floats(ckpt: &Checkpoint, index: usize, tag: &str) -> Result<Vec<f64>, ModelError> {
-    payload_record(ckpt, index, tag)?
-        .split_whitespace()
-        .map(|v| {
-            v.parse().map_err(|_| ModelError::BadRecord {
-                line: payload_line_no(index),
-                reason: format!("invalid {tag} value: {v:?}"),
-            })
-        })
-        .collect()
 }
 
 /// Packs an SMO solver state ([`SmoState`]) into a checkpoint. SMO is
@@ -473,14 +429,17 @@ pub fn smo_checkpoint(state: &SmoState, fingerprint: u64, rng: [u64; 4]) -> Chec
 /// [`ModelError`] if the checkpoint is not a well-formed `smo` stage.
 pub fn smo_state(ckpt: &Checkpoint) -> Result<SmoState, ModelError> {
     verify_checkpoint(ckpt, "smo", ckpt.fingerprint)?;
-    let alpha = payload_floats(ckpt, 0, "alpha")?;
-    let grad = payload_floats(ckpt, 1, "grad")?;
+    let mut records = ckpt.records();
+    let alpha = records.read("alpha", |r| r.all(|r, v| r.parsed(v, "alpha value")))?;
+    let grad = records.read("grad", |r| r.all(|r, v| r.parsed(v, "grad value")))?;
     if alpha.len() != grad.len() || alpha.is_empty() {
-        return Err(ModelError::BadRecord {
-            line: payload_line_no(1),
-            reason: format!("alpha/grad length mismatch ({} vs {})", alpha.len(), grad.len()),
-        });
+        return Err(records.bad(format!(
+            "alpha/grad length mismatch ({} vs {})",
+            alpha.len(),
+            grad.len()
+        )));
     }
+    records.finish()?;
     Ok(SmoState { alpha, grad, iterations: ckpt.progress as usize })
 }
 
@@ -511,26 +470,18 @@ pub fn cv_checkpoint(state: &CvState, fingerprint: u64, rng: [u64; 4]) -> Checkp
 /// [`ModelError`] if the checkpoint is not a well-formed `cv` stage.
 pub fn cv_state(ckpt: &Checkpoint) -> Result<CvState, ModelError> {
     verify_checkpoint(ckpt, "cv", ckpt.fingerprint)?;
-    let scores: Result<Vec<Option<f64>>, ModelError> = payload_record(ckpt, 0, "scores")?
-        .split_whitespace()
-        .map(|v| {
-            if v == "-" {
-                Ok(None)
-            } else {
-                v.parse().map(Some).map_err(|_| ModelError::BadRecord {
-                    line: payload_line_no(0),
-                    reason: format!("invalid score: {v:?}"),
-                })
-            }
-        })
-        .collect();
-    let scores = scores?;
+    let mut records = ckpt.records();
+    let scores = records.read("scores", |r| {
+        r.all(|r, v| if v == "-" { Ok(None) } else { r.parsed(v, "score").map(Some) })
+    })?;
     if scores.len() as u64 != ckpt.progress {
-        return Err(ModelError::BadRecord {
-            line: payload_line_no(0),
-            reason: format!("{} scores but progress says {}", scores.len(), ckpt.progress),
-        });
+        return Err(records.bad(format!(
+            "{} scores but progress says {}",
+            scores.len(),
+            ckpt.progress
+        )));
     }
+    records.finish()?;
     Ok(CvState { scores })
 }
 
@@ -561,44 +512,26 @@ pub fn hmm_checkpoint(state: &HmmState, fingerprint: u64) -> Checkpoint {
 /// (wrong matrix dimensions, all-zero RNG state, …).
 pub fn hmm_state(ckpt: &Checkpoint) -> Result<HmmState, ModelError> {
     verify_checkpoint(ckpt, "hmm", ckpt.fingerprint)?;
-    let dims = payload_record(ckpt, 0, "dims")?;
-    let words: Vec<&str> = dims.split_whitespace().collect();
-    let bad = |index: usize, reason: String| ModelError::BadRecord {
-        line: payload_line_no(index),
-        reason,
-    };
-    let [states, symbols] = words.as_slice() else {
-        return Err(bad(0, "dims needs 2 words".into()));
-    };
-    let parse_dim = |token: &str| -> Result<usize, ModelError> {
-        let n: usize =
-            token.parse().map_err(|_| bad(0, format!("invalid dimension: {token:?}")))?;
-        const MAX_DIM: usize = 1 << 12;
-        if n == 0 || n > MAX_DIM {
-            return Err(bad(0, format!("implausible dimension {n}")));
-        }
-        Ok(n)
-    };
-    let states = parse_dim(states)?;
-    let symbols = parse_dim(symbols)?;
-    let pi = payload_floats(ckpt, 1, "pi")?;
-    let a = payload_floats(ckpt, 2, "a")?;
-    let b = payload_floats(ckpt, 3, "b")?;
-    for (index, (name, values, expected)) in
-        [("pi", &pi, states), ("a", &a, states * states), ("b", &b, states * symbols)]
-            .into_iter()
-            .enumerate()
-    {
-        if values.len() != expected {
-            return Err(bad(
-                index + 1,
-                format!("{name} has {} values, expected {expected}", values.len()),
-            ));
-        }
-    }
     if ckpt.rng.iter().all(|&w| w == 0) {
-        return Err(bad(0, "all-zero RNG state".into()));
+        // The `rng` record is line 5 of the file.
+        return Err(ModelError::BadRecord { line: 5, reason: "all-zero RNG state".into() });
     }
+    let mut records = ckpt.records();
+    let (states, symbols) = records.read("dims", |r| {
+        let mut dim = |what: &str| -> Result<usize, ModelError> {
+            let n: usize = r.parse(what)?;
+            const MAX_DIM: usize = 1 << 12;
+            if n == 0 || n > MAX_DIM {
+                return Err(r.bad(format!("implausible dimension {n}")));
+            }
+            Ok(n)
+        };
+        Ok((dim("states")?, dim("symbols")?))
+    })?;
+    let pi = records.floats("pi", states)?;
+    let a = records.floats("a", states * states)?;
+    let b = records.floats("b", states * symbols)?;
+    records.finish()?;
     Ok(HmmState { iteration: ckpt.progress as usize, states, symbols, pi, a, b, rng: ckpt.rng })
 }
 
@@ -667,10 +600,7 @@ fn write_svm(out: &mut String, svm: &SvmClassifier) {
     out.push_str(&format!("bias {:?}\n", svm.model.bias()));
     out.push_str(&format!("sv_count {}\n", svm.model.support_vector_count()));
     for (alpha_y, sv) in svm.model.dual_coefficients() {
-        out.push_str(&format!("sv {alpha_y:?}"));
-        for v in sv {
-            out.push_str(&format!(" {v:?}"));
-        }
+        out.push_str(&float_record("sv", std::iter::once(&alpha_y).chain(&sv)));
         out.push('\n');
     }
     write_encoder(out, &svm.encoder);
@@ -680,10 +610,7 @@ fn write_hmm_model(out: &mut String, tag: &str, model: &Hmm) {
     out.push_str(&format!("{tag} {} {}\n", model.state_count(), model.symbol_count()));
     let (pi, a, b) = model.parts();
     for (name, values) in [("pi", pi), ("a", a), ("b", b)] {
-        out.push_str(name);
-        for v in values {
-            out.push_str(&format!(" {v:?}"));
-        }
+        out.push_str(&float_record(name, values));
         out.push('\n');
     }
 }
@@ -704,197 +631,303 @@ fn write_hmm(out: &mut String, hmm: &HmmDetector) {
 
 // ---------------------------------------------------------------- reading
 
-struct Lines<'a> {
-    iter: std::str::Lines<'a>,
+/// The bound on every count a file declares, checked before the count
+/// sizes an allocation, so a corrupted count cannot drive a
+/// multi-gigabyte pre-allocation before the missing records are noticed.
+const MAX_COUNT: usize = 1 << 24;
+
+/// The one reader of the persisted text formats: model files,
+/// checkpoints (the envelope and each stage's payload) and sweep
+/// manifests. It numbers lines as the file does, matches the header and
+/// each record's tag, and hands out one [`Record`] at a time. Every
+/// fault is one [`ModelError`] naming the file line; what the values
+/// mean is checked by the caller.
+pub(crate) struct Records<I> {
+    lines: I,
+    /// 1-based file line number of the line last read.
     line_no: usize,
 }
 
-impl<'a> Lines<'a> {
-    fn new(text: &'a str) -> Self {
-        Lines { iter: text.lines(), line_no: 0 }
+impl<'a> Records<Lines<'a>> {
+    /// A reader over `text`, whose first line must be `header`.
+    pub(crate) fn new(text: &'a str, header: &str) -> Result<Self, ModelError> {
+        let mut lines = text.lines();
+        if lines.next() != Some(header) {
+            return Err(ModelError::BadHeader);
+        }
+        Ok(Records { lines, line_no: 1 })
     }
+}
 
-    fn next_line(&mut self) -> Option<&'a str> {
-        self.line_no += 1;
-        self.iter.next()
-    }
-
+impl<'a, I: Iterator<Item = &'a str>> Records<I> {
+    /// A [`ModelError::BadRecord`] at the line last read.
     fn bad(&self, reason: String) -> ModelError {
         ModelError::BadRecord { line: self.line_no, reason }
     }
 
-    /// Reads the next line and strips `"{prefix} "`.
-    fn expect_prefixed(&mut self, prefix: &str) -> Result<&'a str, ModelError> {
-        let line = self.next_line().ok_or(ModelError::Truncated)?;
-        line.strip_prefix(prefix)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .ok_or_else(|| self.bad(format!("expected `{prefix} ...`, got {line:?}")))
-    }
-
-    fn parse<T: std::str::FromStr>(&self, token: &str, what: &str) -> Result<T, ModelError> {
-        token.parse().map_err(|_| self.bad(format!("invalid {what}: {token:?}")))
-    }
-
-    fn parse_finite(&self, token: &str, what: &str) -> Result<f64, ModelError> {
-        let value: f64 = self.parse(token, what)?;
-        if !value.is_finite() {
-            return Err(self.bad(format!("{what} must be finite, got {token:?}")));
+    /// The next record, which must carry `tag`, or `None` at the end of
+    /// the input.
+    pub(crate) fn next_record(&mut self, tag: &str) -> Result<Option<Record<'a>>, ModelError> {
+        let Some(line) = self.lines.next() else { return Ok(None) };
+        self.line_no += 1;
+        match line.strip_prefix(tag).filter(|rest| rest.is_empty() || rest.starts_with(' ')) {
+            Some(fields) => Ok(Some(Record::new(fields, self.line_no))),
+            None => Err(self.bad(format!("expected a `{tag}` record, got {line:?}"))),
         }
+    }
+
+    /// The next record, which must carry `tag`.
+    fn record(&mut self, tag: &str) -> Result<Record<'a>, ModelError> {
+        self.next_record(tag)?.ok_or(ModelError::Truncated)
+    }
+
+    /// Reads the next record, which must carry `tag`, with `read`, which
+    /// must consume every field.
+    fn read<T>(
+        &mut self,
+        tag: &str,
+        read: impl FnOnce(&mut Record<'a>) -> Result<T, ModelError>,
+    ) -> Result<T, ModelError> {
+        let mut record = self.record(tag)?;
+        let value = read(&mut record)?;
+        record.end()?;
         Ok(value)
     }
 
-    /// Parses a record count, bounding it so a corrupted count cannot
-    /// drive a multi-gigabyte pre-allocation before the missing records
-    /// are noticed.
-    fn parse_count(&self, token: &str, what: &str) -> Result<usize, ModelError> {
-        const MAX_COUNT: usize = 1 << 24;
-        let n: usize = self.parse(token, what)?;
+    /// The next record, which must carry `tag` and exactly `expected`
+    /// floats.
+    fn floats(&mut self, tag: &str, expected: usize) -> Result<Vec<f64>, ModelError> {
+        let values = self.read(tag, |r| r.all(|r, v| r.parsed(v, tag)))?;
+        if values.len() != expected {
+            return Err(self.bad(format!("{tag} has {} values, expected {expected}", values.len())));
+        }
+        Ok(values)
+    }
+
+    /// Checks that only blank lines follow the last record.
+    fn finish(mut self) -> Result<(), ModelError> {
+        for line in self.lines.by_ref() {
+            self.line_no += 1;
+            if let Some(word) = line.split_whitespace().next() {
+                return Err(ModelError::BadRecord {
+                    line: self.line_no,
+                    reason: format!("unexpected {word:?} after the last record"),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The fields of one record, read left to right.
+pub(crate) struct Record<'a> {
+    /// The line after its tag.
+    fields: &'a str,
+    words: SplitWhitespace<'a>,
+    /// The field read last, a slice of `fields`.
+    last: &'a str,
+    line: usize,
+}
+
+impl<'a> Record<'a> {
+    fn new(fields: &'a str, line: usize) -> Self {
+        Record { fields, words: fields.split_whitespace(), last: &fields[..0], line }
+    }
+
+    /// A [`ModelError::BadRecord`] at this record's line.
+    pub(crate) fn bad(&self, reason: String) -> ModelError {
+        ModelError::BadRecord { line: self.line, reason }
+    }
+
+    #[inline]
+    fn next_word(&mut self) -> Option<&'a str> {
+        let word = self.words.next()?;
+        self.last = word;
+        Some(word)
+    }
+
+    /// The next field, named `what` in errors.
+    #[inline]
+    pub(crate) fn word(&mut self, what: &str) -> Result<&'a str, ModelError> {
+        self.next_word().ok_or_else(|| self.bad(format!("missing {what}")))
+    }
+
+    /// `token` parsed as a `T`.
+    #[inline]
+    fn parsed<T: FromStr>(&self, token: &str, what: &str) -> Result<T, ModelError> {
+        token.parse().map_err(|_| self.bad(format!("invalid {what}: {token:?}")))
+    }
+
+    /// The next field parsed as a `T`.
+    #[inline]
+    fn parse<T: FromStr>(&mut self, what: &str) -> Result<T, ModelError> {
+        let token = self.word(what)?;
+        self.parsed(token, what)
+    }
+
+    /// The next field as a count of at most [`MAX_COUNT`].
+    fn count(&mut self, what: &str) -> Result<usize, ModelError> {
+        let n: usize = self.parse(what)?;
         if n > MAX_COUNT {
             return Err(self.bad(format!("implausible {what} {n} (max {MAX_COUNT})")));
         }
         Ok(n)
     }
+
+    /// `token` as a finite float.
+    #[inline]
+    fn finite_of(&self, token: &str, what: &str) -> Result<f64, ModelError> {
+        let value: f64 = self.parsed(token, what)?;
+        if !value.is_finite() {
+            return Err(self.bad(format!("{what} {value:?} is not finite")));
+        }
+        Ok(value)
+    }
+
+    /// The next field as a finite float.
+    #[inline]
+    pub(crate) fn finite(&mut self, what: &str) -> Result<f64, ModelError> {
+        let token = self.word(what)?;
+        self.finite_of(token, what)
+    }
+
+    /// The next field as a float in `[0, 1]`.
+    pub(crate) fn unit(&mut self, what: &str) -> Result<f64, ModelError> {
+        let value: f64 = self.parse(what)?;
+        if !(0.0..=1.0).contains(&value) {
+            return Err(self.bad(format!("{what} = {value:?} is outside [0, 1]")));
+        }
+        Ok(value)
+    }
+
+    /// Every remaining field, each read by `read`.
+    #[inline]
+    fn all<T>(
+        &mut self,
+        mut read: impl FnMut(&Self, &'a str) -> Result<T, ModelError>,
+    ) -> Result<Vec<T>, ModelError> {
+        let mut values = Vec::new();
+        while let Some(word) = self.next_word() {
+            values.push(read(self, word)?);
+        }
+        Ok(values)
+    }
+
+    /// The rest of the line after one separating space, verbatim: a
+    /// free-text last field.
+    pub(crate) fn rest(&mut self) -> &'a str {
+        let start = self.last.as_ptr() as usize + self.last.len() - self.fields.as_ptr() as usize;
+        let rest = self.fields.get(start..).unwrap_or("");
+        self.words.by_ref().for_each(drop);
+        rest.strip_prefix(' ').unwrap_or(rest)
+    }
+
+    /// Checks that every field was read.
+    pub(crate) fn end(&mut self) -> Result<(), ModelError> {
+        match self.words.next() {
+            Some(extra) => Err(self.bad(format!("unexpected extra field {extra:?}"))),
+            None => Ok(()),
+        }
+    }
 }
 
-fn read_call_graph(lines: &mut Lines<'_>, tag: &str) -> Result<CallGraph, ModelError> {
-    let n_edges: usize = {
-        let rest = lines.expect_prefixed(&format!("{tag}_edges"))?;
-        lines.parse_count(rest, "edge count")?
-    };
+fn read_call_graph(records: &mut Records<Lines<'_>>, tag: &str) -> Result<CallGraph, ModelError> {
+    let n_edges = records.read(&format!("{tag}_edges"), |r| r.count("edge count"))?;
     let mut edges = Vec::with_capacity(n_edges);
     for _ in 0..n_edges {
-        let rest = lines.expect_prefixed("edge")?;
-        let mut parts = rest.split_whitespace();
-        let (Some(a), Some(b), None) = (parts.next(), parts.next(), parts.next()) else {
-            return Err(lines.bad("edge needs exactly two symbols".into()));
-        };
-        edges.push((a.to_owned(), b.to_owned()));
+        edges.push(
+            records.read("edge", |r| {
+                Ok((r.word("symbol")?.to_owned(), r.word("symbol")?.to_owned()))
+            })?,
+        );
     }
-    let n_chains: usize = {
-        let rest = lines.expect_prefixed(&format!("{tag}_chains"))?;
-        lines.parse_count(rest, "chain count")?
-    };
+    let n_chains = records.read(&format!("{tag}_chains"), |r| r.count("chain count"))?;
     let mut chains = Vec::with_capacity(n_chains);
     for _ in 0..n_chains {
-        let rest = lines.expect_prefixed("chain")?;
-        chains.push(rest.split_whitespace().map(str::to_owned).collect());
+        chains.push(records.read("chain", |r| r.all(|_, symbol| Ok(symbol.to_owned())))?);
     }
     Ok(CallGraph::from_parts(edges, chains))
 }
 
-fn read_kernel(lines: &mut Lines<'_>) -> Result<Kernel, ModelError> {
-    let rest = lines.expect_prefixed("kernel")?;
-    let mut parts = rest.split_whitespace();
-    let kernel = match parts.next() {
-        Some("linear") => Kernel::Linear,
-        Some("gaussian") => {
-            let sigma2 = lines.parse(
-                parts.next().ok_or_else(|| lines.bad("gaussian needs sigma2".into()))?,
-                "sigma2",
-            )?;
-            Kernel::Gaussian { sigma2 }
-        }
-        Some("poly") => {
-            let degree = lines.parse(
-                parts.next().ok_or_else(|| lines.bad("poly needs degree".into()))?,
-                "degree",
-            )?;
-            let coef0 = lines.parse(
-                parts.next().ok_or_else(|| lines.bad("poly needs coef0".into()))?,
-                "coef0",
-            )?;
-            Kernel::Polynomial { degree, coef0 }
-        }
-        other => return Err(lines.bad(format!("unknown kernel {other:?}"))),
-    };
-    kernel.validate().map_err(|reason| lines.bad(reason))?;
+fn read_kernel(records: &mut Records<Lines<'_>>) -> Result<Kernel, ModelError> {
+    let kernel = records.read("kernel", |r| match r.word("kernel type")? {
+        "linear" => Ok(Kernel::Linear),
+        "gaussian" => Ok(Kernel::Gaussian { sigma2: r.finite("sigma2")? }),
+        "poly" => Ok(Kernel::Polynomial { degree: r.parse("degree")?, coef0: r.finite("coef0")? }),
+        other => Err(r.bad(format!("unknown kernel {other:?}"))),
+    })?;
+    kernel.validate().map_err(|reason| records.bad(reason))?;
     Ok(kernel)
 }
 
-fn read_encoder(lines: &mut Lines<'_>) -> Result<FeatureEncoder, ModelError> {
-    let rest = lines.expect_prefixed("encoder")?;
-    let tokens: Vec<&str> = rest.split_whitespace().collect();
-    let [linkage, cut_kind, cut_val, window, stride, max_vocab] = tokens.as_slice() else {
-        return Err(lines.bad("encoder needs 6 fields".into()));
-    };
-    let linkage = match *linkage {
-        "average" => Linkage::Average,
-        "single" => Linkage::Single,
-        "complete" => Linkage::Complete,
-        other => return Err(lines.bad(format!("unknown linkage {other:?}"))),
-    };
-    let cut = match *cut_kind {
-        "distance" => CutRule::Distance(lines.parse(cut_val, "cut distance")?),
-        "count" => CutRule::Count(lines.parse(cut_val, "cut count")?),
-        other => return Err(lines.bad(format!("unknown cut rule {other:?}"))),
-    };
-    let config = PreprocessConfig {
-        linkage,
-        cut,
-        window: lines.parse_count(window, "window")?,
-        stride: lines.parse_count(stride, "stride")?,
-        max_vocab: lines.parse(max_vocab, "max_vocab")?,
-    };
+fn read_encoder(records: &mut Records<Lines<'_>>) -> Result<FeatureEncoder, ModelError> {
+    let config = records.read("encoder", |r| {
+        let linkage = match r.word("linkage")? {
+            "average" => Linkage::Average,
+            "single" => Linkage::Single,
+            "complete" => Linkage::Complete,
+            other => return Err(r.bad(format!("unknown linkage {other:?}"))),
+        };
+        let cut = match r.word("cut rule")? {
+            "distance" => CutRule::Distance(r.finite("cut distance")?),
+            "count" => CutRule::Count(r.parse("cut count")?),
+            other => return Err(r.bad(format!("unknown cut rule {other:?}"))),
+        };
+        Ok(PreprocessConfig {
+            linkage,
+            cut,
+            window: r.count("window")?,
+            stride: r.count("stride")?,
+            max_vocab: r.parse("max_vocab")?,
+        })
+    })?;
     if config.window == 0 || config.stride == 0 {
-        return Err(lines.bad("encoder window and stride must be at least 1".into()));
+        return Err(records.bad("encoder window and stride must be at least 1".into()));
     }
-    let lib = read_assigner(lines, "lib")?;
-    let func = read_assigner(lines, "func")?;
+    let lib = read_assigner(records, "lib")?;
+    let func = read_assigner(records, "func")?;
     Ok(FeatureEncoder::from_parts(lib, func, config))
 }
 
-fn read_assigner(lines: &mut Lines<'_>, tag: &str) -> Result<ClusterAssigner<String>, ModelError> {
-    let n: usize = {
-        let rest = lines.expect_prefixed(&format!("{tag}_vocab"))?;
-        lines.parse_count(rest, "vocab size")?
-    };
+fn read_assigner(
+    records: &mut Records<Lines<'_>>,
+    tag: &str,
+) -> Result<ClusterAssigner<String>, ModelError> {
+    let n = records.read(&format!("{tag}_vocab"), |r| r.count("vocab size"))?;
     let mut members = Vec::with_capacity(n);
     let mut labels = Vec::with_capacity(n);
     for _ in 0..n {
-        let rest = lines.expect_prefixed("set")?;
-        let mut parts = rest.split_whitespace();
-        let label = lines.parse(
-            parts.next().ok_or_else(|| lines.bad("set needs a label".into()))?,
-            "cluster label",
-        )?;
+        let (label, set) = records.read("set", |r| {
+            Ok((r.parse("cluster label")?, r.all(|_, member| Ok(member.to_owned()))?))
+        })?;
         labels.push(label);
-        members.push(parts.map(str::to_owned).collect());
+        members.push(set);
     }
-    ClusterAssigner::try_new(members, labels).map_err(|reason| lines.bad(reason))
+    ClusterAssigner::try_new(members, labels).map_err(|reason| records.bad(reason))
 }
 
-fn read_svm(lines: &mut Lines<'_>) -> Result<SvmClassifier, ModelError> {
-    let rest = lines.expect_prefixed("tuned")?;
-    let mut parts = rest.split_whitespace();
-    let lambda: f64 = lines
-        .parse(parts.next().ok_or_else(|| lines.bad("tuned needs lambda".into()))?, "lambda")?;
-    let sigma2: f64 = lines
-        .parse(parts.next().ok_or_else(|| lines.bad("tuned needs sigma2".into()))?, "sigma2")?;
-    let kernel = read_kernel(lines)?;
-    let bias: f64 = {
-        let rest = lines.expect_prefixed("bias")?;
-        lines.parse_finite(rest, "bias")?
-    };
-    let n: usize = {
-        let rest = lines.expect_prefixed("sv_count")?;
-        lines.parse_count(rest, "support vector count")?
-    };
-    let first_sv_line = lines.line_no + 1;
+fn read_svm(records: &mut Records<Lines<'_>>) -> Result<SvmClassifier, ModelError> {
+    let tuned = records.read("tuned", |r| {
+        let (lambda, sigma2) = (r.finite("lambda")?, r.finite("sigma2")?);
+        if lambda <= 0.0 || sigma2 <= 0.0 {
+            return Err(r.bad(format!("tuned lambda {lambda:?} and sigma2 {sigma2:?} must be > 0")));
+        }
+        Ok((lambda, sigma2))
+    })?;
+    let kernel = read_kernel(records)?;
+    let bias = records.read("bias", |r| r.finite("bias"))?;
+    let n = records.read("sv_count", |r| r.count("support vector count"))?;
+    let first_sv_line = records.line_no + 1;
     let mut support = Vec::with_capacity(n);
     let mut alpha_y = Vec::with_capacity(n);
     for _ in 0..n {
-        let rest = lines.expect_prefixed("sv")?;
-        let mut values = rest.split_whitespace();
-        let ay: f64 = lines.parse_finite(
-            values.next().ok_or_else(|| lines.bad("sv needs alpha_y".into()))?,
-            "alpha_y",
-        )?;
-        let x: Result<Vec<f64>, ModelError> =
-            values.map(|v| lines.parse_finite(v, "feature value")).collect();
+        let (ay, x) = records.read("sv", |r| {
+            Ok((r.finite("alpha_y")?, r.all(|r, v| r.finite_of(v, "feature value"))?))
+        })?;
         alpha_y.push(ay);
-        support.push(x?);
+        support.push(x);
     }
-    let encoder = read_encoder(lines)?;
+    let encoder = read_encoder(records)?;
     let dim = 3 * encoder.config().window;
     if let Some(i) = support.iter().position(|sv| sv.len() != dim) {
         return Err(ModelError::BadRecord {
@@ -909,68 +942,38 @@ fn read_svm(lines: &mut Lines<'_>) -> Result<SvmClassifier, ModelError> {
     Ok(SvmClassifier {
         model: SvmModel::from_parts(support, alpha_y, bias, kernel),
         encoder,
-        tuned: (lambda, sigma2),
+        tuned,
     })
 }
 
-fn read_hmm_model(lines: &mut Lines<'_>, tag: &str) -> Result<Hmm, ModelError> {
-    let rest = lines.expect_prefixed(tag)?;
-    let mut parts = rest.split_whitespace();
-    let states: usize = lines
-        .parse_count(parts.next().ok_or_else(|| lines.bad("hmm needs states".into()))?, "states")?;
-    let symbols: usize = lines.parse_count(
-        parts.next().ok_or_else(|| lines.bad("hmm needs symbols".into()))?,
-        "symbols",
-    )?;
+fn read_hmm_model(records: &mut Records<Lines<'_>>, tag: &str) -> Result<Hmm, ModelError> {
+    let (states, symbols) = records.read(tag, |r| Ok((r.count("states")?, r.count("symbols")?)))?;
     if states == 0 || symbols == 0 {
-        return Err(lines.bad(format!("{tag} needs at least one state and one symbol")));
+        return Err(records.bad(format!("{tag} needs at least one state and one symbol")));
     }
-    let mut matrices = Vec::with_capacity(3);
-    // (name, rows, row width): π is one row over the states, A one row
-    // per state over the states, B one row per state over the symbols.
-    for (name, rows, width) in [("pi", 1, states), ("a", states, states), ("b", states, symbols)] {
-        let rest = lines.expect_prefixed(name)?;
-        let values: Result<Vec<f64>, ModelError> =
-            rest.split_whitespace().map(|v| lines.parse(v, "probability")).collect();
-        let values = values?;
-        if values.len() != rows * width {
-            return Err(lines.bad(format!(
-                "{name} has {} values, expected {}",
-                values.len(),
-                rows * width
-            )));
-        }
+    // π is one row over the states, A one row per state over the
+    // states, B one row per state over the symbols.
+    let mut matrix = |name: &str, rows: usize, width: usize| -> Result<Vec<f64>, ModelError> {
+        let values = records.floats(name, rows * width)?;
         check_stochastic(&format!("{tag} {name}"), &values, width)
-            .map_err(|reason| lines.bad(reason))?;
-        matrices.push(values);
-    }
-    let b = matrices.pop().expect("pushed above");
-    let a = matrices.pop().expect("pushed above");
-    let pi = matrices.pop().expect("pushed above");
+            .map_err(|reason| records.bad(reason))?;
+        Ok(values)
+    };
+    let pi = matrix("pi", 1, states)?;
+    let a = matrix("a", states, states)?;
+    let b = matrix("b", states, symbols)?;
     Ok(Hmm::from_parts(states, symbols, pi, a, b))
 }
 
-fn read_hmm(lines: &mut Lines<'_>) -> Result<HmmDetector, ModelError> {
-    let encoder = read_encoder(lines)?;
-    let n: usize = {
-        let rest = lines.expect_prefixed("symbols")?;
-        lines.parse_count(rest, "symbol count")?
-    };
+fn read_hmm(records: &mut Records<Lines<'_>>) -> Result<HmmDetector, ModelError> {
+    let encoder = read_encoder(records)?;
+    let n = records.read("symbols", |r| r.count("symbol count"))?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let rest = lines.expect_prefixed("sym")?;
-        let tokens: Vec<&str> = rest.split_whitespace().collect();
-        let [id, e, l, f] = tokens.as_slice() else {
-            return Err(lines.bad("sym needs 4 fields".into()));
-        };
-        entries.push((
-            (
-                lines.parse(e, "event type")?,
-                lines.parse(l, "lib cluster")?,
-                lines.parse(f, "func cluster")?,
-            ),
-            lines.parse(id, "symbol id")?,
-        ));
+        entries.push(records.read("sym", |r| {
+            let id = r.parse("symbol id")?;
+            Ok(((r.parse("event type")?, r.parse("lib cluster")?, r.parse("func cluster")?), id))
+        })?);
     }
     // `SymbolTable::from_entries` requires dense ids and unique tuples;
     // validate here so corrupt files get a diagnosis instead of a panic.
@@ -978,18 +981,18 @@ fn read_hmm(lines: &mut Lines<'_>) -> Result<HmmDetector, ModelError> {
     let mut uniq = std::collections::HashSet::new();
     for &(key, id) in &entries {
         if id >= n || seen[id] || !uniq.insert(key) {
-            return Err(lines.bad(format!("symbol table entries are not dense at id {id}")));
+            return Err(records.bad(format!("symbol table entries are not dense at id {id}")));
         }
         seen[id] = true;
     }
     let table = SymbolTable::from_entries(entries);
-    let benign = read_hmm_model(lines, "benign_hmm")?;
-    let mixed = read_hmm_model(lines, "mixed_hmm")?;
+    let benign = read_hmm_model(records, "benign_hmm")?;
+    let mixed = read_hmm_model(records, "mixed_hmm")?;
     // Detection looks up symbols 0..n, plus n for an unseen observation;
     // both models must emit every one of them.
     let (b, m) = (benign.symbol_count(), mixed.symbol_count());
     if b != m || b < table.alphabet_size() {
-        return Err(lines.bad(format!(
+        return Err(records.bad(format!(
             "benign_hmm has {b} symbols and mixed_hmm {m}; both must be equal and cover the \
              {} symbol-table ids plus the unknown symbol",
             n
@@ -1153,6 +1156,12 @@ mod tests {
             (edit_line(&text, "encoder ", |l| l.replace(" 10 2 ", " 0 2 ")), "window"),
             (edit_line(&text, "set ", |_| "set 0 zz aa".into()), "not sorted"),
             (edit_line(&text, "set ", |_| "set 9999 aa".into()), "not dense"),
+            (edit_line(&text, "tuned ", |l| set_token(l, 1, "NaN")), "lambda NaN"),
+            (edit_line(&text, "tuned ", |l| set_token(l, 2, "inf")), "sigma2 inf"),
+            (edit_line(&text, "tuned ", |l| set_token(l, 1, "0.0")), "must be > 0"),
+            (edit_line(&text, "tuned ", |l| set_token(l, 2, "-1.0")), "must be > 0"),
+            (edit_line(&text, "encoder ", |l| set_token(l, 3, "NaN")), "cut distance NaN"),
+            (edit_line(&text, "encoder ", |l| set_token(l, 3, "inf")), "cut distance inf"),
         ];
         for (bad, needle) in cases {
             let err = load_classifier(&bad).expect_err(needle);
@@ -1193,10 +1202,10 @@ mod tests {
         lines.join("\n")
     }
 
-    /// Replaces the first value of a `pi`/`a`/`b` line.
-    fn first_value(line: &str, value: &str) -> String {
+    /// Replaces token `index` of a record line (0 is its tag).
+    fn set_token(line: &str, index: usize, value: &str) -> String {
         let mut tokens: Vec<&str> = line.split(' ').collect();
-        tokens[1] = value;
+        tokens[index] = value;
         tokens.join(" ")
     }
 
@@ -1218,10 +1227,10 @@ mod tests {
         assert!(load_classifier(&shrink_alphabet(&text, "benign_hmm", symbols)).is_ok());
         let both_shrunk = shrink_alphabet(&shrink_alphabet(&text, "benign_hmm", 3), "mixed_hmm", 3);
         let cases: Vec<(String, &str)> = vec![
-            (edit_line(&text, "pi ", |l| first_value(l, "NaN")), "not a probability"),
-            (edit_line(&text, "pi ", |l| first_value(l, "-5")), "not a probability"),
-            (edit_line(&text, "b ", |l| first_value(l, "inf")), "not a probability"),
-            (edit_line(&text, "a ", |l| first_value(l, "2.0")), "row 0 sums to"),
+            (edit_line(&text, "pi ", |l| set_token(l, 1, "NaN")), "not a probability"),
+            (edit_line(&text, "pi ", |l| set_token(l, 1, "-5")), "not a probability"),
+            (edit_line(&text, "b ", |l| set_token(l, 1, "inf")), "not a probability"),
+            (edit_line(&text, "a ", |l| set_token(l, 1, "2.0")), "row 0 sums to"),
             (edit_line(&text, "benign_hmm ", |_| "benign_hmm 0 1".into()), "at least one state"),
             (both_shrunk, "symbol-table ids"),
             (shrink_alphabet(&text, "mixed_hmm", symbols - 1), "symbol-table ids"),
@@ -1241,6 +1250,47 @@ mod tests {
         assert!(err.to_string().contains("implausible"), "{err}");
     }
 
+    /// One of four corruptions of `text`: a truncation at an arbitrary
+    /// byte (the formats are ASCII), a deleted line, a duplicated line, or
+    /// one token overwritten with garbage or with a value no count,
+    /// probability or duration can take.
+    fn mutate(text: &str, rng: &mut leaps_etw::rng::SimRng) -> String {
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        match rng.below(4) {
+            0 => return text[..rng.below(text.len())].to_owned(),
+            1 => drop(lines.remove(rng.below(lines.len()))),
+            2 => {
+                let victim = rng.below(lines.len());
+                lines.insert(victim, lines[victim].clone());
+            }
+            _ => {
+                let garbage = ["999999999999999999", "NaN", "-5", "inf"][rng.below(4)];
+                let victim = rng.below(lines.len());
+                let mut tokens: Vec<&str> = lines[victim].split_whitespace().collect();
+                if !tokens.is_empty() {
+                    let t = rng.below(tokens.len());
+                    tokens[t] = garbage;
+                }
+                lines[victim] = tokens.join(" ");
+            }
+        }
+        lines.join("\n")
+    }
+
+    /// A load of `text` either succeeded or failed with an error that
+    /// points inside `text`.
+    fn assert_located<T>(text: &str, loaded: &Result<T, ModelError>) {
+        match loaded {
+            Ok(_) | Err(ModelError::BadHeader | ModelError::Truncated) => {}
+            Err(ModelError::BadRecord { line, reason }) => {
+                let lines = text.lines().count();
+                assert!((1..=lines).contains(line), "line {line} of {lines}: {reason}");
+                assert!(!reason.contains('\n'), "one line: {reason}");
+            }
+            Err(other) => panic!("unexpected error {other}"),
+        }
+    }
+
     #[test]
     fn corrupted_model_files_never_panic() {
         use leaps_etw::rng::SimRng;
@@ -1251,59 +1301,124 @@ mod tests {
             let text = save_classifier(&clf);
             let mut rng = SimRng::new(0xc0_44 ^ m as u64);
             for _ in 0..40 {
-                let mutated = match rng.below(4) {
-                    // Truncate at an arbitrary byte (the format is ASCII).
-                    0 => text[..rng.below(text.len())].to_owned(),
-                    // Delete one line.
-                    1 => {
-                        let victim = rng.below(text.lines().count());
-                        text.lines()
-                            .enumerate()
-                            .filter(|(i, _)| *i != victim)
-                            .map(|(_, l)| l)
-                            .collect::<Vec<_>>()
-                            .join("\n")
-                    }
-                    // Duplicate one line.
-                    2 => {
-                        let victim = rng.below(text.lines().count());
-                        let mut lines: Vec<&str> = text.lines().collect();
-                        lines.insert(victim, lines[victim]);
-                        lines.join("\n")
-                    }
-                    // Mangle one line: overwrite a token with garbage
-                    // or with a value no probability can take.
-                    _ => {
-                        let garbage = ["999999999999999999", "NaN", "-5", "inf"][rng.below(4)];
-                        let victim = rng.below(text.lines().count());
-                        let lines: Vec<String> = text
-                            .lines()
-                            .enumerate()
-                            .map(|(i, l)| {
-                                if i == victim {
-                                    let mut tokens: Vec<&str> = l.split_whitespace().collect();
-                                    if !tokens.is_empty() {
-                                        let t = rng.below(tokens.len());
-                                        tokens[t] = garbage;
-                                    }
-                                    tokens.join(" ")
-                                } else {
-                                    l.to_owned()
-                                }
-                            })
-                            .collect();
-                        lines.join("\n")
-                    }
-                };
+                let mutated = mutate(&text, &mut rng);
                 // Must return Ok (benign mutation) or a clean Err — never
                 // panic, never attempt an absurd allocation. A model that
                 // loads must also detect without panicking.
-                if let Ok(loaded) = load_classifier(&mutated) {
+                let loaded = load_classifier(&mutated);
+                assert_located(&mutated, &loaded);
+                if let Ok(loaded) = loaded {
                     let mut detector = crate::stream::StreamDetector::new(loaded);
                     let _ = detector.push_all(d.malicious.iter().take(40).cloned());
                 }
             }
         }
+    }
+
+    #[test]
+    fn corrupted_checkpoints_and_manifests_never_panic() {
+        use crate::experiment::{
+            parse_manifest, render_manifest, CellOutcome, CellReport, SweepReport,
+        };
+        use leaps_etw::rng::SimRng;
+        let n = 24;
+        let smo = SmoState {
+            alpha: (0..n).map(|i| f64::from(i % 5) / 8.0).collect(),
+            grad: (0..n).map(|i| f64::from(i) / 3.0 - 4.0).collect(),
+            iterations: 17,
+        };
+        let cv =
+            CvState { scores: (0..n).map(|i| (i % 7 != 0).then(|| f64::from(i) / 30.0)).collect() };
+        let hmm = HmmState {
+            iteration: 2,
+            states: 2,
+            symbols: 3,
+            pi: vec![0.25, 0.75],
+            a: vec![0.5, 0.5, 0.1, 0.9],
+            b: vec![0.2, 0.3, 0.5, 0.6, 0.3, 0.1],
+            rng: [9, 8, 7, 6],
+        };
+        type Decode = fn(&Checkpoint) -> Result<(), ModelError>;
+        let decode: [(Checkpoint, Decode); 3] = [
+            (smo_checkpoint(&smo, 3, [1, 2, 3, 4]), |c| smo_state(c).map(drop)),
+            (cv_checkpoint(&cv, 4, [1, 2, 3, 4]), |c| cv_state(c).map(drop)),
+            (hmm_checkpoint(&hmm, 5), |c| hmm_state(c).map(drop)),
+        ];
+        for (k, (ckpt, decode)) in decode.into_iter().enumerate() {
+            let text = save_checkpoint(&ckpt);
+            let mut rng = SimRng::new(0xc4_97 ^ k as u64);
+            for _ in 0..40 {
+                let mutated = mutate(&text, &mut rng);
+                let loaded = load_checkpoint(&mutated).and_then(|c| decode(&c));
+                assert_located(&mutated, &loaded);
+            }
+        }
+
+        let cell = |scenario: &str, method, outcome| CellReport {
+            scenario: scenario.into(),
+            method,
+            outcome,
+            secs: 1.5,
+        };
+        let metrics =
+            crate::metrics::Metrics { acc: 0.875, ppv: 0.5, tpr: 0.25, tnr: 1.0, npv: 0.6 };
+        let report = SweepReport {
+            cells: vec![
+                cell("vim_reverse_tcp", Method::Wsvm, CellOutcome::Ok(metrics)),
+                cell("putty_codeinject", Method::Svm, CellOutcome::Ok(metrics)),
+                cell("a", Method::CGraph, CellOutcome::Error("data error: too few".into())),
+                cell("b", Method::Hmm, CellOutcome::Panicked("boom; at x".into())),
+                cell("c", Method::Wsvm, CellOutcome::Deadline),
+            ],
+        };
+        let text = render_manifest(&report);
+        let mut rng = SimRng::new(0x5e_e9);
+        for _ in 0..40 {
+            let mutated = mutate(&text, &mut rng);
+            assert_located(&mutated, &parse_manifest(&mutated));
+        }
+    }
+
+    #[test]
+    fn records_after_the_last_one_are_refused_at_their_line() {
+        let d = dataset();
+        let (train, _) = d.split_benign(0.5, 7);
+        let clf = train_classifier(Method::Wsvm, &train, &d.mixed, &PipelineConfig::fast(), 7);
+        let text = save_classifier(&clf);
+        let lines = text.lines().count();
+        // Blank lines after the last record are no record.
+        assert!(load_classifier(&format!("{text}\n \n")).is_ok());
+        let last = text.lines().last().unwrap();
+        for (bad, line) in
+            [(format!("{text}{text}"), lines + 1), (format!("{text}{last}\n"), lines + 1)]
+        {
+            match load_classifier(&bad) {
+                Err(ModelError::BadRecord { line: at, reason }) => {
+                    assert_eq!(at, line, "{reason}");
+                    assert!(reason.contains("after the last record"), "{reason}");
+                }
+                other => panic!("expected a bad record at line {line}, got {other:?}"),
+            }
+        }
+
+        let ckpt = save_checkpoint(&smo_checkpoint(
+            &SmoState { alpha: vec![0.5], grad: vec![-0.5], iterations: 1 },
+            3,
+            [1, 1, 1, 1],
+        ));
+        for bad in [format!("{ckpt}end\n"), format!("{ckpt}{ckpt}")] {
+            match load_checkpoint(&bad) {
+                Err(ModelError::BadRecord { line: 10, reason }) => {
+                    assert!(reason.contains("after the last record"), "{reason}");
+                }
+                other => panic!("expected a bad record at line 10, got {other:?}"),
+            }
+        }
+        // A payload record no stage reads is refused at its file line.
+        let mut extra = load_checkpoint(&ckpt).unwrap();
+        extra.payload.push("grad 1.0".into());
+        let err = smo_state(&extra).unwrap_err();
+        assert!(matches!(err, ModelError::BadRecord { line: 9, .. }), "{err}");
     }
 
     #[test]

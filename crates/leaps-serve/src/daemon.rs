@@ -35,7 +35,7 @@ use crate::session::{Session, SessionReport, Submit, VerdictSink};
 use leaps_core::error::LeapsError;
 use leaps_core::stream::{EncodeScratch, Verdict};
 use leaps_obs::{Histogram, Lazy, MetricsRegistry, Snapshot, Span, Value};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -47,6 +47,11 @@ use std::time::Duration;
 /// Read deadline on daemon connections: the cadence at which an idle
 /// handler thread re-checks shutdown and the idle TTL.
 pub(crate) const CONN_POLL: Duration = Duration::from_millis(200);
+
+/// The longest request line, in bytes without its newline. A longer
+/// line is refused once and skipped, so one client cannot make the
+/// daemon buffer, or echo back, an unbounded line.
+const MAX_LINE: usize = 64 * 1024;
 
 /// Where a daemon listens (and a client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -430,6 +435,8 @@ fn handle_connection(
     let mut scratch = EncodeScratch::default();
     let mut drains: Vec<Arc<Session>> = Vec::new();
     let mut line: Vec<u8> = Vec::new();
+    // Set after an over-long line is refused, until its newline is read.
+    let mut skipping = false;
     let mut last_activity_us = leaps_obs::now_micros();
     loop {
         // Only a read that finds no complete line buffered can block:
@@ -441,8 +448,15 @@ fn handle_connection(
             }
         }
         // Bytes, not `read_line`: a line that is not UTF-8 gets an
-        // `ERR proto` reply like any other malformed line.
-        match reader.read_until(b'\n', &mut line) {
+        // `ERR proto` reply like any other malformed line. One byte past
+        // the cap tells an over-long line from one of exactly `MAX_LINE`.
+        let read = if skipping {
+            reader.skip_until(b'\n')
+        } else {
+            let budget = (MAX_LINE + 1 - line.len()) as u64;
+            (&mut reader).take(budget).read_until(b'\n', &mut line)
+        };
+        match read {
             Ok(0) => break, // EOF: client went away
             Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
@@ -466,6 +480,23 @@ fn handle_connection(
             Err(_) => break,
         }
         last_activity_us = leaps_obs::now_micros();
+        if skipping {
+            // The newline (or EOF, which the next read sees) is reached.
+            skipping = false;
+            continue;
+        }
+        if line.len() > MAX_LINE && line.last() != Some(&b'\n') {
+            line.clear();
+            skipping = true;
+            let reply = Reply::Err {
+                family: "proto".to_owned(),
+                message: format!("line longer than {MAX_LINE} bytes"),
+            };
+            if replies.send(&reply).is_err() {
+                break;
+            }
+            continue;
+        }
         let Some(request) = Request::read(&line) else {
             line.clear();
             continue;

@@ -693,3 +693,30 @@ fn a_line_that_is_not_utf8_gets_an_error_and_the_connection_lives_on() {
     assert!(acks[1].contains(" session.submitted=1 "), "{}", acks[1]);
     shut_down(raw, daemon);
 }
+
+#[test]
+fn an_over_long_line_gets_one_short_error_and_the_connection_lives_on() {
+    use std::io::Write;
+    let (mut raw, daemon) = raw_daemon("over-long");
+    // A line of exactly the cap is read as a request.
+    raw.writer.write_all(&[b'Y'; 64 * 1024]).unwrap();
+    raw.writer.write_all(b"\n").unwrap();
+    assert!(raw.line().starts_with("ERR proto unknown command \"YYYY"));
+    // 1 MiB with no space (the unknown-command reply used to echo it
+    // whole), sent in pieces so the skip spans several reads.
+    let chunk = vec![b'X'; 64 * 1024];
+    for _ in 0..16 {
+        raw.writer.write_all(&chunk).unwrap();
+    }
+    raw.writer.write_all(b"\n").unwrap();
+    let reply = raw.line();
+    assert_eq!(reply, "ERR proto line longer than 65536 bytes");
+    // The rest of the long line is skipped, not read as commands, and the
+    // open session keeps working.
+    raw.burst(&[Command::Event { pid: 7, event: event(0, true) }, Command::Stats { pid: Some(7) }]);
+    let acks: Vec<String> =
+        raw.until_acks(2).into_iter().filter(|l| !l.starts_with("VERDICT ")).collect();
+    assert_eq!(acks[0], "OK event");
+    assert!(acks[1].contains(" session.submitted=1 "), "{}", acks[1]);
+    shut_down(raw, daemon);
+}
