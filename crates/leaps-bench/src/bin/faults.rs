@@ -19,6 +19,7 @@
 //! `LEAPS_FAULT_METHOD` (default `wsvm`).
 
 use leaps::core::config::PipelineConfig;
+use leaps::core::metrics::ConfusionMatrix;
 use leaps::core::pipeline::{try_train_classifier, Method};
 use leaps::core::stream::StreamDetector;
 use leaps::etw::scenario::{GenParams, Scenario};
@@ -148,20 +149,21 @@ fn run_cell(
     // Stream over faulted production telemetry: benign should stay
     // benign, standalone payload should be flagged.
     let mut detector = StreamDetector::new(classifier);
-    let benign_verdicts = detector.push_all(benign_prod);
+    let mut cm = ConfusionMatrix::default();
+    for v in detector.push_all(benign_prod) {
+        cm.record_benign(v.benign);
+    }
     detector.resync();
-    let malicious_verdicts = detector.push_all(malicious_prod);
+    for v in detector.push_all(malicious_prod) {
+        cm.record_malicious(!v.benign);
+    }
     let stats = detector.stats();
     cell.gaps = stats.gaps as u64;
     cell.missing = stats.missing;
     cell.duplicates = stats.duplicates;
     cell.degraded_verdicts = stats.degraded_verdicts;
-    cell.verdicts = benign_verdicts.len() + malicious_verdicts.len();
-    if cell.verdicts > 0 {
-        let correct = benign_verdicts.iter().filter(|v| v.benign).count()
-            + malicious_verdicts.iter().filter(|v| !v.benign).count();
-        cell.accuracy = Some(correct as f64 / cell.verdicts as f64);
-    }
+    cell.verdicts = cm.total();
+    cell.accuracy = (cell.verdicts > 0).then(|| cm.metrics().acc);
     cell
 }
 

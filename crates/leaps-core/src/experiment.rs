@@ -395,12 +395,20 @@ pub fn render_manifest(report: &SweepReport) -> String {
 /// (an honest sweep never writes otherwise: [`Metrics`] reports an
 /// undefined ratio as 0).
 ///
+/// A manifest has no end marker, but [`render_manifest`] ends every line
+/// with a newline. A last line without one was cut short, and a cut
+/// inside a metric or a message would otherwise load as a shorter
+/// value, so it is refused as [`ModelError::Truncated`].
+///
 /// # Errors
 ///
 /// [`ModelError`] on malformed or meaningless input, with its line
 /// number.
 pub fn parse_manifest(text: &str) -> Result<SweepReport, ModelError> {
     let mut records = Records::new(text, SWEEP_HEADER)?;
+    if !text.ends_with('\n') {
+        return Err(ModelError::Truncated);
+    }
     let mut report = SweepReport::default();
     while let Some(mut r) = records.next_record("cell")? {
         let scenario = r.word("scenario")?.to_owned();
@@ -650,6 +658,33 @@ mod tests {
         assert!(parse_manifest("").is_err());
         assert!(parse_manifest("# LEAPS-SWEEP v1\ncell x Wat ok 0.0\n").is_err());
         assert!(parse_manifest("# LEAPS-SWEEP v1\ncell x WSVM ok 0.0 1.0\n").is_err());
+    }
+
+    #[test]
+    fn manifest_cut_inside_its_last_line_is_truncated() {
+        let cell = |outcome| CellReport {
+            scenario: "vim_reverse_tcp".into(),
+            method: Method::Wsvm,
+            outcome,
+            secs: 1.25,
+        };
+        let metrics =
+            Metrics { acc: 0.875, ppv: 0.5, tpr: 0.25, tnr: 1.0, npv: 0.829_787_234_042_553_2 };
+        let error = CellOutcome::Error("data error: too few mixed events (need 10, got 3)".into());
+        for last in [CellOutcome::Ok(metrics), error] {
+            let report = SweepReport { cells: vec![cell(CellOutcome::Deadline), cell(last)] };
+            let text = render_manifest(&report);
+            assert_eq!(parse_manifest(&text).unwrap(), report);
+            // Cut 8 bytes before the end: inside the last metric or the
+            // last words of the message, which would parse as a value.
+            let cut = &text[..text.len() - 8];
+            assert!(matches!(parse_manifest(cut), Err(ModelError::Truncated)), "{cut:?}");
+            // Only the final newline missing is a cut too.
+            assert!(matches!(parse_manifest(text.trim_end()), Err(ModelError::Truncated)));
+        }
+        // A manifest of no cells is its header line.
+        assert_eq!(parse_manifest(&format!("{SWEEP_HEADER}\n")).unwrap(), SweepReport::default());
+        assert!(matches!(parse_manifest(SWEEP_HEADER), Err(ModelError::Truncated)));
     }
 
     #[test]

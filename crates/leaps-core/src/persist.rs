@@ -74,9 +74,9 @@ impl fmt::Display for ModelError {
         match self {
             ModelError::BadHeader => write!(f, "missing `{MODEL_HEADER}` header"),
             ModelError::BadRecord { line, reason } => {
-                write!(f, "bad model record at line {line}: {reason}")
+                write!(f, "bad record at line {line}: {reason}")
             }
-            ModelError::Truncated => write!(f, "model file ended unexpectedly"),
+            ModelError::Truncated => write!(f, "file ended unexpectedly"),
             ModelError::InFile { path, inner } => write!(f, "{path}: {inner}"),
         }
     }
@@ -426,12 +426,13 @@ pub fn smo_checkpoint(state: &SmoState, fingerprint: u64, rng: [u64; 4]) -> Chec
 ///
 /// # Errors
 ///
-/// [`ModelError`] if the checkpoint is not a well-formed `smo` stage.
+/// [`ModelError`] if the checkpoint is not a well-formed `smo` stage,
+/// including a gradient entry that is not finite.
 pub fn smo_state(ckpt: &Checkpoint) -> Result<SmoState, ModelError> {
     verify_checkpoint(ckpt, "smo", ckpt.fingerprint)?;
     let mut records = ckpt.records();
     let alpha = records.read("alpha", |r| r.all(|r, v| r.parsed(v, "alpha value")))?;
-    let grad = records.read("grad", |r| r.all(|r, v| r.parsed(v, "grad value")))?;
+    let grad = records.read("grad", |r| r.all(|r, v| r.finite_of(v, "grad value")))?;
     if alpha.len() != grad.len() || alpha.is_empty() {
         return Err(records.bad(format!(
             "alpha/grad length mismatch ({} vs {})",
@@ -509,7 +510,9 @@ pub fn hmm_checkpoint(state: &HmmState, fingerprint: u64) -> Checkpoint {
 /// # Errors
 ///
 /// [`ModelError`] if the checkpoint is not a well-formed `hmm` stage
-/// (wrong matrix dimensions, all-zero RNG state, …).
+/// (wrong matrix dimensions, a row of π, A or B that is not a
+/// distribution, all-zero RNG state, …), at the line that holds the
+/// fault.
 pub fn hmm_state(ckpt: &Checkpoint) -> Result<HmmState, ModelError> {
     verify_checkpoint(ckpt, "hmm", ckpt.fingerprint)?;
     if ckpt.rng.iter().all(|&w| w == 0) {
@@ -528,9 +531,9 @@ pub fn hmm_state(ckpt: &Checkpoint) -> Result<HmmState, ModelError> {
         };
         Ok((dim("states")?, dim("symbols")?))
     })?;
-    let pi = records.floats("pi", states)?;
-    let a = records.floats("a", states * states)?;
-    let b = records.floats("b", states * symbols)?;
+    let pi = records.distributions("pi", 1, states, "resume state")?;
+    let a = records.distributions("a", states, states, "resume state")?;
+    let b = records.distributions("b", states, symbols, "resume state")?;
     records.finish()?;
     Ok(HmmState { iteration: ckpt.progress as usize, states, symbols, pi, a, b, rng: ckpt.rng })
 }
@@ -701,6 +704,22 @@ impl<'a, I: Iterator<Item = &'a str>> Records<I> {
         if values.len() != expected {
             return Err(self.bad(format!("{tag} has {} values, expected {expected}", values.len())));
         }
+        Ok(values)
+    }
+
+    /// The next record, which must carry `tag` and `rows` rows of `width`
+    /// probabilities, each row a distribution (see [`check_stochastic`]);
+    /// the reason names `owner` and `tag`.
+    fn distributions(
+        &mut self,
+        tag: &str,
+        rows: usize,
+        width: usize,
+        owner: &str,
+    ) -> Result<Vec<f64>, ModelError> {
+        let values = self.floats(tag, rows * width)?;
+        check_stochastic(&format!("{owner} {tag}"), &values, width)
+            .map_err(|reason| self.bad(reason))?;
         Ok(values)
     }
 
@@ -953,15 +972,9 @@ fn read_hmm_model(records: &mut Records<Lines<'_>>, tag: &str) -> Result<Hmm, Mo
     }
     // π is one row over the states, A one row per state over the
     // states, B one row per state over the symbols.
-    let mut matrix = |name: &str, rows: usize, width: usize| -> Result<Vec<f64>, ModelError> {
-        let values = records.floats(name, rows * width)?;
-        check_stochastic(&format!("{tag} {name}"), &values, width)
-            .map_err(|reason| records.bad(reason))?;
-        Ok(values)
-    };
-    let pi = matrix("pi", 1, states)?;
-    let a = matrix("a", states, states)?;
-    let b = matrix("b", states, symbols)?;
+    let pi = records.distributions("pi", 1, states, tag)?;
+    let a = records.distributions("a", states, states, tag)?;
+    let b = records.distributions("b", states, symbols, tag)?;
     Ok(Hmm::from_parts(states, symbols, pi, a, b))
 }
 
@@ -1374,7 +1387,12 @@ mod tests {
         let text = render_manifest(&report);
         let mut rng = SimRng::new(0x5e_e9);
         for _ in 0..40 {
+            // `mutate` drops the final newline, which alone refuses a
+            // manifest as cut short; put it back so the damage inside
+            // the lines is read too.
             let mutated = mutate(&text, &mut rng);
+            assert_located(&mutated, &parse_manifest(&mutated));
+            let mutated = format!("{mutated}\n");
             assert_located(&mutated, &parse_manifest(&mutated));
         }
     }
@@ -1422,10 +1440,47 @@ mod tests {
     }
 
     #[test]
+    fn value_faults_in_a_checkpoint_are_refused_at_their_record() {
+        let smo = SmoState { alpha: vec![0.5, 0.25], grad: vec![f64::NAN, -0.5], iterations: 3 };
+        match smo_state(&smo_checkpoint(&smo, 3, [1, 2, 3, 4])) {
+            Err(ModelError::BadRecord { line: 8, reason }) => {
+                assert!(reason.contains("grad value NaN is not finite"), "{reason}");
+            }
+            other => panic!("expected a bad record at line 8, got {other:?}"),
+        }
+        let good = HmmState {
+            iteration: 2,
+            states: 2,
+            symbols: 3,
+            pi: vec![0.25, 0.75],
+            a: vec![0.5, 0.5, 0.1, 0.9],
+            b: vec![0.2, 0.3, 0.5, 0.6, 0.3, 0.1],
+            rng: [9, 8, 7, 6],
+        };
+        assert_eq!(hmm_state(&hmm_checkpoint(&good, 5)).unwrap(), good);
+        let bad_pi = HmmState { pi: vec![0.25, 0.5], ..good.clone() };
+        let bad_a = HmmState { a: vec![0.5, 0.5, 0.2, 0.9], ..good.clone() };
+        let bad_b = HmmState { b: vec![0.2, 0.3, 0.5, -0.6, 0.3, 0.1], ..good };
+        for (state, line, needle) in [
+            (bad_pi, 8, "resume state pi row 0 sums to 0.75"),
+            (bad_a, 9, "resume state a row 1 sums to 1.1"),
+            (bad_b, 10, "resume state b holds -0.6"),
+        ] {
+            match hmm_state(&hmm_checkpoint(&state, 5)) {
+                Err(ModelError::BadRecord { line: at, reason }) => {
+                    assert_eq!(at, line, "{reason}");
+                    assert!(reason.contains(needle), "{reason}");
+                }
+                other => panic!("expected a bad record at line {line}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn errors_display() {
         assert!(ModelError::BadHeader.to_string().contains("LEAPS-MODEL"));
         let e = ModelError::BadRecord { line: 3, reason: "x".into() };
-        assert!(e.to_string().contains("line 3"));
+        assert_eq!(e.to_string(), "bad record at line 3: x");
     }
 
     #[test]

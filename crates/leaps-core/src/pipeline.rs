@@ -38,6 +38,7 @@ use crate::persist::{
     save_checkpoint_to, smo_checkpoint, smo_state, verify_checkpoint, Checkpoint, ModelError,
     CKPT_PAYLOAD_LINE,
 };
+use crate::stream::{EncodeScratch, StreamDetector};
 use leaps_cfg::infer::infer_cfg;
 use leaps_cfg::weight::assess_weights;
 use leaps_cgraph::classify::{CallGraphClassifier, Decision};
@@ -52,6 +53,7 @@ use leaps_svm::model::SvmModel;
 use leaps_svm::smo::{train_resumable as smo_train_resumable, SmoParams};
 use leaps_trace::partition::PartitionedEvent;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// The detection methods: the three the paper compares in Figures 6 and
 /// 7, plus the HMM sequence model it names as future work (Section VI-B).
@@ -113,12 +115,6 @@ pub struct HmmDetector {
 }
 
 impl HmmDetector {
-    /// The dense HMM observation symbol of one event.
-    #[must_use]
-    pub fn symbol(&self, event: &PartitionedEvent) -> usize {
-        self.symbol_of(self.encoder.tuple(event))
-    }
-
     /// The observation symbol of an encoder tuple (see
     /// [`FeatureEncoder::tuple`]); unseen tuples map to the unknown symbol.
     #[must_use]
@@ -142,12 +138,13 @@ impl HmmDetector {
     /// benign-like).
     #[must_use]
     pub fn score_events(&self, events: &[PartitionedEvent]) -> f64 {
-        let symbols: Vec<usize> = events.iter().map(|e| self.symbol(e)).collect();
+        let symbols: Vec<usize> =
+            events.iter().map(|e| self.symbol_of(self.encoder.tuple(e))).collect();
         self.score_symbols(&symbols)
     }
 
     /// Per-symbol log-likelihood ratio of a window of observation
-    /// symbols (see [`HmmDetector::symbol`]); positive = benign-like.
+    /// symbols (see [`HmmDetector::symbol_of`]); positive = benign-like.
     #[must_use]
     pub fn score_symbols(&self, symbols: &[usize]) -> f64 {
         self.clf.score(symbols)
@@ -475,7 +472,10 @@ impl StageSink<'_> {
         };
         verify_checkpoint(&ckpt, tag, self.fingerprint).map_err(in_file)?;
         // A state that decodes but does not fit this run is refused,
-        // never resumed: a bad record at its first payload line.
+        // never resumed: a bad record at its first payload line. The
+        // decoders have already refused faults in the values themselves
+        // (a non-finite gradient, a row that is not a distribution) at
+        // their own lines.
         let state = decode(&ckpt)
             .and_then(|state| {
                 fits(&state)
@@ -697,9 +697,18 @@ impl Classifier {
     /// Evaluates the classifier on held-out benign events (expected
     /// positive) and pure malicious events (expected negative).
     ///
-    /// SVM-family classifiers are scored per coalesced data point;
-    /// the call-graph model is scored per event, with undecidable
-    /// outcomes counted as misclassifications (Section III-D-1).
+    /// SVM-family and HMM classifiers are scored by the detector that
+    /// serves ([`StreamDetector`]), one verdict per coalesced window, with
+    /// a fresh detector per log so no window straddles the two. The
+    /// held-out benign half is made of chunks whose sequence numbers
+    /// jump, so many of its verdicts are `degraded`: the flag does not
+    /// change a score. As in the detector, an event that repeats the
+    /// previous sequence number is dropped.
+    ///
+    /// The call-graph model is scored per event, with undecidable
+    /// outcomes counted as misclassifications on both sides (Section
+    /// III-D-1). The stream reports an undecidable event as not benign,
+    /// which would count it as a caught malicious event.
     #[must_use]
     pub fn evaluate(
         &self,
@@ -707,47 +716,27 @@ impl Classifier {
         malicious_test: &[PartitionedEvent],
     ) -> ConfusionMatrix {
         let mut cm = ConfusionMatrix::default();
-        match self {
-            Classifier::CGraph(model) => {
-                for e in benign_test {
-                    cm.record_benign(model.classify(e) == Decision::Benign);
-                }
-                for e in malicious_test {
-                    cm.record_malicious(model.classify(e) == Decision::Malicious);
-                }
+        if let Classifier::CGraph(model) = self {
+            for e in benign_test {
+                cm.record_benign(model.classify(e) == Decision::Benign);
             }
-            Classifier::Svm(svm) => {
-                let benign_refs: Vec<&PartitionedEvent> = benign_test.iter().collect();
-                let malicious_refs: Vec<&PartitionedEvent> = malicious_test.iter().collect();
-                let (benign_points, _) = svm.encoder.encode_sequence(&benign_refs);
-                let (malicious_points, _) = svm.encoder.encode_sequence(&malicious_refs);
-                for p in &benign_points {
-                    cm.record_benign(svm.model.predict(p) == 1.0);
-                }
-                for p in &malicious_points {
-                    cm.record_malicious(svm.model.predict(p) == -1.0);
-                }
+            for e in malicious_test {
+                cm.record_malicious(model.classify(e) == Decision::Malicious);
             }
-            Classifier::Hmm(hmm) => {
-                // Score the same 10-event windows the SVM family uses.
-                let window = hmm.encoder.config().window;
-                let stride = hmm.encoder.config().stride;
-                let score =
-                    |events: &[PartitionedEvent], cm: &mut ConfusionMatrix, benign: bool| {
-                        let symbols: Vec<usize> = events.iter().map(|e| hmm.symbol(e)).collect();
-                        let mut start = 0;
-                        while start + window <= symbols.len() {
-                            let verdict = hmm.clf.is_benign(&symbols[start..start + window]);
-                            if benign {
-                                cm.record_benign(verdict);
-                            } else {
-                                cm.record_malicious(!verdict);
-                            }
-                            start += stride;
-                        }
-                    };
-                score(benign_test, &mut cm, true);
-                score(malicious_test, &mut cm, false);
+            return cm;
+        }
+        let classifier = Arc::new(self.clone());
+        let mut scratch = EncodeScratch::default();
+        for (events, benign) in [(benign_test, true), (malicious_test, false)] {
+            let mut detector = StreamDetector::new(Arc::clone(&classifier));
+            for e in events {
+                if let Some(v) = detector.push_encoded(e.num, classifier.encode(&mut scratch, e)) {
+                    if benign {
+                        cm.record_benign(v.benign);
+                    } else {
+                        cm.record_malicious(!v.benign);
+                    }
+                }
             }
         }
         cm
@@ -827,6 +816,28 @@ mod tests {
         // The call-graph model catches a decent share of pure-malicious
         // events (payload-only chains).
         assert!(cm.metrics().tnr > 0.2, "{:?}", cm.metrics());
+    }
+
+    #[test]
+    fn undecidable_malicious_events_count_as_missed() {
+        let d = dataset("putty_reverse_tcp");
+        let (train, _) = d.split_benign(0.5, 1);
+        let c = train_classifier(Method::CGraph, &train, &d.mixed, &PipelineConfig::fast(), 1);
+        let Classifier::CGraph(model) = &c else { panic!("expected the call-graph model") };
+        let undecidable: Vec<PartitionedEvent> = d
+            .malicious
+            .iter()
+            .filter(|e| model.classify(e) == Decision::Undecidable)
+            .cloned()
+            .collect();
+        assert!(!undecidable.is_empty(), "no undecidable malicious event to count");
+        // Section III-D-1: an undecidable event is a miss, so a malicious
+        // one is a false positive, never a true negative...
+        let cm = c.evaluate(&[], &undecidable);
+        assert_eq!((cm.tn, cm.fp), (0, undecidable.len()));
+        // ...although the stream reports it as not benign.
+        let verdicts = StreamDetector::new(c.clone()).push_all(undecidable);
+        assert!(verdicts.iter().all(|v| !v.benign));
     }
 
     #[test]
@@ -963,6 +974,67 @@ mod tests {
         assert_eq!(err.exit_code(), 4, "{err}");
         assert!(err.to_string().contains("fingerprint"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Pauses a `method` run at its first checkpoint of `stage`, sets
+    /// the first value of the file's line `line` to `value`, and returns
+    /// the error of resuming from the damaged file.
+    fn resume_damaged(method: Method, stage: &str, line: usize, value: &str) -> LeapsError {
+        let d = dataset("vim_reverse_tcp");
+        let (train, _) = d.split_benign(0.5, 1);
+        let cfg = PipelineConfig::fast();
+        let dir = scratch_dir(&format!("damaged-{stage}"));
+        let mut spec = CheckpointSpec::new(&dir);
+        spec.every = 1;
+        spec.deadline = Some(0); // expired from the start: pause at every boundary
+        loop {
+            match try_train_classifier_checkpointed(method, &train, &d.mixed, &cfg, 7, &spec)
+                .unwrap()
+            {
+                TrainRun::Paused { stage: at, .. } if at == stage => break,
+                TrainRun::Paused { .. } => spec.resume = true,
+                TrainRun::Done(_) => panic!("{method:?} never paused at {stage}"),
+            }
+        }
+        let path = spec.file(stage);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let damaged: Vec<String> = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| {
+                let mut tokens: Vec<&str> = l.split(' ').collect();
+                if i + 1 == line {
+                    tokens[2] = value; // `p`, the record tag, then values
+                }
+                tokens.join(" ") + "\n"
+            })
+            .collect();
+        std::fs::write(&path, damaged.concat()).unwrap();
+        spec.resume = true;
+        spec.deadline = None;
+        let err = try_train_classifier_checkpointed(method, &train, &d.mixed, &cfg, 7, &spec)
+            .unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        err
+    }
+
+    #[test]
+    fn a_nan_gradient_is_refused_at_its_line() {
+        let err = resume_damaged(Method::Wsvm, "smo", 8, "NaN");
+        assert_eq!(err.exit_code(), 4, "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("smo.ckpt: bad record at line 8: grad value NaN"), "{msg}");
+    }
+
+    #[test]
+    fn a_transition_row_off_one_is_refused_at_its_line() {
+        let err = resume_damaged(Method::Hmm, "hmm-benign", 9, "2.0");
+        assert_eq!(err.exit_code(), 4, "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("hmm-benign.ckpt: bad record at line 9: resume state a row 0"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -359,25 +359,9 @@ impl StreamDetector {
         Some(Verdict { last_event: num, benign: value >= 0.0, score: Some(value), degraded })
     }
 
-    /// Feeds many events, appending every verdict to `out`: the caller
-    /// owns (and reuses) the output buffer across batches.
-    pub fn push_all_into(
-        &mut self,
-        events: impl IntoIterator<Item = PartitionedEvent>,
-        out: &mut Vec<Verdict>,
-    ) {
-        for event in events {
-            if let Some(verdict) = self.push(event) {
-                out.push(verdict);
-            }
-        }
-    }
-
     /// Feeds many events, collecting every verdict.
     pub fn push_all(&mut self, events: impl IntoIterator<Item = PartitionedEvent>) -> Vec<Verdict> {
-        let mut out = Vec::new();
-        self.push_all_into(events, &mut out);
-        out
+        events.into_iter().filter_map(|event| self.push(event)).collect()
     }
 }
 
@@ -584,22 +568,6 @@ mod tests {
         assert!(Verdict::parse_line(&line.replace("benign=1", "benign=yes")).is_none());
         assert!(Verdict::parse_line(&line.replace("num=9", "num=nine")).is_none());
         assert!(Verdict::parse_line(&line.replace("score=1.5", "score=")).is_none());
-    }
-
-    #[test]
-    fn push_all_into_matches_push_all_and_appends() {
-        let d = dataset();
-        let (train, test) = d.split_benign(0.5, 5);
-        let clf = train_classifier(Method::Wsvm, &train, &d.mixed, &PipelineConfig::fast(), 5);
-        let mut a = StreamDetector::new(clf.clone());
-        let mut b = StreamDetector::new(clf);
-        let expected = a.push_all(test.iter().take(80).cloned());
-        let sentinel =
-            Verdict { last_event: u64::MAX, benign: false, score: None, degraded: false };
-        let mut out = vec![sentinel.clone()];
-        b.push_all_into(test.iter().take(80).cloned(), &mut out);
-        assert_eq!(out[0], sentinel, "existing contents are preserved");
-        assert_eq!(&out[1..], &expected[..]);
     }
 
     #[test]

@@ -11,9 +11,7 @@
 use crate::config::PipelineConfig;
 use crate::dataset::Dataset;
 use crate::metrics::Metrics;
-use crate::pipeline::{
-    sample_points, tune_and_solve, tuning_grid, Method, StageSink, SvmClassifier,
-};
+use crate::pipeline::{sample_points, tune_and_solve, tuning_grid, Classifier, Method, StageSink};
 use leaps_cluster::features::FeatureEncoder;
 use leaps_etw::rng::SimRng;
 use leaps_svm::data::TrainSet;
@@ -23,7 +21,10 @@ use leaps_trace::partition::PartitionedEvent;
 /// the per-dataset benign test splits used for evaluation.
 #[derive(Debug, Clone)]
 pub struct UniversalClassifier {
-    classifier: SvmClassifier,
+    /// The pooled SVM-family classifier.
+    classifier: Classifier,
+    /// Its tuned (λ, σ²).
+    tuned: (f64, f64),
 }
 
 impl UniversalClassifier {
@@ -69,10 +70,10 @@ impl UniversalClassifier {
             sample_points(method, &encoder, train, &d.mixed, config, &mut rng, &mut samples);
         }
         let train_set = TrainSet::new(samples).expect("pooled training set is degenerate");
-        let classifier =
+        let svm =
             tune_and_solve(encoder, &train_set, &tuning_grid(config, seed), &mut StageSink::off())
                 .expect("training without checkpoints never halts");
-        UniversalClassifier { classifier }
+        UniversalClassifier { tuned: svm.tuned, classifier: Classifier::Svm(svm) }
     }
 
     /// Evaluates the universal classifier on one dataset's held-out
@@ -80,15 +81,13 @@ impl UniversalClassifier {
     #[must_use]
     pub fn evaluate(&self, dataset: &Dataset, config: &PipelineConfig, seed: u64) -> Metrics {
         let (_, test) = dataset.split_benign(config.benign_train_fraction, seed);
-        crate::pipeline::Classifier::Svm(self.classifier.clone())
-            .evaluate(&test, &dataset.malicious)
-            .metrics()
+        self.classifier.evaluate(&test, &dataset.malicious).metrics()
     }
 
     /// The tuned (λ, σ²).
     #[must_use]
     pub fn tuned(&self) -> (f64, f64) {
-        self.classifier.tuned
+        self.tuned
     }
 }
 

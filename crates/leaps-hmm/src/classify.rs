@@ -103,12 +103,6 @@ impl HmmClassifier {
         (self.benign.log_likelihood(seq) - self.mixed.log_likelihood(seq)) / len
     }
 
-    /// Classifies a sequence: `true` = benign.
-    #[must_use]
-    pub fn is_benign(&self, seq: &[usize]) -> bool {
-        self.score(seq) >= 0.0
-    }
-
     /// The positive (benign) model.
     #[must_use]
     pub fn benign_model(&self) -> &Hmm {
@@ -202,9 +196,8 @@ mod tests {
         let benign = repeat_pattern(&[0, 1, 2], 200);
         let mixed = repeat_pattern(&[3, 4], 200);
         let clf = HmmClassifier::fit(&benign, &mixed, 5, 40, &HmmParams::default());
-        assert!(clf.is_benign(&repeat_pattern(&[0, 1, 2], 12)));
-        assert!(!clf.is_benign(&repeat_pattern(&[3, 4], 12)));
         assert!(clf.score(&repeat_pattern(&[0, 1, 2], 12)) > 0.0);
+        assert!(clf.score(&repeat_pattern(&[3, 4], 12)) < 0.0);
     }
 
     #[test]
@@ -215,7 +208,7 @@ mod tests {
         let mixed: Vec<usize> =
             (0..300).map(|i| if (i / 25) % 2 == 0 { i % 2 } else { 2 + i % 2 }).collect();
         let clf = HmmClassifier::fit(&benign, &mixed, 4, 50, &HmmParams::default());
-        assert!(!clf.is_benign(&repeat_pattern(&[2, 3], 12)));
+        assert!(clf.score(&repeat_pattern(&[2, 3], 12)) < 0.0);
     }
 
     #[test]

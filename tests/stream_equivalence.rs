@@ -4,13 +4,15 @@
 //!   returns the generic string scan's labels on paper-scale events;
 //! * a `StreamDetector`, which encodes each event once into its ring,
 //!   scores every window exactly as the batch encoders do — across gaps,
-//!   duplicates and `resync`.
+//!   duplicates and `resync`;
+//! * `Classifier::evaluate`, which counts those verdicts, gives the
+//!   confusion matrix of the batch window scores.
 
 use leaps::cluster::features::{FeatureEncoder, PreprocessConfig};
-use leaps::core::config::PipelineConfig;
+use leaps::core::config::{PipelineConfig, TuningConfig};
 use leaps::core::pipeline::{train_classifier, Classifier, Method};
 use leaps::core::stream::StreamDetector;
-use leaps::core::Dataset;
+use leaps::core::{ConfusionMatrix, Dataset};
 use leaps::etw::scenario::{GenParams, Scenario};
 use leaps::trace::partition::PartitionedEvent;
 
@@ -119,6 +121,36 @@ fn assert_stream_matches_batch(method: Method) {
     detector.resync();
     let after = numbered(&d.mixed[..120], 5000, &[]);
     assert_eq!(stream_scores(&mut detector, &after), batch_scores(&classifier, &after));
+}
+
+/// `Classifier::evaluate` counts the detector's verdicts: on the real
+/// held-out benign half, whose 40-event chunks leave gaps in the
+/// sequence numbers, and on the malicious log, its confusion matrix is
+/// the sign count of the batch window scores (a score ≥ 0 is benign).
+#[test]
+fn evaluate_counts_the_signs_of_the_batch_windows_on_paper_scale_data() {
+    // The paper's 20 % sample with one (λ, σ²) cell: any trained model
+    // will do, and the test trains nine.
+    let config = PipelineConfig { tuning: TuningConfig::fast(), ..PipelineConfig::default() };
+    for name in ["vim_reverse_tcp", "putty_codeinject", "winscp_reverse_tcp"] {
+        let d =
+            Dataset::materialize(Scenario::by_name(name).unwrap(), &GenParams::paper(), 3).unwrap();
+        let (train, test) = d.split_benign(0.5, 3);
+        assert!(test.windows(2).any(|w| w[1].num != w[0].num + 1), "{name}: no chunk gap");
+        for method in [Method::Svm, Method::Wsvm, Method::Hmm] {
+            let classifier = train_classifier(method, &train, &d.mixed, &config, 3);
+            let benign = |bits: &u64| f64::from_bits(*bits) >= 0.0;
+            let mut want = ConfusionMatrix::default();
+            for bits in batch_scores(&classifier, &test) {
+                want.record_benign(benign(&bits));
+            }
+            for bits in batch_scores(&classifier, &d.malicious) {
+                want.record_malicious(!benign(&bits));
+            }
+            assert!(want.total() > 500, "{name} {method:?}: {want:?}");
+            assert_eq!(classifier.evaluate(&test, &d.malicious), want, "{name} {method:?}");
+        }
+    }
 }
 
 #[test]
