@@ -15,12 +15,11 @@
 //! costs one O(active) scan over the cache plus a Lance–Williams row
 //! update, and only the rows whose cached neighbor was touched by the
 //! merge are rescanned — O(n²) expected overall instead of the O(n³)
-//! full rescan. The initial cache build, the row updates and the batch
-//! of rescans fan out across the `leaps_par` pool; all selection logic
-//! runs on the calling thread, so the merge sequence is bit-identical
-//! to the serial path at any thread count. The retired full-rescan
-//! implementation is kept as [`Dendrogram::build_rescan`] and serves as
-//! the test oracle.
+//! full rescan. It runs on the calling thread: at the vocabulary cap of
+//! a few hundred sets one build takes a few milliseconds, and a thread
+//! fan-out per merge costs about as much as it saves. The retired
+//! full-rescan implementation is kept as [`Dendrogram::build_rescan`]
+//! and serves as the test oracle.
 //!
 //! # Non-finite distances
 //!
@@ -83,12 +82,6 @@ fn neighbor_cmp(a: (f64, usize), b: (f64, usize)) -> Ordering {
     dist_cmp(a.0, b.0).then(a.1.cmp(&b.1))
 }
 
-/// Work-size threshold below which the per-merge fan-outs stay on the
-/// calling thread: the selection math is pure, so serial and pooled
-/// execution are interchangeable, and spawning scoped threads for a few
-/// hundred float ops would only add latency.
-const PAR_WORK_THRESHOLD: usize = 1 << 14;
-
 /// One merge step of the dendrogram. Node ids: leaves are `0..n`, the
 /// cluster created by `merges[k]` has id `n + k` (SciPy convention).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,7 +109,7 @@ impl Dendrogram {
     /// Ties are broken toward the smallest pair indices so the result is
     /// deterministic, and non-finite distances sort after every finite
     /// one (see the module docs) — the result is bit-identical to
-    /// [`Dendrogram::build_rescan`] at any `leaps_par` thread count.
+    /// [`Dendrogram::build_rescan`].
     #[must_use]
     pub fn build(dm: &DistanceMatrix, linkage: Linkage) -> Dendrogram {
         let n = dm.len();
@@ -151,44 +144,20 @@ impl Dendrogram {
             }
             best
         };
-        let mut nn: Vec<Option<(f64, usize)>> = if n * n >= PAR_WORK_THRESHOLD {
-            leaps_par::par_map_indexed(n, |i| row_nn(&dist, &clusters, i))
-        } else {
-            (0..n).map(|i| row_nn(&dist, &clusters, i)).collect()
-        };
+        let mut nn: Vec<Option<(f64, usize)>> =
+            (0..n).map(|i| row_nn(&dist, &clusters, i)).collect();
 
         while active > 1 {
             // Closest active pair: minimal (distance, i, j) over the
-            // cache — cheap O(n), chunk-parallel for very large n (the
-            // min under a total order is reduction-order independent).
-            let best_of = |offset: usize, rows: &[Option<(f64, usize)>]| {
-                let mut best: Option<(f64, usize, usize)> = None;
-                for (di, entry) in rows.iter().enumerate() {
-                    let Some((d, j)) = *entry else { continue };
-                    let cand = (d, offset + di, j);
-                    let better = match best {
-                        None => true,
-                        Some((bd, bi, _)) => {
-                            dist_cmp(d, bd).then(cand.1.cmp(&bi)) == Ordering::Less
-                        }
-                    };
-                    if better {
-                        best = Some(cand);
-                    }
+            // cache — a cheap O(n) scan.
+            let mut best: Option<(f64, usize, usize)> = None;
+            for (i, entry) in nn.iter().enumerate() {
+                let Some((d, j)) = *entry else { continue };
+                if best.is_none_or(|(bd, bi, _)| dist_cmp(d, bd).then(i.cmp(&bi)) == Ordering::Less)
+                {
+                    best = Some((d, i, j));
                 }
-                best
-            };
-            let best = if n >= PAR_WORK_THRESHOLD {
-                leaps_par::par_chunks(&nn, 4096, best_of).into_iter().flatten().reduce(|a, b| {
-                    if dist_cmp(a.0, b.0).then(a.1.cmp(&b.1)) == Ordering::Greater {
-                        b
-                    } else {
-                        a
-                    }
-                })
-            } else {
-                best_of(0, &nn)
-            };
+            }
             let (d, i, j) = best.expect("at least two active clusters have a closest pair");
             let (id_i, size_i) = clusters[i].expect("active");
             let (id_j, size_j) = clusters[j].expect("active");
@@ -200,26 +169,12 @@ impl Dendrogram {
                 size: merged_size,
             });
 
-            // Lance–Williams update: new cluster occupies slot i. The
-            // updated distances are pure functions of the old row pair,
-            // so they fan out across the pool and are written back in
-            // index order.
-            let ks: Vec<usize> =
-                (0..n).filter(|&k| k != i && k != j && clusters[k].is_some()).collect();
-            let updated: Vec<f64> = if ks.len() >= PAR_WORK_THRESHOLD {
-                leaps_par::par_chunks(&ks, 4096, |_, chunk| {
-                    chunk
-                        .iter()
-                        .map(|&k| linkage.update(size_i, size_j, dist[i * n + k], dist[j * n + k]))
-                        .collect::<Vec<f64>>()
-                })
-                .concat()
-            } else {
-                ks.iter()
-                    .map(|&k| linkage.update(size_i, size_j, dist[i * n + k], dist[j * n + k]))
-                    .collect()
-            };
-            for (&k, &v) in ks.iter().zip(&updated) {
+            // Lance–Williams update: new cluster occupies slot i.
+            for k in 0..n {
+                if k == i || k == j || clusters[k].is_none() {
+                    continue;
+                }
+                let v = linkage.update(size_i, size_j, dist[i * n + k], dist[j * n + k]);
                 dist[i * n + k] = v;
                 dist[k * n + i] = v;
             }
@@ -234,35 +189,26 @@ impl Dendrogram {
             // rescan, otherwise the new dist[k][i] can only *join* the
             // competition, which is a single compare. A row i < k < j
             // only loses column j; rows k > j see no change at all.
-            let mut stale = vec![i];
+            nn[i] = row_nn(&dist, &clusters, i);
             for k in 0..i {
                 if clusters[k].is_none() {
                     continue;
                 }
                 match nn[k] {
-                    Some((_, t)) if t == i || t == j => stale.push(k),
+                    Some((_, t)) if t == i || t == j => nn[k] = row_nn(&dist, &clusters, k),
                     Some(old) => {
                         let cand = (dist[k * n + i], i);
                         if neighbor_cmp(cand, old) == Ordering::Less {
                             nn[k] = Some(cand);
                         }
                     }
-                    None => stale.push(k),
+                    None => nn[k] = row_nn(&dist, &clusters, k),
                 }
             }
             for k in (i + 1)..j {
                 if clusters[k].is_some() && nn[k].is_some_and(|(_, t)| t == j) {
-                    stale.push(k);
+                    nn[k] = row_nn(&dist, &clusters, k);
                 }
-            }
-            let rescanned: Vec<Option<(f64, usize)>> =
-                if stale.len().saturating_mul(n) >= PAR_WORK_THRESHOLD {
-                    leaps_par::par_map(&stale, |&k| row_nn(&dist, &clusters, k))
-                } else {
-                    stale.iter().map(|&k| row_nn(&dist, &clusters, k)).collect()
-                };
-            for (&k, &entry) in stale.iter().zip(&rescanned) {
-                nn[k] = entry;
             }
         }
         Dendrogram { n_leaves: n, merges }

@@ -30,8 +30,8 @@
 //! # Ok::<(), leaps_core::error::LeapsError>(())
 //! ```
 
-/// Thread-fan-out helpers (`par_map`, `par_chunks`, `LEAPS_THREADS`
-/// handling), re-exported from the bottom-level `leaps-par` crate so
+/// Thread-fan-out helpers (`par_map`, `par_map_indexed`,
+/// `LEAPS_THREADS` handling), re-exported from the bottom-level `leaps-par` crate so
 /// pipeline users configure parallelism through one facade.
 pub use leaps_par as par;
 

@@ -559,13 +559,8 @@ fn write_call_graph(out: &mut String, tag: &str, graph: &CallGraph) {
 }
 
 fn write_kernel(out: &mut String, kernel: Kernel) {
-    match kernel {
-        Kernel::Linear => out.push_str("kernel linear\n"),
-        Kernel::Gaussian { sigma2 } => out.push_str(&format!("kernel gaussian {sigma2:?}\n")),
-        Kernel::Polynomial { degree, coef0 } => {
-            out.push_str(&format!("kernel poly {degree} {coef0:?}\n"));
-        }
-    }
+    let Kernel::Gaussian { sigma2 } = kernel;
+    out.push_str(&format!("kernel gaussian {sigma2:?}\n"));
 }
 
 fn write_encoder(out: &mut String, encoder: &FeatureEncoder) {
@@ -870,9 +865,7 @@ fn read_call_graph(records: &mut Records<Lines<'_>>, tag: &str) -> Result<CallGr
 
 fn read_kernel(records: &mut Records<Lines<'_>>) -> Result<Kernel, ModelError> {
     let kernel = records.read("kernel", |r| match r.word("kernel type")? {
-        "linear" => Ok(Kernel::Linear),
         "gaussian" => Ok(Kernel::Gaussian { sigma2: r.finite("sigma2")? }),
-        "poly" => Ok(Kernel::Polynomial { degree: r.parse("degree")?, coef0: r.finite("coef0")? }),
         other => Err(r.bad(format!("unknown kernel {other:?}"))),
     })?;
     kernel.validate().map_err(|reason| records.bad(reason))?;
@@ -1155,7 +1148,8 @@ mod tests {
             (edit_line(&text, "kernel ", |_| "kernel gaussian 0.0".into()), "sigma2"),
             (edit_line(&text, "kernel ", |_| "kernel gaussian -1.0".into()), "sigma2"),
             (edit_line(&text, "kernel ", |_| "kernel gaussian inf".into()), "sigma2"),
-            (edit_line(&text, "kernel ", |_| "kernel poly 2 NaN".into()), "coef0"),
+            (edit_line(&text, "kernel ", |_| "kernel poly 2 NaN".into()), "unknown kernel"),
+            (edit_line(&text, "kernel ", |_| "kernel linear".into()), "unknown kernel"),
             (edit_line(&text, "bias ", |_| "bias NaN".into()), "bias"),
             (edit_line(&text, "sv ", |l| l.replacen("sv ", "sv inf ", 1)), "alpha_y"),
             (edit_line(&text, "sv ", |l| format!("{l} NaN")), "feature value"),

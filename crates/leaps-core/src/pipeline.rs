@@ -447,14 +447,15 @@ impl StageSink<'_> {
     /// The saved state of `stage` when resuming: its file's envelope must
     /// carry stage tag `tag` and this run's fingerprint, and the state
     /// `decode` reads from it must pass `fits`, or it is refused as a
-    /// model error naming the file. `Ok(None)` without a spec, when not
-    /// resuming, or when the file does not exist yet.
+    /// model error naming the file. `fits` names the record at fault;
+    /// [`misfit`] names the first payload record. `Ok(None)` without a
+    /// spec, when not resuming, or when the file does not exist yet.
     fn resume<S>(
         &self,
         stage: &str,
         tag: &str,
         decode: impl FnOnce(&Checkpoint) -> Result<S, ModelError>,
-        fits: impl FnOnce(&S) -> Result<(), String>,
+        fits: impl FnOnce(&S) -> Result<(), ModelError>,
     ) -> Result<Option<S>, LeapsError> {
         let Some(spec) = self.spec.filter(|spec| spec.resume) else {
             return Ok(None);
@@ -472,14 +473,12 @@ impl StageSink<'_> {
         };
         verify_checkpoint(&ckpt, tag, self.fingerprint).map_err(in_file)?;
         // A state that decodes but does not fit this run is refused,
-        // never resumed: a bad record at its first payload line. The
-        // decoders have already refused faults in the values themselves
-        // (a non-finite gradient, a row that is not a distribution) at
-        // their own lines.
+        // never resumed. The decoders have already refused faults in the
+        // values themselves (a non-finite gradient, a row that is not a
+        // distribution) at their own lines.
         let state = decode(&ckpt)
             .and_then(|state| {
-                fits(&state)
-                    .map_err(|reason| ModelError::BadRecord { line: CKPT_PAYLOAD_LINE, reason })?;
+                fits(&state)?;
                 Ok(state)
             })
             .map_err(in_file)?;
@@ -494,6 +493,12 @@ impl StageSink<'_> {
             }
         }
     }
+}
+
+/// The refusal of a resume state that does not fit this run, at the
+/// checkpoint's first payload record.
+fn misfit(reason: String) -> ModelError {
+    ModelError::BadRecord { line: CKPT_PAYLOAD_LINE, reason }
 }
 
 /// Length of HMM training chunks: long enough for transition statistics,
@@ -522,7 +527,14 @@ fn hmm_classifier(
     // Both models share the envelope stage tag "hmm"; which model a file
     // belongs to is carried by the file name.
     let params = HmmParams { seed, ..HmmParams::default() };
-    let fits = |state: &HmmState| state.check(table.alphabet_size(), &params);
+    let fits = |state: &HmmState| {
+        // `check` tests the iteration bound first, and the iteration
+        // count is the envelope's `progress` record, line 4.
+        let line = if state.iteration > params.iterations { 4 } else { CKPT_PAYLOAD_LINE };
+        state
+            .check(table.alphabet_size(), &params)
+            .map_err(|reason| ModelError::BadRecord { line, reason })
+    };
     let resume = (
         sink.resume(HMM_STAGES[0], "hmm", hmm_state, fits)?,
         sink.resume(HMM_STAGES[1], "hmm", hmm_state, fits)?,
@@ -659,14 +671,16 @@ pub(crate) fn tune_and_solve(
     // is never consumed on resume.
     let rng_state = SimRng::new(grid.seed).state();
 
-    let cv_resume = sink.resume("cv", "cv", cv_state, |s| s.check(grid.cell_count(train_set)))?;
+    let cv_resume =
+        sink.resume("cv", "cv", cv_state, |s| s.check(grid.cell_count(train_set)).map_err(misfit))?;
     let best = grid.run_resumable(train_set, cv_resume, &mut |state| {
         sink.offer("cv", |fp| cv_checkpoint(state, fp, rng_state))
     });
     let best = best.ok_or_else(|| sink.stopped())?;
 
     let params = SmoParams { lambda: best.lambda, ..Default::default() };
-    let smo_resume = sink.resume("smo", "smo", smo_state, |s| s.check(train_set, &params))?;
+    let smo_resume =
+        sink.resume("smo", "smo", smo_state, |s| s.check(train_set, &params).map_err(misfit))?;
     let model = smo_train_resumable(
         train_set,
         Kernel::Gaussian { sigma2: best.sigma2 },
@@ -983,7 +997,7 @@ mod tests {
         let d = dataset("vim_reverse_tcp");
         let (train, _) = d.split_benign(0.5, 1);
         let cfg = PipelineConfig::fast();
-        let dir = scratch_dir(&format!("damaged-{stage}"));
+        let dir = scratch_dir(&format!("damaged-{stage}-{line}"));
         let mut spec = CheckpointSpec::new(&dir);
         spec.every = 1;
         spec.deadline = Some(0); // expired from the start: pause at every boundary
@@ -1004,7 +1018,9 @@ mod tests {
             .map(|(i, l)| {
                 let mut tokens: Vec<&str> = l.split(' ').collect();
                 if i + 1 == line {
-                    tokens[2] = value; // `p`, the record tag, then values
+                    // A payload line is `p`, the record tag, then values.
+                    let first = if tokens[0] == "p" { 2 } else { 1 };
+                    tokens[first] = value;
                 }
                 tokens.join(" ") + "\n"
             })
@@ -1033,6 +1049,17 @@ mod tests {
         let msg = err.to_string();
         assert!(
             msg.contains("hmm-benign.ckpt: bad record at line 9: resume state a row 0"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn an_iteration_count_past_the_run_is_refused_at_the_progress_line() {
+        let err = resume_damaged(Method::Hmm, "hmm-benign", 4, "999");
+        assert_eq!(err.exit_code(), 4, "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("hmm-benign.ckpt: bad record at line 4: resume state has 999 iterations"),
             "{msg}"
         );
     }

@@ -66,25 +66,25 @@ pub struct HmmState {
 
 impl HmmState {
     /// Checks that this state can resume a Baum–Welch run over `symbols`
-    /// symbols with `params`: the run's dimensions, at most
-    /// `params.iterations` completed iterations, and π, A and B
-    /// row-stochastic (see [`check_stochastic`]).
+    /// symbols with `params`: at most `params.iterations` completed
+    /// iterations, the run's dimensions, and π, A and B row-stochastic
+    /// (see [`check_stochastic`]).
     ///
     /// # Errors
     ///
-    /// A one-line reason naming the first violation.
+    /// A one-line reason naming the first violation, in that order.
     pub fn check(&self, symbols: usize, params: &HmmParams) -> Result<(), String> {
         let n = params.states;
-        if (self.states, self.symbols) != (n, symbols) {
-            return Err(format!(
-                "resume state count mismatch: {} states x {} symbols, the run {n} x {symbols}",
-                self.states, self.symbols
-            ));
-        }
         if self.iteration > params.iterations {
             return Err(format!(
                 "resume state has {} iterations, the run only {}",
                 self.iteration, params.iterations
+            ));
+        }
+        if (self.states, self.symbols) != (n, symbols) {
+            return Err(format!(
+                "resume state count mismatch: {} states x {} symbols, the run {n} x {symbols}",
+                self.states, self.symbols
             ));
         }
         for (name, values, width) in

@@ -153,35 +153,6 @@ where
     par_map_indexed(items.len(), |i| f(&items[i]))
 }
 
-/// Splits `items` into at most `thread_count()` contiguous chunks of at
-/// least `min_chunk` elements, maps `f` over each `(offset, chunk)` and
-/// returns the per-chunk results in offset order.
-///
-/// Use this when per-element work is too small to amortize dynamic
-/// scheduling and the caller wants to process runs of elements at once.
-///
-/// # Panics
-///
-/// Panics if `min_chunk == 0`; propagates panics from `f`.
-pub fn par_chunks<T, U, F>(items: &[T], min_chunk: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> U + Sync,
-{
-    assert!(min_chunk >= 1, "min_chunk must be at least 1");
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let chunks = (items.len() / min_chunk).clamp(1, thread_count());
-    let chunk_len = items.len().div_ceil(chunks);
-    let bounds: Vec<usize> = (0..chunks).map(|c| c * chunk_len).collect();
-    par_map(&bounds, |&start| {
-        let end = (start + chunk_len).min(items.len());
-        f(start, &items[start..end])
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,26 +191,6 @@ mod tests {
         for (i, row) in out.iter().enumerate() {
             assert_eq!(*row, (0..8).map(|j| i * 8 + j).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn par_chunks_covers_every_element_once() {
-        let items: Vec<u32> = (0..997).collect();
-        let chunked = par_chunks(&items, 10, |offset, chunk| (offset, chunk.to_vec()));
-        let mut flattened = Vec::new();
-        let mut expected_offset = 0;
-        for (offset, chunk) in chunked {
-            assert_eq!(offset, expected_offset);
-            expected_offset += chunk.len();
-            flattened.extend(chunk);
-        }
-        assert_eq!(flattened, items);
-    }
-
-    #[test]
-    fn par_chunks_empty_input() {
-        let items: Vec<u32> = Vec::new();
-        assert!(par_chunks(&items, 5, |_, c| c.len()).is_empty());
     }
 
     #[test]

@@ -41,7 +41,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
 /// Read deadline on daemon connections: the cadence at which an idle
@@ -410,8 +410,8 @@ fn err_reply(e: &LeapsError) -> Reply {
 }
 
 /// Drives one connection's command loop until `BYE`, `SHUTDOWN`, EOF,
-/// an I/O error, shutdown, or the idle TTL expiring, then closes any
-/// sessions the client left open.
+/// an I/O error, shutdown, or the idle TTL expiring, then closes the
+/// sessions this connection opened and left open.
 ///
 /// Reads run under the [`CONN_POLL`] deadline; a deadline tick is not an
 /// error but a chance to notice shutdown or idleness. `BufReader` keeps
@@ -432,6 +432,9 @@ fn handle_connection(
     let mut replies = Replies { writer: Arc::clone(&writer), pending: String::new() };
     let mut reader = BufReader::new(stream);
     let mut client: Option<String> = None;
+    // The sessions this connection opened; another connection may share
+    // its client id, so teardown closes these and no others.
+    let mut opened: Vec<Weak<Session>> = Vec::new();
     let mut scratch = EncodeScratch::default();
     let mut drains: Vec<Arc<Session>> = Vec::new();
     let mut line: Vec<u8> = Vec::new();
@@ -516,7 +519,7 @@ fn handle_connection(
             Ok(Request::Command(command)) => {
                 start_drains(server, &mut drains);
                 let latency = spans.start(&command);
-                let outcome = dispatch(server, &writer, &mut client, command);
+                let outcome = dispatch(server, &writer, &mut client, &mut opened, command);
                 drop(latency);
                 match outcome {
                     Dispatch::Reply(reply) => replies.send(&reply),
@@ -542,7 +545,10 @@ fn handle_connection(
     start_drains(server, &mut drains);
     let _ = replies.flush();
     if let Some(client) = client {
-        server.close_client(&client);
+        for session in opened.iter().filter_map(Weak::upgrade) {
+            // Refused if a `CLOSE` or the reaper closed it already.
+            let _ = server.close_session(&client, &session);
+        }
     }
 }
 
@@ -679,6 +685,7 @@ fn dispatch(
     server: &Arc<Server>,
     writer: &Arc<Mutex<Stream>>,
     client: &mut Option<String>,
+    opened: &mut Vec<Weak<Session>>,
     command: Command,
 ) -> Dispatch {
     let proto_err =
@@ -723,17 +730,22 @@ fn dispatch(
         Command::Event { .. } => unreachable!("EVENT lines are read as `Request::Event`"),
         Command::Open { pid, model } => {
             let sink = Arc::new(WriterSink { writer: Arc::clone(writer) });
-            match server.open(client, pid, &model, sink) {
-                Ok(()) => {
+            match server.open_session(client, pid, &model, sink) {
+                Ok(session) => {
+                    opened.push(Arc::downgrade(&session));
                     Dispatch::Reply(Reply::Ok { detail: format!("open pid={pid} model={model}") })
                 }
                 Err(e) => Dispatch::Reply(err_reply(&e)),
             }
         }
         Command::Close { pid } => match server.close(client, pid) {
-            Ok(report) => Dispatch::Reply(Reply::Ok {
-                detail: format!("close pid={pid} {}", report_fields(&report)),
-            }),
+            Ok(report) => {
+                // The live session of `pid` was the one just closed.
+                opened.retain(|s| s.upgrade().is_some_and(|s| s.pid != pid));
+                Dispatch::Reply(Reply::Ok {
+                    detail: format!("close pid={pid} {}", report_fields(&report)),
+                })
+            }
             Err(e) => Dispatch::Reply(err_reply(&e)),
         },
         Command::Stats { pid: Some(pid) } => match server.session_stats(client, pid) {

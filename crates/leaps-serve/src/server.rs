@@ -197,6 +197,18 @@ impl Server {
         model: &str,
         sink: Arc<dyn VerdictSink>,
     ) -> Result<(), LeapsError> {
+        self.open_session(client, pid, model, sink).map(drop)
+    }
+
+    /// [`Server::open`], returning the new session: a connection keeps it
+    /// to close at teardown exactly the sessions it opened.
+    pub(crate) fn open_session(
+        &self,
+        client: &str,
+        pid: u32,
+        model: &str,
+        sink: Arc<dyn VerdictSink>,
+    ) -> Result<Arc<Session>, LeapsError> {
         if self.is_shutting_down() {
             return Err(LeapsError::protocol("server is shutting down"));
         }
@@ -208,11 +220,11 @@ impl Server {
         }
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed);
         let serve = Arc::clone(&self.serve);
-        let session = Session::new(pid, model.to_owned(), shard, classifier, sink, serve);
-        sessions.insert(key, Arc::new(session));
+        let session = Arc::new(Session::new(pid, model.to_owned(), shard, classifier, sink, serve));
+        sessions.insert(key, Arc::clone(&session));
         self.serve.opened.get().inc();
         self.serve.sessions.get().add(1);
-        Ok(())
+        Ok(session)
     }
 
     /// Submits one event to session `(client, pid)`.
@@ -306,7 +318,24 @@ impl Server {
     /// [`LeapsError::Protocol`] if the session does not exist or another
     /// closer is already draining it.
     pub fn close(&self, client: &str, pid: u32) -> Result<SessionReport, LeapsError> {
-        let session = self.session(client, pid)?;
+        self.close_session(client, &self.session(client, pid)?)
+    }
+
+    /// [`Server::close`] of one session of `client`, found by identity
+    /// rather than by key.
+    ///
+    /// # Errors
+    ///
+    /// [`LeapsError::Protocol`] if another closer (a `CLOSE`, the reaper)
+    /// got to the session first. Only that first closer removes the
+    /// session's key, so a later session under the same key is never
+    /// touched.
+    pub(crate) fn close_session(
+        &self,
+        client: &str,
+        session: &Arc<Session>,
+    ) -> Result<SessionReport, LeapsError> {
+        let pid = session.pid;
         {
             let mut state = lock_unpoisoned(&session.state);
             if state.closing {
@@ -321,7 +350,7 @@ impl Server {
                 // scored and this wait terminates.
                 if !state.scheduled && !state.queue.is_empty() {
                     state.scheduled = true;
-                    let worker_session = Arc::clone(&session);
+                    let worker_session = Arc::clone(session);
                     self.pool.submit(session.shard, move || drain(&worker_session));
                 }
                 state = session.idle.wait(state).unwrap_or_else(PoisonError::into_inner);
@@ -331,18 +360,6 @@ impl Server {
         self.serve.closed.get().inc();
         self.serve.sessions.get().add(-1);
         Ok(session.report())
-    }
-
-    /// Closes every session of `client` (connection teardown), returning
-    /// the per-pid reports.
-    pub fn close_client(&self, client: &str) -> Vec<(u32, SessionReport)> {
-        let pids: Vec<u32> = {
-            let sessions = lock_unpoisoned(&self.sessions);
-            sessions.keys().filter(|(c, _)| c == client).map(|&(_, pid)| pid).collect()
-        };
-        pids.into_iter()
-            .filter_map(|pid| self.close(client, pid).ok().map(|report| (pid, report)))
-            .collect()
     }
 
     /// Drains and closes every open session (graceful shutdown),

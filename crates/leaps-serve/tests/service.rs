@@ -232,6 +232,59 @@ fn daemon_speaks_the_protocol_over_tcp_and_shuts_down_gracefully() {
     assert_eq!(drained, 0, "no sessions left open at shutdown");
 }
 
+#[test]
+fn a_leaving_connection_closes_only_its_own_sessions() {
+    // Two connections introduce themselves with the same client id, as
+    // two `leaps submit` runs with the default `--client` do, and each
+    // opens its own pid. One leaves, by `BYE` or by dropping the socket;
+    // the other's session must keep serving and report every event.
+    for (tag, bye) in [("shared-bye", true), ("shared-drop", false)] {
+        let server = Arc::new(Server::new(&config(tag)));
+        let bound = Endpoint::Tcp("127.0.0.1:0".to_owned()).bind().unwrap();
+        let endpoint = bound.endpoint().clone();
+        let daemon_server = Arc::clone(&server);
+        let daemon = std::thread::spawn(move || bound.run(&daemon_server).unwrap());
+
+        let mut stays_verdicts = Vec::new();
+        let mut leaves_verdicts = Vec::new();
+        let mut stays = Client::connect(&endpoint).unwrap();
+        let mut leaves = Client::connect(&endpoint).unwrap();
+        for (client, pid, verdicts) in
+            [(&mut stays, 1, &mut stays_verdicts), (&mut leaves, 2, &mut leaves_verdicts)]
+        {
+            client.expect_ok(&Command::Hello { client: "dup".into() }, verdicts).unwrap();
+            client.expect_ok(&Command::Open { pid, model: "tiny".into() }, verdicts).unwrap();
+            for n in 0..3 {
+                let ack = client.request(&Command::Event { pid, event: event(n, true) }, verdicts);
+                assert!(ack.unwrap().is_ack(), "{tag}");
+            }
+        }
+        if bye {
+            leaves.expect_ok(&Command::Bye, &mut leaves_verdicts).unwrap();
+        }
+        drop(leaves);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while counter(&server, "serve.closed") < 1 {
+            assert!(std::time::Instant::now() < deadline, "{tag}: teardown never closed pid 2");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+
+        for n in 3..5 {
+            let ack = stays
+                .request(&Command::Event { pid: 1, event: event(n, true) }, &mut stays_verdicts);
+            assert!(ack.unwrap().is_ack(), "{tag}: the staying session was closed");
+        }
+        let detail = stays.expect_ok(&Command::Close { pid: 1 }, &mut stays_verdicts).unwrap();
+        assert!(detail.contains("session.submitted=5 "), "{tag}: {detail}");
+        assert!(detail.contains("session.verdicts=5 "), "{tag}: {detail}");
+        assert_eq!(stays_verdicts.len(), 5, "{tag}");
+        assert_eq!(counter(&server, "serve.closed"), 2, "{tag}");
+        stays.expect_ok(&Command::Shutdown, &mut stays_verdicts).unwrap();
+        drop(stays);
+        assert_eq!(daemon.join().unwrap(), 0, "{tag}: no sessions left at shutdown");
+    }
+}
+
 /// A sink that panics on its first delivery, then behaves — the
 /// "crashing job" of the self-healing contract.
 struct PanicOnceSink {

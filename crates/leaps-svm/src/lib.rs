@@ -1,5 +1,5 @@
-//! From-scratch (weighted) support vector machine with kernels, an SMO
-//! solver and cross-validation — the paper's Supervised Statistical
+//! From-scratch (weighted) support vector machine with a Gaussian kernel,
+//! an SMO solver and cross-validation — the paper's Supervised Statistical
 //! Learning Module (Section III-D-2, Eq. 2–5).
 //!
 //! The paper trains a **Weighted SVM**: the usual soft-margin C-SVC where
@@ -17,7 +17,7 @@
 //! use leaps_svm::kernel::Kernel;
 //! use leaps_svm::smo::{SmoParams, train};
 //!
-//! // A tiny linearly separable problem.
+//! // Two small, well-separated clusters.
 //! let samples = vec![
 //!     Sample::new(vec![0.0, 0.0], 1.0, 1.0),
 //!     Sample::new(vec![0.0, 1.0], 1.0, 1.0),
@@ -25,7 +25,7 @@
 //!     Sample::new(vec![3.0, 4.0], -1.0, 1.0),
 //! ];
 //! let set = TrainSet::new(samples)?;
-//! let model = train(&set, Kernel::Linear, &SmoParams::default());
+//! let model = train(&set, Kernel::Gaussian { sigma2: 2.0 }, &SmoParams::default());
 //! assert!(model.decision(&[0.0, 0.5]) > 0.0);
 //! assert!(model.decision(&[3.0, 3.5]) < 0.0);
 //! # Ok::<(), leaps_svm::data::DataError>(())
@@ -35,7 +35,6 @@ pub mod cv;
 pub mod data;
 pub mod kernel;
 pub mod model;
-pub mod scale;
 pub mod smo;
 
 pub use cv::{GridSearch, GridSearchResult};

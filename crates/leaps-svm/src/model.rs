@@ -93,8 +93,7 @@ impl SvmModel {
     /// Bit-identical to `bias + Σᵢ αᵢyᵢ·kernel.eval(xᵢ, x)` summed in
     /// support-vector order: each lane accumulates its raw sum in
     /// dimension order exactly as [`Kernel::eval`] does, and
-    /// [`Kernel::finish`] (the scalar `exp` for the Gaussian kernel) runs
-    /// once per support vector.
+    /// [`Kernel::finish`] (the scalar `exp`) runs once per support vector.
     #[must_use]
     pub fn decision(&self, x: &[f64]) -> f64 {
         debug_assert!(
@@ -103,11 +102,8 @@ impl SvmModel {
         );
         let mut sum = self.bias;
         for (block, alpha_y) in self.block_rows().zip(self.alpha_y.chunks(LANES)) {
-            let raw = match self.kernel {
-                Kernel::Gaussian { .. } => squared_distances(block, x),
-                Kernel::Linear | Kernel::Polynomial { .. } => dots(block, x),
-            };
-            for (&ay, &r) in alpha_y.iter().zip(&raw) {
+            let d2 = squared_distances(block, x);
+            for (&ay, &r) in alpha_y.iter().zip(&d2) {
                 sum += ay * self.kernel.finish(r);
             }
         }
@@ -199,25 +195,16 @@ fn squared_distances(block: &[[f64; LANES]], x: &[f64]) -> [f64; LANES] {
     d2
 }
 
-/// `svₗ · x` for the [`LANES`] support vectors of one block, each summed
-/// from `−0.0` in dimension order as [`Kernel::eval`] sums it.
-fn dots(block: &[[f64; LANES]], x: &[f64]) -> [f64; LANES] {
-    let mut dot = [-0.0; LANES];
-    for (row, &xk) in block.iter().zip(x) {
-        for (acc, &v) in dot.iter_mut().zip(row) {
-            *acc += v * xk;
-        }
-    }
-    dot
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const KERNEL: Kernel = Kernel::Gaussian { sigma2: 1.0 };
+
     fn model() -> SvmModel {
-        // Hand-built: two support vectors at ±1 with a linear kernel →
-        // f(x) = α(k(1,x) − k(−1,x)) = α·2x.
+        // Hand-built: two support vectors at ±1 →
+        // f(x) = α(k(1, x) − k(−1, x)) = 0.5·(e^−(x−1)² − e^−(x+1)²),
+        // which has the sign of x and is exactly 0 at x = 0.
         SvmModel::from_training(
             &[
                 Sample::new(vec![1.0], 1.0, 1.0),
@@ -226,7 +213,7 @@ mod tests {
             ],
             &[0.5, 0.5, 0.0],
             0.0,
-            Kernel::Linear,
+            KERNEL,
             7,
         )
     }
@@ -236,19 +223,25 @@ mod tests {
         let m = model();
         assert_eq!(m.support_vector_count(), 2);
         assert_eq!(m.iterations(), 7);
+        let support: Vec<Vec<f64>> = m.dual_coefficients().map(|(_, sv)| sv).collect();
+        assert_eq!(support, vec![vec![1.0], vec![-1.0]]);
     }
 
     #[test]
     fn decision_matches_hand_computation() {
         let m = model();
-        // f(x) = 0.5·x − 0.5·(−x) = x.
-        assert!((m.decision(&[2.0]) - 2.0).abs() < 1e-12);
-        assert!((m.decision(&[-3.0]) + 3.0).abs() < 1e-12);
+        let f = |x: f64| 0.5 * ((-(x - 1.0).powi(2)).exp() - (-(x + 1.0).powi(2)).exp());
+        for x in [2.0, 0.5, -3.0] {
+            assert!((m.decision(&[x]) - f(x)).abs() < 1e-12, "{x}");
+        }
+        assert!(m.decision(&[2.0]) > 0.0);
+        assert!(m.decision(&[-3.0]) < 0.0);
     }
 
     #[test]
     fn predict_uses_sign_with_zero_positive() {
         let m = model();
+        assert_eq!(m.decision(&[0.0]), 0.0);
         assert_eq!(m.predict(&[0.0]), 1.0);
         assert_eq!(m.predict(&[1.0]), 1.0);
         assert_eq!(m.predict(&[-1e-9]), -1.0);
@@ -260,10 +253,11 @@ mod tests {
             &[Sample::new(vec![1.0], 1.0, 1.0), Sample::new(vec![-1.0], -1.0, 1.0)],
             &[0.5, 0.5],
             1.5,
-            Kernel::Linear,
+            KERNEL,
             1,
         );
-        assert!((m.decision(&[0.0]) - 1.5).abs() < 1e-12);
+        assert_eq!(m.decision(&[0.0]), 1.5);
+        assert!((m.decision(&[2.0]) - 1.5 - model().decision(&[2.0])).abs() < 1e-12);
         assert_eq!(m.bias(), 1.5);
     }
 }

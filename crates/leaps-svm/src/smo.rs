@@ -369,7 +369,7 @@ mod tests {
             Sample::new(vec![3.5, 3.0], -1.0, 1.0),
             Sample::new(vec![3.0, 3.5], -1.0, 1.0),
         ]);
-        let model = train(&s, Kernel::Linear, &SmoParams::default());
+        let model = train(&s, Kernel::Gaussian { sigma2: 8.0 }, &SmoParams::default());
         for sample in s.samples() {
             assert_eq!(model.predict(&sample.x), sample.y, "{:?}", sample.x);
         }
@@ -473,7 +473,7 @@ mod tests {
     #[test]
     fn solver_reports_iterations_and_terminates() {
         let s = set(vec![Sample::new(vec![0.0], 1.0, 1.0), Sample::new(vec![1.0], -1.0, 1.0)]);
-        let model = train(&s, Kernel::Linear, &SmoParams::default());
+        let model = train(&s, Kernel::Gaussian { sigma2: 1.0 }, &SmoParams::default());
         assert!(model.iterations() >= 1);
         assert!(model.iterations() < 1000);
     }
@@ -524,14 +524,14 @@ mod tests {
     fn zero_every_never_checkpoints() {
         let s = overlapping_set();
         let mut calls = 0usize;
-        let model =
-            train_resumable(&s, Kernel::Linear, &SmoParams::default(), None, 0, &mut |_| {
-                calls += 1;
-                true
-            })
-            .unwrap();
+        let kernel = Kernel::Gaussian { sigma2: 0.5 };
+        let model = train_resumable(&s, kernel, &SmoParams::default(), None, 0, &mut |_| {
+            calls += 1;
+            true
+        })
+        .unwrap();
         assert_eq!(calls, 0);
-        assert_eq!(model, train(&s, Kernel::Linear, &SmoParams::default()));
+        assert_eq!(model, train(&s, kernel, &SmoParams::default()));
     }
 
     #[test]
@@ -539,10 +539,8 @@ mod tests {
     fn resume_state_must_match_set() {
         let s = overlapping_set();
         let bogus = SmoState { alpha: vec![0.0; 3], grad: vec![-1.0; 3], iterations: 1 };
-        let _ =
-            train_resumable(&s, Kernel::Linear, &SmoParams::default(), Some(bogus), 0, &mut |_| {
-                true
-            });
+        let kernel = Kernel::Gaussian { sigma2: 0.5 };
+        let _ = train_resumable(&s, kernel, &SmoParams::default(), Some(bogus), 0, &mut |_| true);
     }
 
     #[test]
@@ -574,6 +572,10 @@ mod tests {
     #[should_panic(expected = "lambda must be positive")]
     fn rejects_nonpositive_lambda() {
         let s = set(vec![Sample::new(vec![0.0], 1.0, 1.0), Sample::new(vec![1.0], -1.0, 1.0)]);
-        let _ = train(&s, Kernel::Linear, &SmoParams { lambda: 0.0, ..Default::default() });
+        let _ = train(
+            &s,
+            Kernel::Gaussian { sigma2: 1.0 },
+            &SmoParams { lambda: 0.0, ..Default::default() },
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! `SvmModel::decision` scores a window against one blocked
 //! support-vector array. It must return the bits of the plain Eq. 5 sum,
 //! `b + Σᵢ αᵢyᵢ·k(xᵢ, x)` over per-SV `Kernel::eval` calls in SV order,
-//! for every kernel and every SV count, whether or not it fills the last
-//! block.
+//! for radii across the CV grid and every SV count, whether or not it
+//! fills the last block.
 
 use leaps_svm::kernel::Kernel;
 use leaps_svm::model::SvmModel;
@@ -19,9 +19,9 @@ fn reference(model: &SvmModel, x: &[f64]) -> f64 {
 }
 
 const KERNELS: [Kernel; 3] = [
+    Kernel::Gaussian { sigma2: 2.0 },
     Kernel::Gaussian { sigma2: 8.0 },
-    Kernel::Linear,
-    Kernel::Polynomial { degree: 3, coef0: 0.5 },
+    Kernel::Gaussian { sigma2: 32.0 },
 ];
 
 /// Uniform in `[lo, hi)`.
@@ -62,8 +62,8 @@ fn every_sv_count_and_kernel_matches_the_per_sv_sum_bit_for_bit() {
 
 #[test]
 fn signed_zeros_and_stored_vectors_round_trip() {
-    // An all-zero window makes every dot product a signed zero; the block
-    // must keep the sign `Kernel::eval` gives it.
+    // Signed zeros in the support vectors and the window give signed
+    // zero differences; the block must sum them as `Kernel::eval` does.
     let support = vec![vec![-0.0, 0.0, 1.0], vec![0.0, -0.0, 0.0], vec![-1.0, 0.5, 0.25]];
     for kernel in KERNELS {
         let m = SvmModel::from_parts(support.clone(), vec![1.0, -2.0, 0.5], -0.0, kernel);
@@ -77,6 +77,6 @@ fn signed_zeros_and_stored_vectors_round_trip() {
             support.iter().map(|sv| sv.iter().map(|v| v.to_bits()).collect()).collect();
         assert_eq!(stored, given);
     }
-    let empty = SvmModel::from_parts(Vec::new(), Vec::new(), 0.75, Kernel::Linear);
+    let empty = SvmModel::from_parts(Vec::new(), Vec::new(), 0.75, KERNELS[0]);
     assert_eq!(empty.decision(&[1.0, 2.0]), 0.75);
 }

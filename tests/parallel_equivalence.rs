@@ -1,9 +1,12 @@
 //! Parallel/serial equivalence: every `leaps_par` fan-out (kernel
-//! matrix, CV grid, pairwise distances, UPGMA dendrogram merging,
-//! Baum–Welch) must be bit-identical to the serial path at any thread
-//! count, including grid-search and closest-pair tie-breaking.
+//! matrix, CV grid, pairwise distances, Baum–Welch) must be bit-identical
+//! to the serial path at any thread count, including grid-search
+//! tie-breaking. The UPGMA dendrogram runs on one thread; its
+//! nearest-neighbour cache must match the full-rescan oracle merge for
+//! merge, on synthetic ties and on a paper-scale vocabulary.
 
 use leaps::cluster::dissim::{jaccard_dissimilarity, DistanceMatrix};
+use leaps::cluster::features::{FeatureEncoder, PreprocessConfig};
 use leaps::cluster::hier::{Dendrogram, Linkage};
 use leaps::core::config::PipelineConfig;
 use leaps::core::dataset::Dataset;
@@ -137,6 +140,35 @@ fn dendrogram_with_nan_distances_identical_across_thread_counts() {
         for (a, b) in serial.merges().iter().zip(parallel.merges()) {
             assert_eq!((a.left, a.right, a.size), (b.left, b.right, b.size));
             assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "{threads} threads");
+        }
+    }
+}
+
+#[test]
+fn dendrogram_matches_the_rescan_oracle_on_a_paper_scale_func_vocabulary() {
+    // The Func vocabulary an encoder fit on paper-scale logs clusters:
+    // the `max_vocab` cap of 400 sets, with the exact Jaccard ties of
+    // real stacks (many pairs share a distance such as 1/2 or 2/3).
+    let config = PreprocessConfig::default();
+    for name in ["vim_reverse_tcp", "putty_codeinject"] {
+        let d =
+            Dataset::materialize(Scenario::by_name(name).unwrap(), &GenParams::paper(), 3).unwrap();
+        let events: Vec<_> = d.benign.iter().chain(&d.mixed).collect();
+        let encoder = FeatureEncoder::fit(&events, config);
+        let vocab = encoder.parts().1.members();
+        assert_eq!(vocab.len(), config.max_vocab, "{name}");
+        let dm = DistanceMatrix::from_sets(vocab, |a, b| jaccard_dissimilarity(a, b));
+        for linkage in [Linkage::Average, Linkage::Single, Linkage::Complete] {
+            let cache = Dendrogram::build(&dm, linkage);
+            let rescan = Dendrogram::build_rescan(&dm, linkage);
+            assert_eq!(cache.merges().len(), vocab.len() - 1);
+            for (k, (a, b)) in cache.merges().iter().zip(rescan.merges()).enumerate() {
+                assert_eq!((a.left, a.right, a.size), (b.left, b.right, b.size), "{name} {k}");
+                assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "{name} {linkage:?} {k}");
+            }
+            // Ties decided the order of many merges.
+            let tied = cache.merges().windows(2).filter(|w| w[0].distance == w[1].distance);
+            assert!(tied.count() > 100, "{name} {linkage:?}");
         }
     }
 }
