@@ -101,26 +101,6 @@ impl<T: Ord + Clone> ClusterAssigner<T> {
     pub fn labels(&self) -> &[u32] {
         &self.labels
     }
-
-    /// Mean dissimilarity from `set` to the members of cluster `label`
-    /// (exposed for diagnostics and tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label` is out of range.
-    #[must_use]
-    pub fn mean_distance(&self, set: &[T], label: u32) -> f64 {
-        assert!((label as usize) < self.n_clusters(), "label out of range");
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for (member, &l) in self.members.iter().zip(&self.labels) {
-            if l == label {
-                sum += jaccard_dissimilarity(member, set);
-                count += 1;
-            }
-        }
-        sum / count as f64
-    }
 }
 
 /// A cluster's mean dissimilarity from the sum over its `size` members.
@@ -393,15 +373,6 @@ mod tests {
         let a = assigner();
         assert_eq!(a.assign(&["kernelbase", "ntdll"]), 0);
         assert_eq!(a.assign(&["afd", "ws2_32"]), 1);
-    }
-
-    #[test]
-    fn mean_distance_matches_manual_computation() {
-        let a = assigner();
-        let set = ["ntdll"];
-        // d to {kernel32, ntdll} = 1 - 1/2; d to {kernel32, kernelbase, ntdll} = 1 - 1/3.
-        let expect = (0.5 + (1.0 - 1.0 / 3.0)) / 2.0;
-        assert!((a.mean_distance(&set, 0) - expect).abs() < 1e-12);
     }
 
     #[test]

@@ -28,12 +28,9 @@ impl Client {
     /// [`LeapsError::Protocol`] if the connection fails.
     pub fn connect(endpoint: &Endpoint) -> Result<Client, LeapsError> {
         let stream = endpoint.connect()?;
-        let read_half = match &stream {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
-            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
-        }
-        .map_err(|e| LeapsError::protocol(format!("cloning stream to {endpoint}: {e}")))?;
+        let read_half = stream
+            .try_clone()
+            .map_err(|e| LeapsError::protocol(format!("cloning stream to {endpoint}: {e}")))?;
         Ok(Client { reader: BufReader::new(read_half), writer: stream })
     }
 

@@ -5,7 +5,7 @@
 //! thread. The handler checks each `EVENT` line in place and encodes the
 //! event's system-stack names, slices of the line, with its session's
 //! classifier; no owned event is ever built. The encoded item is queued
-//! into the session table and scored by the server's worker pool, which
+//! on the session and scored by the server's worker pool, which
 //! pushes `VERDICT` lines back through the connection's shared writer.
 //! A flooding client therefore cannot stall the accept loop: its
 //! session's queue sheds (answering `BUSY`) while every other
@@ -30,11 +30,12 @@ use crate::lock_unpoisoned;
 use crate::proto::{
     error_family, push_verdict, Command, EventBody, Reply, Request, PROTOCOL_VERSION,
 };
-use crate::server::Server;
+use crate::server::{no_session, Server};
 use crate::session::{Session, SessionReport, Submit, VerdictSink};
 use leaps_core::error::LeapsError;
 use leaps_core::stream::{EncodeScratch, Verdict};
 use leaps_obs::{Histogram, Lazy, MetricsRegistry, Snapshot, Span, Value};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -84,7 +85,8 @@ pub enum Stream {
 }
 
 impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
+    /// A second handle on the same socket, either transport.
+    pub(crate) fn try_clone(&self) -> std::io::Result<Stream> {
         match self {
             #[cfg(unix)]
             Stream::Unix(s) => s.try_clone().map(Stream::Unix),
@@ -432,9 +434,7 @@ fn handle_connection(
     let mut replies = Replies { writer: Arc::clone(&writer), pending: String::new() };
     let mut reader = BufReader::new(stream);
     let mut client: Option<String> = None;
-    // The sessions this connection opened; another connection may share
-    // its client id, so teardown closes these and no others.
-    let mut opened: Vec<Weak<Session>> = Vec::new();
+    let mut opened = Opened::new();
     let mut scratch = EncodeScratch::default();
     let mut drains: Vec<Arc<Session>> = Vec::new();
     let mut line: Vec<u8> = Vec::new();
@@ -511,7 +511,7 @@ fn handle_connection(
             Ok(Request::Event { pid, body }) => {
                 let latency = Span::new(spans.event.get());
                 let reply =
-                    submit_event(server, client.as_deref(), pid, &body, &mut scratch, &mut drains);
+                    submit_event(server, &client, &opened, pid, &body, &mut scratch, &mut drains);
                 drop(latency);
                 replies.defer(&reply);
                 Ok(())
@@ -544,12 +544,21 @@ fn handle_connection(
     }
     start_drains(server, &mut drains);
     let _ = replies.flush();
-    if let Some(client) = client {
-        for session in opened.iter().filter_map(Weak::upgrade) {
-            // Refused if a `CLOSE` or the reaper closed it already.
-            let _ = server.close_session(&client, &session);
-        }
+    for session in opened.values().filter_map(Weak::upgrade) {
+        // Refused if the reaper closed it already.
+        let _ = server.close_session(&session);
     }
+}
+
+/// The sessions one connection opened and has not closed, by pid: the
+/// only ones its commands reach and its teardown closes. Another
+/// connection may share its client id. `Weak`, so a reaped session is
+/// freed at once and then reads as absent.
+type Opened = BTreeMap<u32, Weak<Session>>;
+
+/// The connection's open session of `pid`.
+fn opened_session(opened: &Opened, client: &str, pid: u32) -> Result<Arc<Session>, LeapsError> {
+    opened.get(&pid).and_then(Weak::upgrade).ok_or_else(|| no_session(client, pid))
 }
 
 /// Serves one checked `EVENT` line: encodes the body's system-stack
@@ -558,7 +567,8 @@ fn handle_connection(
 /// once for the whole read burst ([`start_drains`]).
 fn submit_event(
     server: &Server,
-    client: Option<&str>,
+    client: &Option<String>,
+    opened: &Opened,
     pid: u32,
     body: &EventBody<'_>,
     scratch: &mut EncodeScratch,
@@ -567,20 +577,17 @@ fn submit_event(
     let Some(client) = client else {
         return Reply::Err { family: "proto".to_owned(), message: "HELLO first".to_owned() };
     };
-    let submitted =
-        server.submit_with(client, pid, body.num(), |classifier| body.encode(classifier, scratch));
-    match submitted {
-        Ok((outcome, idle)) => {
-            if let Some(session) = idle {
-                if !drains.iter().any(|queued| Arc::ptr_eq(queued, &session)) {
-                    drains.push(session);
-                }
-            }
-            match outcome {
-                Submit::Accepted { .. } => Reply::Ok { detail: "event".to_owned() },
-                Submit::Busy { shed } => Reply::Busy { pid, shed },
-            }
+    let submitted = opened_session(opened, client, pid).and_then(|session| {
+        let (outcome, idle) = server
+            .submit_to(&session, body.num(), |classifier| body.encode(classifier, scratch))?;
+        if idle && !drains.iter().any(|queued| Arc::ptr_eq(queued, &session)) {
+            drains.push(session);
         }
+        Ok(outcome)
+    });
+    match submitted {
+        Ok(Submit::Accepted { .. }) => Reply::Ok { detail: "event".to_owned() },
+        Ok(Submit::Busy { shed }) => Reply::Busy { pid, shed },
         Err(e) => err_reply(&e),
     }
 }
@@ -685,7 +692,7 @@ fn dispatch(
     server: &Arc<Server>,
     writer: &Arc<Mutex<Stream>>,
     client: &mut Option<String>,
-    opened: &mut Vec<Weak<Session>>,
+    opened: &mut Opened,
     command: Command,
 ) -> Dispatch {
     let proto_err =
@@ -732,25 +739,25 @@ fn dispatch(
             let sink = Arc::new(WriterSink { writer: Arc::clone(writer) });
             match server.open_session(client, pid, &model, sink) {
                 Ok(session) => {
-                    opened.push(Arc::downgrade(&session));
+                    opened.insert(pid, Arc::downgrade(&session));
                     Dispatch::Reply(Reply::Ok { detail: format!("open pid={pid} model={model}") })
                 }
                 Err(e) => Dispatch::Reply(err_reply(&e)),
             }
         }
-        Command::Close { pid } => match server.close(client, pid) {
-            Ok(report) => {
-                // The live session of `pid` was the one just closed.
-                opened.retain(|s| s.upgrade().is_some_and(|s| s.pid != pid));
-                Dispatch::Reply(Reply::Ok {
+        Command::Close { pid } => {
+            let closed = opened_session(opened, client, pid).and_then(|s| server.close_session(&s));
+            opened.remove(&pid);
+            match closed {
+                Ok(report) => Dispatch::Reply(Reply::Ok {
                     detail: format!("close pid={pid} {}", report_fields(&report)),
-                })
+                }),
+                Err(e) => Dispatch::Reply(err_reply(&e)),
             }
-            Err(e) => Dispatch::Reply(err_reply(&e)),
-        },
-        Command::Stats { pid: Some(pid) } => match server.session_stats(client, pid) {
-            Ok(report) => Dispatch::Reply(Reply::Ok {
-                detail: format!("stats pid={pid} {}", report_fields(&report)),
+        }
+        Command::Stats { pid: Some(pid) } => match opened_session(opened, client, pid) {
+            Ok(session) => Dispatch::Reply(Reply::Ok {
+                detail: format!("stats pid={pid} {}", report_fields(&session.report())),
             }),
             Err(e) => Dispatch::Reply(err_reply(&e)),
         },

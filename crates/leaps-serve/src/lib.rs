@@ -11,7 +11,7 @@
 //! * a **session table** — independent [`StreamDetector`] instances
 //!   keyed `(client, pid)`, opened and closed by protocol commands, each
 //!   preserving the degraded-telemetry semantics of the standalone
-//!   detector;
+//!   detector; a daemon connection reaches only the sessions it opened;
 //! * a **line protocol** (`HELLO` / `OPEN` / `EVENT` / `CLOSE` /
 //!   `STATS` / `RELOAD` / `SHUTDOWN`) over a Unix domain socket or TCP,
 //!   with events fanned out to a `leaps_par::pool` worker pool;

@@ -68,7 +68,10 @@
 //! [`Verdict::to_line`]; the event body is [`encode_event`].
 //!
 //! Sessions are keyed `(client, pid)`: one client id (from `HELLO`) may
-//! stream many processes concurrently over one connection.
+//! stream many processes concurrently over one connection. The id is a
+//! name, not an identity: `EVENT`, `STATS pid=` and `CLOSE` reach only
+//! the sessions their own connection opened; any other pid, one opened
+//! by another connection under the same id included, is `no session`.
 
 use leaps_core::error::LeapsError;
 use leaps_core::pipeline::Classifier;
@@ -331,6 +334,7 @@ fn parse_frame(token: &str) -> Result<Frame<'_>, ProtoError> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Introduces the client id that keys this connection's sessions.
+    /// Two connections may send the same id; each reaches only the sessions it opened.
     Hello {
         /// Client identity (one token, [`valid_name`]).
         client: String,

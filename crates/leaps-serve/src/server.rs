@@ -179,7 +179,7 @@ impl Server {
         lock_unpoisoned(&self.sessions)
             .get(&(client.to_owned(), pid))
             .cloned()
-            .ok_or_else(|| LeapsError::protocol(format!("no session ({client:?}, {pid})")))
+            .ok_or_else(|| no_session(client, pid))
     }
 
     /// Opens session `(client, pid)` against registry model `model`,
@@ -200,8 +200,8 @@ impl Server {
         self.open_session(client, pid, model, sink).map(drop)
     }
 
-    /// [`Server::open`], returning the new session: a connection keeps it
-    /// to close at teardown exactly the sessions it opened.
+    /// [`Server::open`], returning the new session: a daemon connection
+    /// reaches its sessions through these handles alone.
     pub(crate) fn open_session(
         &self,
         client: &str,
@@ -220,7 +220,7 @@ impl Server {
         }
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed);
         let serve = Arc::clone(&self.serve);
-        let session = Arc::new(Session::new(pid, model.to_owned(), shard, classifier, sink, serve));
+        let session = Arc::new(Session::new(client, pid, model, shard, classifier, sink, serve));
         sessions.insert(key, Arc::clone(&session));
         self.serve.opened.get().inc();
         self.serve.sessions.get().add(1);
@@ -244,36 +244,36 @@ impl Server {
         pid: u32,
         event: PartitionedEvent,
     ) -> Result<Submit, LeapsError> {
-        let (outcome, idle) = self.submit_with(client, pid, event.num, |classifier| {
+        let session = self.session(client, pid)?;
+        let (outcome, idle) = self.submit_to(&session, event.num, |classifier| {
             classifier.encode(&mut EncodeScratch::default(), &event)
         })?;
-        if let Some(session) = idle {
+        if idle {
             self.start_drain(&session);
         }
         Ok(outcome)
     }
 
-    /// Queues event `num` of session `(client, pid)`, encoded by `encode`
-    /// with the classifier the session was opened with (never a fresh
-    /// registry lookup, so a `RELOAD` leaves open sessions on their
-    /// model). Encoding runs on the calling thread, before the queue lock
-    /// is taken.
+    /// Queues event `num` of `session`, encoded by `encode` with the
+    /// classifier the session was opened with (never a fresh registry
+    /// lookup, so a `RELOAD` leaves open sessions on their model).
+    /// Encoding runs on the calling thread, before the queue lock is
+    /// taken.
     ///
-    /// Schedules nothing. If no drain is in flight, the session comes
-    /// back for the caller to pass to [`Server::start_drain`]: at once,
+    /// Schedules nothing. `true` comes back if no drain is in flight:
+    /// the caller passes the session to [`Server::start_drain`], at once
     /// or, in the daemon, once per read burst.
-    pub(crate) fn submit_with(
+    pub(crate) fn submit_to(
         &self,
-        client: &str,
-        pid: u32,
+        session: &Session,
         num: u64,
         encode: impl FnOnce(&Classifier) -> Encoded,
-    ) -> Result<(Submit, Option<Arc<Session>>), LeapsError> {
-        let session = self.session(client, pid)?;
+    ) -> Result<(Submit, bool), LeapsError> {
         let item = (num, encode(&session.classifier));
         let (outcome, idle) = {
             let mut state = lock_unpoisoned(&session.state);
             if state.closing {
+                let (client, pid) = (&session.client, session.pid);
                 return Err(LeapsError::protocol(format!(
                     "session ({client:?}, {pid}) is closing"
                 )));
@@ -292,7 +292,7 @@ impl Server {
             state.queue.push_back(item);
             (outcome, !state.scheduled)
         };
-        Ok((outcome, idle.then_some(session)))
+        Ok((outcome, idle))
     }
 
     /// Schedules a drain of `session` on its pool shard, unless one is in
@@ -318,24 +318,22 @@ impl Server {
     /// [`LeapsError::Protocol`] if the session does not exist or another
     /// closer is already draining it.
     pub fn close(&self, client: &str, pid: u32) -> Result<SessionReport, LeapsError> {
-        self.close_session(client, &self.session(client, pid)?)
+        self.close_session(&self.session(client, pid)?)
     }
 
-    /// [`Server::close`] of one session of `client`, found by identity
-    /// rather than by key.
+    /// [`Server::close`] of one session, by handle: every close (`CLOSE`,
+    /// teardown, the reaper, shutdown) goes through here.
     ///
     /// # Errors
     ///
-    /// [`LeapsError::Protocol`] if another closer (a `CLOSE`, the reaper)
-    /// got to the session first. Only that first closer removes the
-    /// session's key, so a later session under the same key is never
-    /// touched.
+    /// [`LeapsError::Protocol`] if another closer got to the session
+    /// first. Only that first closer removes the session's key, so a
+    /// later session under the same key is never touched.
     pub(crate) fn close_session(
         &self,
-        client: &str,
         session: &Arc<Session>,
     ) -> Result<SessionReport, LeapsError> {
-        let pid = session.pid;
+        let (client, pid) = (&session.client, session.pid);
         {
             let mut state = lock_unpoisoned(&session.state);
             if state.closing {
@@ -356,7 +354,7 @@ impl Server {
                 state = session.idle.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
         }
-        lock_unpoisoned(&self.sessions).remove(&(client.to_owned(), pid));
+        lock_unpoisoned(&self.sessions).remove(&(client.clone(), pid));
         self.serve.closed.get().inc();
         self.serve.sessions.get().add(-1);
         Ok(session.report())
@@ -365,10 +363,11 @@ impl Server {
     /// Drains and closes every open session (graceful shutdown),
     /// returning the final reports.
     pub fn close_all(&self) -> Vec<(SessionKey, SessionReport)> {
-        let keys: Vec<SessionKey> = lock_unpoisoned(&self.sessions).keys().cloned().collect();
-        keys.into_iter()
-            .filter_map(|(client, pid)| {
-                self.close(&client, pid).ok().map(|report| ((client, pid), report))
+        let open: Vec<Arc<Session>> = lock_unpoisoned(&self.sessions).values().cloned().collect();
+        open.into_iter()
+            .filter_map(|session| {
+                let report = self.close_session(&session).ok()?;
+                Some(((session.client.clone(), session.pid), report))
             })
             .collect()
     }
@@ -398,24 +397,18 @@ impl Server {
     pub fn reap_idle(&self, ttl: Duration) -> usize {
         let now_us = leaps_obs::now_micros();
         let ttl_us = u64::try_from(ttl.as_micros()).unwrap_or(u64::MAX);
-        let victims: Vec<SessionKey> = {
-            let sessions = lock_unpoisoned(&self.sessions);
-            sessions
-                .iter()
-                .filter(|(_, session)| {
-                    let state = lock_unpoisoned(&session.state);
-                    !state.closing && now_us.saturating_sub(state.last_activity_us) > ttl_us
-                })
-                .map(|(key, _)| key.clone())
-                .collect()
-        };
-        let mut reaped = 0;
-        for (client, pid) in victims {
-            // Racing closers are fine: close() refuses a second closer.
-            if self.close(&client, pid).is_ok() {
-                reaped += 1;
-            }
-        }
+        let victims: Vec<Arc<Session>> = lock_unpoisoned(&self.sessions)
+            .values()
+            .filter(|session| {
+                let state = lock_unpoisoned(&session.state);
+                !state.closing && now_us.saturating_sub(state.last_activity_us) > ttl_us
+            })
+            .cloned()
+            .collect();
+        // By handle: a session closed and reopened under a victim's key
+        // since the scan is left alone, and a second closer is refused.
+        let reaped =
+            victims.into_iter().filter(|session| self.close_session(session).is_ok()).count();
         self.serve.reaped.get().add(reaped as u64);
         reaped
     }
@@ -458,4 +451,9 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server").field("metrics", &self.metrics.snapshot()).finish()
     }
+}
+
+/// The error for a session that is absent, or not the asker's to reach.
+pub(crate) fn no_session(client: &str, pid: u32) -> LeapsError {
+    LeapsError::protocol(format!("no session ({client:?}, {pid})"))
 }

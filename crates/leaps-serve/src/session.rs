@@ -144,6 +144,7 @@ pub(crate) struct QueueState {
 /// One open session. Shared between the submitting connection thread and
 /// the pool worker draining it.
 pub struct Session {
+    pub(crate) client: String,
     pub(crate) pid: u32,
     pub(crate) model: String,
     /// Stable shard key: pins the session's drain jobs to one pool
@@ -168,16 +169,18 @@ pub(crate) const DRAIN_BATCH: usize = 256;
 
 impl Session {
     pub(crate) fn new(
+        client: &str,
         pid: u32,
-        model: String,
+        model: &str,
         shard: usize,
         classifier: Arc<Classifier>,
         sink: Arc<dyn VerdictSink>,
         serve: Arc<ServeMetrics>,
     ) -> Session {
         Session {
+            client: client.to_owned(),
             pid,
-            model,
+            model: model.to_owned(),
             shard,
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),

@@ -285,6 +285,52 @@ fn a_leaving_connection_closes_only_its_own_sessions() {
     }
 }
 
+#[test]
+fn a_connection_cannot_reach_a_session_another_opened_under_its_id() {
+    // B introduces itself with A's client id. None of B's commands may
+    // reach A's session: a window must hold only its own process's
+    // events, and only A may read or end its session.
+    let server = Arc::new(Server::new(&config("shared-reach")));
+    let bound = Endpoint::Tcp("127.0.0.1:0".to_owned()).bind().unwrap();
+    let endpoint = bound.endpoint().clone();
+    let daemon_server = Arc::clone(&server);
+    let daemon = std::thread::spawn(move || bound.run(&daemon_server).unwrap());
+
+    let (mut a_verdicts, mut b_verdicts) = (Vec::new(), Vec::new());
+    let mut a = Client::connect(&endpoint).unwrap();
+    let mut b = Client::connect(&endpoint).unwrap();
+    a.expect_ok(&Command::Hello { client: "dup".into() }, &mut a_verdicts).unwrap();
+    b.expect_ok(&Command::Hello { client: "dup".into() }, &mut b_verdicts).unwrap();
+    a.expect_ok(&Command::Open { pid: 1, model: "tiny".into() }, &mut a_verdicts).unwrap();
+    let ok_event = Reply::Ok { detail: "event".to_owned() };
+    for n in 0..3 {
+        let ack = a.request(&Command::Event { pid: 1, event: event(n, true) }, &mut a_verdicts);
+        assert_eq!(ack.unwrap(), ok_event);
+    }
+    for command in [
+        Command::Event { pid: 1, event: event(3, false) },
+        Command::Stats { pid: Some(1) },
+        Command::Close { pid: 1 },
+    ] {
+        let reply = b.request(&command, &mut b_verdicts).unwrap();
+        let line = reply.to_line();
+        assert!(line.starts_with("ERR proto ") && line.contains("no session"), "{line}");
+    }
+    for n in 3..5 {
+        let ack = a.request(&Command::Event { pid: 1, event: event(n, true) }, &mut a_verdicts);
+        assert_eq!(ack.unwrap(), ok_event, "A's session was closed");
+    }
+    let detail = a.expect_ok(&Command::Close { pid: 1 }, &mut a_verdicts).unwrap();
+    assert!(detail.contains("session.submitted=5 "), "{detail}");
+    assert!(detail.contains("session.verdicts=5 "), "{detail}");
+    assert_eq!(a_verdicts.len(), 5);
+    assert!(a_verdicts.iter().all(|(pid, verdict)| *pid == 1 && verdict.benign));
+    assert!(b_verdicts.is_empty());
+    b.expect_ok(&Command::Shutdown, &mut b_verdicts).unwrap();
+    drop((a, b));
+    assert_eq!(daemon.join().unwrap(), 0);
+}
+
 /// A sink that panics on its first delivery, then behaves — the
 /// "crashing job" of the self-healing contract.
 struct PanicOnceSink {

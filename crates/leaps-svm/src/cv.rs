@@ -21,9 +21,7 @@ use rand::SeedableRng;
 /// is the standard guard against one-class degeneration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scoring {
-    /// Plain validation accuracy.
-    Accuracy,
-    /// Mean of per-class, confidence-weighted accuracies (default).
+    /// Mean of per-class, confidence-weighted accuracies.
     #[default]
     WeightedBalanced,
 }
@@ -182,7 +180,7 @@ impl GridSearch {
             leaps_obs::counter!("train.cv.gram_builds").inc();
             fold_scores.extend(leaps_par::par_map(&splits, |(train, val)| {
                 let decisions = fold_decisions(set, &gram, train, val, lambda)?;
-                Some(score_fold(set.samples(), val, &decisions, self.scoring))
+                Some(score_fold(set.samples(), val, &decisions))
             }));
             leaps_obs::counter!("train.cv.cells").add(n_folds as u64);
             // Chunk boundary: offer the completed prefix as a checkpoint.
@@ -299,35 +297,28 @@ fn fold_decisions(
 }
 
 /// Scores the validation samples `val` (indices into `samples`) by their
-/// decision values: `f(x) ≥ 0` predicts `+1`, as `SvmModel::predict`.
-fn score_fold(samples: &[Sample], val: &[usize], decisions: &[f64], scoring: Scoring) -> f64 {
+/// decision values, [`Scoring::WeightedBalanced`]: `f(x) ≥ 0` predicts
+/// `+1`, as `SvmModel::predict`.
+fn score_fold(samples: &[Sample], val: &[usize], decisions: &[f64]) -> f64 {
     let correct = |v: usize, f: f64| (f >= 0.0) == (samples[v].y > 0.0);
-    match scoring {
-        Scoring::Accuracy => {
-            let hits = val.iter().zip(decisions).filter(|&(&v, &f)| correct(v, f)).count();
-            hits as f64 / val.len() as f64
-        }
-        Scoring::WeightedBalanced => {
-            let mut class_scores = Vec::new();
-            for label in [1.0, -1.0] {
-                let mut weight_total = 0.0;
-                let mut weight_correct = 0.0;
-                for (&v, &f) in val.iter().zip(decisions).filter(|(&v, _)| samples[v].y == label) {
-                    weight_total += samples[v].c;
-                    if correct(v, f) {
-                        weight_correct += samples[v].c;
-                    }
-                }
-                if weight_total > 0.0 {
-                    class_scores.push(weight_correct / weight_total);
-                }
-            }
-            if class_scores.is_empty() {
-                0.0
-            } else {
-                class_scores.iter().sum::<f64>() / class_scores.len() as f64
+    let mut class_scores = Vec::new();
+    for label in [1.0, -1.0] {
+        let mut weight_total = 0.0;
+        let mut weight_correct = 0.0;
+        for (&v, &f) in val.iter().zip(decisions).filter(|(&v, _)| samples[v].y == label) {
+            weight_total += samples[v].c;
+            if correct(v, f) {
+                weight_correct += samples[v].c;
             }
         }
+        if weight_total > 0.0 {
+            class_scores.push(weight_correct / weight_total);
+        }
+    }
+    if class_scores.is_empty() {
+        0.0
+    } else {
+        class_scores.iter().sum::<f64>() / class_scores.len() as f64
     }
 }
 
@@ -492,53 +483,45 @@ mod tests {
         let bits = |d: &Option<Vec<f64>>| {
             d.as_ref().map(|d| d.iter().map(|f| f.to_bits()).collect::<Vec<_>>())
         };
-        for scoring in [Scoring::Accuracy, Scoring::WeightedBalanced] {
-            let gs = GridSearch {
-                lambdas: vec![1.0, 100.0],
-                sigma2s: vec![0.05, 2.0],
-                folds: 4,
-                scoring,
-                ..Default::default()
-            };
-            for (name, set) in &sets {
-                let mut shared_scores = Vec::new();
-                let _ = gs.run_resumable(set, None, &mut |state| {
-                    shared_scores = state.scores.clone();
-                    true
-                });
-                let fold_of = stratified_folds(set, gs.folds, gs.seed);
-                let splits = fold_splits(&fold_of, fold_count(&fold_of));
-                let mut reference_scores = Vec::new();
-                for &lambda in &gs.lambdas {
-                    for &sigma2 in &gs.sigma2s {
-                        let gram = smo::gram(set.samples(), Kernel::Gaussian { sigma2 });
-                        for split in &splits {
-                            let reference = reference_decisions(set, split, lambda, sigma2);
-                            let shared = fold_decisions(set, &gram, &split.0, &split.1, lambda);
-                            assert_eq!(
-                                bits(&shared),
-                                bits(&reference),
-                                "{name}, λ {lambda}, σ² {sigma2}"
-                            );
-                            reference_scores.push(
-                                reference.map(|d| score_fold(set.samples(), &split.1, &d, scoring)),
-                            );
-                        }
+        let gs = GridSearch {
+            lambdas: vec![1.0, 100.0],
+            sigma2s: vec![0.05, 2.0],
+            folds: 4,
+            ..Default::default()
+        };
+        for (name, set) in &sets {
+            let mut shared_scores = Vec::new();
+            let _ = gs.run_resumable(set, None, &mut |state| {
+                shared_scores = state.scores.clone();
+                true
+            });
+            let fold_of = stratified_folds(set, gs.folds, gs.seed);
+            let splits = fold_splits(&fold_of, fold_count(&fold_of));
+            let mut reference_scores = Vec::new();
+            for &lambda in &gs.lambdas {
+                for &sigma2 in &gs.sigma2s {
+                    let gram = smo::gram(set.samples(), Kernel::Gaussian { sigma2 });
+                    for split in &splits {
+                        let reference = reference_decisions(set, split, lambda, sigma2);
+                        let shared = fold_decisions(set, &gram, &split.0, &split.1, lambda);
+                        assert_eq!(
+                            bits(&shared),
+                            bits(&reference),
+                            "{name}, λ {lambda}, σ² {sigma2}"
+                        );
+                        reference_scores
+                            .push(reference.map(|d| score_fold(set.samples(), &split.1, &d)));
                     }
                 }
-                let score_bits =
-                    |v: &[Option<f64>]| v.iter().map(|s| s.map(f64::to_bits)).collect::<Vec<_>>();
-                assert_eq!(
-                    score_bits(&shared_scores),
-                    score_bits(&reference_scores),
-                    "{name}, {scoring:?}"
-                );
-                let nones = shared_scores.iter().filter(|s| s.is_none()).count();
-                if *name == "single-class fold" {
-                    assert!(nones > 0 && nones < shared_scores.len(), "{name}: {shared_scores:?}");
-                } else {
-                    assert_eq!(nones, 0, "{name}: {shared_scores:?}");
-                }
+            }
+            let score_bits =
+                |v: &[Option<f64>]| v.iter().map(|s| s.map(f64::to_bits)).collect::<Vec<_>>();
+            assert_eq!(score_bits(&shared_scores), score_bits(&reference_scores), "{name}");
+            let nones = shared_scores.iter().filter(|s| s.is_none()).count();
+            if *name == "single-class fold" {
+                assert!(nones > 0 && nones < shared_scores.len(), "{name}: {shared_scores:?}");
+            } else {
+                assert_eq!(nones, 0, "{name}: {shared_scores:?}");
             }
         }
     }

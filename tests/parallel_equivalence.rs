@@ -3,7 +3,7 @@
 //! to the serial path at any thread count, including grid-search
 //! tie-breaking. The UPGMA dendrogram runs on one thread; its
 //! nearest-neighbour cache must match the full-rescan oracle merge for
-//! merge, on synthetic ties and on a paper-scale vocabulary.
+//! merge, on synthetic ties, NaN distances and a paper-scale vocabulary.
 
 use leaps::cluster::dissim::{jaccard_dissimilarity, DistanceMatrix};
 use leaps::cluster::features::{FeatureEncoder, PreprocessConfig};
@@ -101,46 +101,47 @@ fn wsvm_training_is_identical_across_thread_counts() {
 
 /// Deterministic pseudo-random distance matrix with quantized values,
 /// so closest-pair ties occur and exercise the smallest-index
-/// tie-break at every thread count.
+/// tie-break.
 fn synthetic_dm(n: usize, seed: u64) -> DistanceMatrix {
     let mut rng = SimRng::new(seed);
     let data: Vec<f64> = (0..n * (n - 1) / 2).map(|_| (rng.f64() * 16.0).floor() / 16.0).collect();
     DistanceMatrix::from_condensed(n, data)
 }
 
+/// Builds the dendrogram of `dm`, asserting that the nearest-neighbour
+/// cache and the full-rescan oracle merge the same clusters in the same
+/// order at the same distances, bit for bit (so NaN distances compare
+/// too).
+fn build_matching_rescan(dm: &DistanceMatrix, linkage: Linkage, context: &str) -> Dendrogram {
+    let cache = Dendrogram::build(dm, linkage);
+    let rescan = Dendrogram::build_rescan(dm, linkage);
+    assert_eq!(cache.merges().len(), dm.len() - 1, "{context} {linkage:?}");
+    for (k, (a, b)) in cache.merges().iter().zip(rescan.merges()).enumerate() {
+        assert_eq!((a.left, a.right, a.size), (b.left, b.right, b.size), "{context} {k}");
+        assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "{context} {linkage:?} {k}");
+    }
+    cache
+}
+
 #[test]
-fn dendrogram_merges_identical_across_thread_counts() {
-    let _guard = lock();
+fn dendrogram_with_distance_ties_matches_the_rescan_oracle() {
     let dm = synthetic_dm(80, 11);
     for linkage in [Linkage::Average, Linkage::Single, Linkage::Complete] {
-        let serial = with_threads(1, || Dendrogram::build(&dm, linkage));
-        // The retired full-rescan implementation is the oracle.
-        assert_eq!(serial, Dendrogram::build_rescan(&dm, linkage), "{linkage:?} vs oracle");
-        for threads in [2, 4, 8] {
-            let parallel = with_threads(threads, || Dendrogram::build(&dm, linkage));
-            assert_eq!(serial, parallel, "{linkage:?} at {threads} threads");
-        }
+        build_matching_rescan(&dm, linkage, "ties");
     }
 }
 
 #[test]
-fn dendrogram_with_nan_distances_identical_across_thread_counts() {
-    let _guard = lock();
+fn dendrogram_with_nan_distances_matches_the_rescan_oracle() {
     // Every 5th distance is NaN — the degraded-telemetry shape that
-    // used to panic. Merge distances compare by bit pattern.
+    // used to panic.
     let mut rng = SimRng::new(3);
     let n = 40;
     let data: Vec<f64> =
         (0..n * (n - 1) / 2).map(|k| if k % 5 == 0 { f64::NAN } else { rng.f64() }).collect();
     let dm = DistanceMatrix::from_condensed(n, data);
-    let serial = with_threads(1, || Dendrogram::build(&dm, Linkage::Average));
-    assert_eq!(serial.merges().len(), n - 1);
-    for threads in [2, 4, 8] {
-        let parallel = with_threads(threads, || Dendrogram::build(&dm, Linkage::Average));
-        for (a, b) in serial.merges().iter().zip(parallel.merges()) {
-            assert_eq!((a.left, a.right, a.size), (b.left, b.right, b.size));
-            assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "{threads} threads");
-        }
+    for linkage in [Linkage::Average, Linkage::Single, Linkage::Complete] {
+        build_matching_rescan(&dm, linkage, "NaN");
     }
 }
 
@@ -159,13 +160,7 @@ fn dendrogram_matches_the_rescan_oracle_on_a_paper_scale_func_vocabulary() {
         assert_eq!(vocab.len(), config.max_vocab, "{name}");
         let dm = DistanceMatrix::from_sets(vocab, |a, b| jaccard_dissimilarity(a, b));
         for linkage in [Linkage::Average, Linkage::Single, Linkage::Complete] {
-            let cache = Dendrogram::build(&dm, linkage);
-            let rescan = Dendrogram::build_rescan(&dm, linkage);
-            assert_eq!(cache.merges().len(), vocab.len() - 1);
-            for (k, (a, b)) in cache.merges().iter().zip(rescan.merges()).enumerate() {
-                assert_eq!((a.left, a.right, a.size), (b.left, b.right, b.size), "{name} {k}");
-                assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "{name} {linkage:?} {k}");
-            }
+            let cache = build_matching_rescan(&dm, linkage, name);
             // Ties decided the order of many merges.
             let tied = cache.merges().windows(2).filter(|w| w[0].distance == w[1].distance);
             assert!(tied.count() > 100, "{name} {linkage:?}");
@@ -176,17 +171,15 @@ fn dendrogram_matches_the_rescan_oracle_on_a_paper_scale_func_vocabulary() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
-    fn dendrogram_build_matches_serial_for_random_matrices(
+    fn dendrogram_matches_the_rescan_oracle_for_random_matrices(
         seed in 0u64..1000,
         n in 2usize..40,
-        threads in 2usize..9,
     ) {
-        let _guard = lock();
         let dm = synthetic_dm(n, seed);
-        let serial = with_threads(1, || Dendrogram::build(&dm, Linkage::Average));
-        let parallel = with_threads(threads, || Dendrogram::build(&dm, Linkage::Average));
-        prop_assert_eq!(&serial, &parallel);
-        prop_assert_eq!(&serial, &Dendrogram::build_rescan(&dm, Linkage::Average));
+        prop_assert_eq!(
+            Dendrogram::build(&dm, Linkage::Average),
+            Dendrogram::build_rescan(&dm, Linkage::Average)
+        );
     }
 }
 
