@@ -9,58 +9,12 @@
 //! `LEAPS_SWEEP_MANIFEST`, `LEAPS_RESUME` and `LEAPS_CHAOS_CELL`; failed
 //! cells are reported in place and the rest of the figure still renders.
 
-use leaps::core::pipeline::Method;
 use leaps::etw::scenario::Scenario;
-use leaps_bench::chart::grouped_bars;
-use leaps_bench::{cell_status, fmt3, harness_experiment, run_supervised_sweep, sweep_exit};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let experiment = harness_experiment();
-    println!(
-        "FIGURE 7: LEAPS (WSVM) vs System-level Call Graph and SVM — \
-         Online Injection ({} runs)",
-        experiment.runs
-    );
-    println!(
-        "{:<28} {:<8} {:>6} {:>6} {:>6} {:>6} {:>6}",
-        "Dataset", "Method", "ACC", "PPV", "TPR", "TNR", "NPV"
-    );
-    let scenarios = Scenario::online();
-    let report = match run_supervised_sweep(&experiment, &scenarios, &Method::ALL) {
-        Ok(report) => report,
-        Err(code) => return code,
-    };
-    let mut acc_groups: Vec<(String, Vec<f64>)> = Vec::new();
-    for (scenario, cells) in scenarios.iter().zip(report.cells.chunks(Method::ALL.len())) {
-        // Chart only fully-completed dataset groups.
-        if let Some(accs) =
-            cells.iter().map(|c| c.outcome.metrics().map(|m| m.acc)).collect::<Option<Vec<f64>>>()
-        {
-            acc_groups.push((scenario.name(), accs));
-        }
-        for cell in cells {
-            match cell.outcome.metrics() {
-                Some(m) => println!(
-                    "{:<28} {:<8} {:>6} {:>6} {:>6} {:>6} {:>6}",
-                    cell.scenario,
-                    cell.method.label(),
-                    fmt3(m.acc),
-                    fmt3(m.ppv),
-                    fmt3(m.tpr),
-                    fmt3(m.tnr),
-                    fmt3(m.npv),
-                ),
-                None => println!(
-                    "{:<28} {:<8} {}",
-                    cell.scenario,
-                    cell.method.label(),
-                    cell_status(&cell.outcome)
-                ),
-            }
-        }
-        println!();
-    }
-    println!("{}", grouped_bars("ACC", &acc_groups, &["CGraph", "SVM", "WSVM"]));
-    sweep_exit(&report)
+    leaps_bench::method_figure(
+        "FIGURE 7: LEAPS (WSVM) vs System-level Call Graph and SVM — Online Injection",
+        &Scenario::online(),
+    )
 }

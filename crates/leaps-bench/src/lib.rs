@@ -128,6 +128,57 @@ pub fn sweep_exit(report: &SweepReport) -> ExitCode {
     ExitCode::from(report.exit_code())
 }
 
+/// Renders Figure 6 or 7: every method on every dataset of `scenarios`
+/// under [`run_supervised_sweep`], one row of the five measures per
+/// cell (or its failure status), then a grouped ACC bar chart of the
+/// datasets whose cells all completed. `title` heads the output, with
+/// the run count appended.
+#[must_use]
+pub fn method_figure(title: &str, scenarios: &[Scenario]) -> ExitCode {
+    let experiment = harness_experiment();
+    println!("{title} ({} runs)", experiment.runs);
+    println!(
+        "{:<28} {:<8} {:>6} {:>6} {:>6} {:>6} {:>6}",
+        "Dataset", "Method", "ACC", "PPV", "TPR", "TNR", "NPV"
+    );
+    let report = match run_supervised_sweep(&experiment, scenarios, &Method::ALL) {
+        Ok(report) => report,
+        Err(code) => return code,
+    };
+    let mut acc_groups: Vec<(String, Vec<f64>)> = Vec::new();
+    for (scenario, cells) in scenarios.iter().zip(report.cells.chunks(Method::ALL.len())) {
+        // Chart only fully-completed dataset groups.
+        if let Some(accs) =
+            cells.iter().map(|c| c.outcome.metrics().map(|m| m.acc)).collect::<Option<Vec<f64>>>()
+        {
+            acc_groups.push((scenario.name(), accs));
+        }
+        for cell in cells {
+            match cell.outcome.metrics() {
+                Some(m) => println!(
+                    "{:<28} {:<8} {:>6} {:>6} {:>6} {:>6} {:>6}",
+                    cell.scenario,
+                    cell.method.label(),
+                    fmt3(m.acc),
+                    fmt3(m.ppv),
+                    fmt3(m.tpr),
+                    fmt3(m.tnr),
+                    fmt3(m.npv),
+                ),
+                None => println!(
+                    "{:<28} {:<8} {}",
+                    cell.scenario,
+                    cell.method.label(),
+                    cell_status(&cell.outcome)
+                ),
+            }
+        }
+        println!();
+    }
+    println!("{}", chart::grouped_bars("ACC", &acc_groups, &["CGraph", "SVM", "WSVM"]));
+    sweep_exit(&report)
+}
+
 /// Reads a `usize` env var with a default.
 #[must_use]
 pub fn env_usize(name: &str, default: usize) -> usize {

@@ -78,11 +78,11 @@ USAGE:
       Stream a raw log to a running daemon as one session and print the
       verdicts — the online counterpart of `leaps detect`.
   leaps health (--socket PATH | --tcp ADDR) [--inject-panic [--shard N]]
-      Probe a running daemon: worker liveness, panic/respawn counts,
+      Probe a running daemon: worker liveness, caught-panic count,
       session/reap counters, registry state and the idle policy — one
       `health ...` line for supervisors. --inject-panic (daemon started
       with LEAPS_CHAOS=1 only) crashes one pool job first, to verify
-      supervision end to end.
+      that its worker catches it and keeps serving.
   leaps metrics (--socket PATH | --tcp ADDR) [--json] [--reset]
       Dump a running daemon's metrics registry — every counter, gauge
       and latency histogram, one metric per line in the stable METRICS
@@ -475,10 +475,9 @@ fn cmd_serve(args: &Args) -> Result<(), Failure> {
     let count = |name| snapshot.counter(name).unwrap_or(0);
     println!(
         "leaps-serve shut down: {} sessions served ({} reaped idle), \
-         {drained} drained at shutdown, {} worker respawns",
+         {drained} drained at shutdown",
         count("serve.closed"),
-        count("serve.reaped"),
-        count("pool.respawns")
+        count("serve.reaped")
     );
     Ok(())
 }

@@ -130,7 +130,7 @@ fn check_raw_clock(ctx: &mut Ctx) {
 }
 
 /// stray-spawn: threads created outside `leaps-par` / `leaps-serve`
-/// escape supervision (no panic containment, no respawn, no naming).
+/// escape supervision (no panic containment, no naming).
 fn check_stray_spawn(ctx: &mut Ctx) {
     let toks = ctx.tokens();
     let mut hits = Vec::new();

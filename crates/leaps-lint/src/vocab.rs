@@ -12,7 +12,6 @@ pub const EXACT: &[&str] = &[
     // leaps-par pool supervision
     "pool.jobs",
     "pool.panics",
-    "pool.respawns",
     "pool.workers",
     // leaps-serve model registry
     "registry.hits",

@@ -285,22 +285,6 @@ impl Snapshot {
         out
     }
 
-    /// Parses a block of metric lines (blank lines ignored).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first line-level [`ObsError`].
-    pub fn parse(text: &str) -> Result<Snapshot, ObsError> {
-        let mut entries = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            entries.push(MetricValue::parse_line(line)?);
-        }
-        Ok(Snapshot { entries })
-    }
-
     /// Renders the snapshot as one JSON object:
     /// `{"counters":{...},"gauges":{...},"hists":{"n":{"count":c,"sum":s,"buckets":[...]}}}`.
     /// Names are already-validated tokens, so no string escaping is
@@ -354,12 +338,14 @@ mod tests {
     #[test]
     fn lines_round_trip() {
         let snap = sample();
+        let mut lines = String::new();
         for entry in &snap.entries {
             let line = entry.to_line();
             assert_eq!(&MetricValue::parse_line(&line).unwrap(), entry, "{line}");
+            lines.push_str(&line);
+            lines.push('\n');
         }
-        let parsed = Snapshot::parse(&snap.encode()).unwrap();
-        assert_eq!(parsed, snap);
+        assert_eq!(snap.encode(), lines);
     }
 
     #[test]

@@ -43,6 +43,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Read deadline on daemon connections: the cadence at which an idle
@@ -301,7 +302,7 @@ impl BoundDaemon {
     /// [`LeapsError::Protocol`] if accepting fails fatally.
     pub fn run(self, server: &Arc<Server>) -> Result<usize, LeapsError> {
         let spans = Arc::new(ProtoSpans::new(server.metrics()));
-        let mut handles = Vec::new();
+        let mut handles: Vec<JoinHandle<()>> = Vec::new();
         loop {
             let stream = match self.listener.accept() {
                 Ok(stream) => stream,
@@ -315,12 +316,29 @@ impl BoundDaemon {
             if server.is_shutting_down() {
                 break; // the wake connection, or a client racing shutdown
             }
+            // An exited thread keeps its stack mapped until it is joined.
+            for finished in handles.extract_if(.., |h| h.is_finished()) {
+                let _ = finished.join();
+            }
+            let Ok(write_half) = stream.try_clone() else { continue };
+            let writer = Arc::new(Mutex::new(write_half));
             let server = Arc::clone(server);
             let spans = Arc::clone(&spans);
             let endpoint = self.endpoint.clone();
-            handles.push(std::thread::spawn(move || {
-                handle_connection(&server, &spans, &endpoint, stream);
-            }));
+            let conn_writer = Arc::clone(&writer);
+            let spawned = std::thread::Builder::new().spawn(move || {
+                handle_connection(&server, &spans, &endpoint, stream, conn_writer);
+            });
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                // The refused closure dropped the read half; `writer`
+                // closes the socket after this one line.
+                Err(e) => {
+                    let message = format!("cannot start a connection thread: {e}");
+                    let reply = Reply::Err { family: "io".to_owned(), message };
+                    let _ = Replies { writer, pending: String::new() }.send(&reply);
+                }
+            }
         }
         for handle in handles {
             let _ = handle.join();
@@ -334,12 +352,11 @@ impl BoundDaemon {
     }
 }
 
-/// The `HEALTH` fields: worker liveness, self-healing counters, and
+/// The `HEALTH` fields: worker liveness, the caught-panic count, and
 /// session and registry state.
-const HEALTH_FIELDS: [&str; 12] = [
+const HEALTH_FIELDS: [&str; 11] = [
     "pool.workers",
     "pool.panics",
-    "pool.respawns",
     "serve.sessions",
     "serve.opened",
     "serve.closed",
@@ -427,10 +444,9 @@ fn handle_connection(
     spans: &ProtoSpans,
     endpoint: &Endpoint,
     stream: Stream,
+    writer: Arc<Mutex<Stream>>,
 ) {
     let _ = stream.set_read_timeout(Some(CONN_POLL));
-    let Ok(write_half) = stream.try_clone() else { return };
-    let writer = Arc::new(Mutex::new(write_half));
     let mut replies = Replies { writer: Arc::clone(&writer), pending: String::new() };
     let mut reader = BufReader::new(stream);
     let mut client: Option<String> = None;

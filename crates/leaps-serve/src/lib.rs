@@ -20,8 +20,8 @@
 //!   events (counted per session) instead of stalling the accept loop,
 //!   and shutdown drains every session gracefully;
 //! * a **self-healing failure model** — pool workers are supervised
-//!   (a panicking job is caught, counted and the worker respawned with
-//!   its shard queue intact), connections carry read deadlines, idle
+//!   (a panicking job is caught and counted, and its worker goes on
+//!   with its shard queue), connections carry read deadlines, idle
 //!   sessions are reaped past a configurable TTL, locks are
 //!   poison-tolerant, and the `HEALTH` command exposes it all to an
 //!   external supervisor (see DESIGN.md §12).

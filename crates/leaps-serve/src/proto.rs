@@ -23,8 +23,8 @@
 //! ```
 //!
 //! `HEALTH` is the supervisor probe: worker liveness plus the
-//! self-healing counters (`pool.panics`, `pool.respawns`,
-//! `serve.reaped`), session and registry state, and the idle policy
+//! self-healing counters (`pool.panics`, `serve.reaped`), session and
+//! registry state, and the idle policy
 //! (`idle_secs`, `0` = disabled). `METRICS` dumps the server's own
 //! `leaps-obs` registry, one `METRIC` line per metric in the stable
 //! one-metric-per-line snapshot format (`leaps_obs::snapshot`), count
@@ -47,7 +47,7 @@
 //!
 //! | layer       | names                                                                  |
 //! |-------------|------------------------------------------------------------------------|
-//! | `pool.*`    | `pool.workers`, `pool.jobs`, `pool.panics`, `pool.respawns`, `pool.queue.<shard>` |
+//! | `pool.*`    | `pool.workers`, `pool.jobs`, `pool.panics`, `pool.queue.<shard>`       |
 //! | `serve.*`   | `serve.sessions`, `serve.opened`, `serve.closed`, `serve.reaped`, `serve.events`, `serve.shed`, `serve.verdicts`, `serve.degraded` |
 //! | `registry.*`| `registry.models`, `registry.cached_bytes`, `registry.loads`, `registry.hits`, `registry.evictions` |
 //! | `proto.*`   | `proto.<verb>.us` per-command daemon latency histograms                 |
@@ -368,8 +368,8 @@ pub enum Command {
         /// Registry model name.
         model: String,
     },
-    /// Probes daemon liveness: worker, panic/respawn, session, reap and
-    /// registry counters plus the idle policy.
+    /// Probes daemon liveness: worker, panic, session, reap and registry
+    /// counters plus the idle policy.
     Health,
     /// Dumps the full `leaps-obs` metrics registry (optionally zeroing
     /// counters and histograms after the snapshot).

@@ -440,8 +440,8 @@ impl Server {
     /// Chaos hook: submits a job to pool shard `shard` that panics
     /// immediately. Used by the `PANIC` protocol command (gated behind
     /// `LEAPS_CHAOS=1`) and tests to prove the supervision invariant:
-    /// the worker respawns, queued session drains still run in order,
-    /// and `HEALTH` reports the panic/respawn.
+    /// the worker catches the panic and keeps serving its shard, queued
+    /// session drains still run in order, and `HEALTH` counts the panic.
     pub fn inject_panic_job(&self, shard: usize) {
         self.pool.submit(shard, || panic!("injected panic (chaos hook)"));
     }

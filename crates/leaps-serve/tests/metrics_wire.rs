@@ -147,8 +147,8 @@ fn metrics_reset_zeroes_the_health_counters_but_keeps_its_levels() {
     assert_eq!(
         after,
         format!(
-            "health pool.workers=2 pool.panics=0 pool.respawns=0 serve.sessions=1 \
-             serve.opened=0 serve.closed=0 serve.reaped=0 registry.models=1 \
+            "health pool.workers=2 pool.panics=0 serve.sessions=1 serve.opened=0 \
+             serve.closed=0 serve.reaped=0 registry.models=1 \
              registry.cached_bytes={bytes} registry.loads=0 registry.hits=0 \
              registry.evictions=0 idle_secs=0"
         ),

@@ -356,8 +356,8 @@ fn panicking_sink_never_wedges_the_server() {
         Server::new(&ServerConfig { workers: 1, ..ServerConfig::new(models_dir("wedge")) });
     let sink = Arc::new(PanicOnceSink { armed: Mutex::new(true), inner: BufferSink::new() });
     server.open("cli", 1, "tiny", Arc::clone(&sink) as Arc<dyn VerdictSink>).unwrap();
-    // The first drain job panics mid-delivery; the worker respawns and
-    // the session must still close (close reschedules leftovers).
+    // The first drain job panics mid-delivery; the worker catches it
+    // and the session must still close (close reschedules leftovers).
     server.submit("cli", 1, event(0, true)).unwrap();
     for n in 1..10 {
         // Submits keep being accepted even while the job is crashing.
@@ -366,21 +366,16 @@ fn panicking_sink_never_wedges_the_server() {
     let report = server.close("cli", 1).unwrap();
     assert_eq!(report.submitted, 10);
     assert_eq!(report.queued, 0, "close drains everything, panic or not");
-    // The dying worker counts its panic *after* waking closers, so give
-    // the counters a moment to land.
+    // The worker counts its panic *after* waking closers, so give the
+    // counter a moment to land.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        let (panics, respawns) =
-            (counter(&server, "pool.panics"), counter(&server, "pool.respawns"));
-        if panics >= 1 && respawns >= 1 {
-            assert_eq!(panics, respawns, "every panic respawned a worker");
-            break;
-        }
+    while counter(&server, "pool.panics") < 1 {
         assert!(std::time::Instant::now() < deadline, "sink panic never counted: {server:?}");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
+    assert_eq!(counter(&server, "pool.panics"), 1, "the sink panicked once");
 
-    // A healthy session on the same (respawned) worker still works and
+    // A healthy session on the same worker still works and
     // stays bit-identical to standalone.
     let sink2 = Arc::new(BufferSink::new());
     server.open("cli", 2, "tiny", Arc::clone(&sink2) as Arc<dyn VerdictSink>).unwrap();
@@ -474,7 +469,7 @@ fn shutdown_does_not_hang_on_an_idle_connected_client() {
 }
 
 #[test]
-fn health_probe_works_without_hello_and_reflects_respawns() {
+fn health_probe_works_without_hello_and_reflects_panics() {
     let server = Arc::new(Server::new(&config("health")));
     let bound = Endpoint::Tcp("127.0.0.1:0".to_owned()).bind().unwrap();
     let endpoint = bound.endpoint().clone();
@@ -485,7 +480,7 @@ fn health_probe_works_without_hello_and_reflects_respawns() {
     let mut probe = Client::connect(&endpoint).unwrap();
     // No HELLO: supervisors probe without claiming a client identity.
     let detail = probe.expect_ok(&Command::Health, &mut verdicts).unwrap();
-    for token in ["health", "workers=2", "panics=0", "respawns=0", "sessions=0", "idle_secs=0"] {
+    for token in ["health", "workers=2", "panics=0", "sessions=0", "idle_secs=0"] {
         assert!(detail.contains(token), "missing {token:?} in {detail}");
     }
 
@@ -498,13 +493,13 @@ fn health_probe_works_without_hello_and_reflects_respawns() {
     // …but the server-side hook always works for embedders.
     server.inject_panic_job(0);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while counter(&server, "pool.respawns") < 1 {
+    while counter(&server, "pool.panics") < 1 {
         assert!(std::time::Instant::now() < deadline, "injected panic never counted");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     let detail = probe.expect_ok(&Command::Health, &mut verdicts).unwrap();
     assert!(detail.contains("panics=1"), "{detail}");
-    assert!(detail.contains("respawns=1"), "{detail}");
+    assert!(detail.contains("workers=2"), "{detail}");
 
     let mut closer = Client::connect(&endpoint).unwrap();
     closer.expect_ok(&Command::Hello { client: "closer".into() }, &mut verdicts).unwrap();
@@ -599,8 +594,8 @@ fn each_server_reports_only_its_own_counts() {
     troubled.submit("cli", 1, event(0, true)).unwrap();
     troubled.inject_panic_job(0);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while counter(&troubled, "serve.reaped") < 1 || counter(&troubled, "pool.respawns") < 1 {
-        assert!(std::time::Instant::now() < deadline, "reap or respawn never counted");
+    while counter(&troubled, "serve.reaped") < 1 || counter(&troubled, "pool.panics") < 1 {
+        assert!(std::time::Instant::now() < deadline, "reap or panic never counted");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     // The calm server: one session opened, scored and closed.
@@ -610,7 +605,7 @@ fn each_server_reports_only_its_own_counts() {
 
     let expected = |panics: u64, reaped: u64| {
         format!(
-            "health pool.workers=1 pool.panics={panics} pool.respawns={panics} \
+            "health pool.workers=1 pool.panics={panics} \
              serve.sessions=0 serve.opened=1 serve.closed=1 serve.reaped={reaped} \
              registry.models=1 registry.cached_bytes={model_bytes} registry.loads=1 \
              registry.hits=0 registry.evictions=0 idle_secs=0"

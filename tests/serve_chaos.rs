@@ -7,8 +7,8 @@
 //!   pool, at worker counts {1, 2, 4, 8};
 //! * a daemon-level chaos test: one client killed mid-stream (no BYE,
 //!   no CLOSE) plus injected panicking jobs, while a clean session keeps
-//!   streaming — the daemon must keep serving, report the respawns over
-//!   `HEALTH`, stay bit-identical on the clean session, and still drain
+//!   streaming — the daemon must keep serving, report the panics over
+//!   `HEALTH` with every worker still live, stay bit-identical on the clean session, and still drain
 //!   and exit on `SHUTDOWN`.
 
 use leaps::cgraph::classify::CallGraphClassifier;
@@ -63,8 +63,8 @@ fn models_dir(tag: &str) -> PathBuf {
 
 /// Runs `streams` through a server with `workers` threads, injecting a
 /// panicking pool job before every `panic_every`-th submit (0 = never),
-/// and returns the per-session verdict sequences plus (submitted,
-/// verdicts) counters.
+/// and returns the per-session verdict sequences, (submitted, verdicts)
+/// counters and the pool's panic count.
 fn run_streams(
     dir: &PathBuf,
     workers: usize,
@@ -104,15 +104,15 @@ fn run_streams(
         counters.push((report.submitted, report.verdicts));
         verdicts.push(sink.take());
     }
-    // A dying worker counts its panic while unwinding, which can lag
-    // behind the successor finishing the drains `close` waited on.
+    // A worker counts a panic once the unwind is caught, which can lag
+    // behind another shard finishing the drains `close` waited on.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let count = |name| server.metrics().snapshot().counter(name).unwrap_or(0);
-    while count("pool.panics") < injected || count("pool.respawns") < injected {
+    let panics = || server.metrics().snapshot().counter("pool.panics").unwrap_or(0);
+    while panics() < injected {
         assert!(std::time::Instant::now() < deadline, "injected panics never counted: {server:?}");
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
-    (verdicts, counters, count("pool.respawns"))
+    (verdicts, counters, panics())
 }
 
 proptest! {
@@ -141,16 +141,16 @@ proptest! {
             .collect();
 
         // Reference: the same streams with no panics, one worker.
-        let (clean_v, clean_c, clean_r) = run_streams(&dir, 1, &streams, 0);
-        prop_assert_eq!(clean_r, 0);
+        let (clean_v, clean_c, clean_p) = run_streams(&dir, 1, &streams, 0);
+        prop_assert_eq!(clean_p, 0);
         // And against standalone detectors, transitively anchoring both.
         for (stream, verdicts) in streams.iter().zip(&clean_v) {
             let mut standalone = StreamDetector::new(tiny_classifier());
             prop_assert_eq!(&standalone.push_all(stream.iter().cloned()), verdicts);
         }
 
-        let (chaos_v, chaos_c, chaos_r) = run_streams(&dir, workers, &streams, panic_every);
-        prop_assert!(chaos_r > 0, "injection plan must bite");
+        let (chaos_v, chaos_c, chaos_p) = run_streams(&dir, workers, &streams, panic_every);
+        prop_assert!(chaos_p > 0, "injection plan must bite");
         prop_assert_eq!(chaos_v, clean_v);
         prop_assert_eq!(chaos_c, clean_c);
         let _ = std::fs::remove_dir_all(&dir);
@@ -161,7 +161,8 @@ proptest! {
 /// victim client is killed mid-stream (connection dropped, no CLOSE), a
 /// panicking job is injected, and a clean session keeps streaming. The
 /// daemon must survive all of it, stay bit-identical on the clean
-/// session, reflect the respawn in `HEALTH`, and drain on `SHUTDOWN`.
+/// session, count the panics in `HEALTH` with both workers still live,
+/// and drain on `SHUTDOWN`.
 #[test]
 fn daemon_survives_killed_client_and_panicking_jobs() {
     let dir = models_dir("daemon");
@@ -220,14 +221,14 @@ fn daemon_survives_killed_client_and_panicking_jobs() {
     }
 
     // HEALTH (no HELLO needed) reflects the supervision counters.
-    while server.metrics().snapshot().counter("pool.respawns").unwrap_or(0) < 2 {
+    while server.metrics().snapshot().counter("pool.panics").unwrap_or(0) < 2 {
         assert!(std::time::Instant::now() < deadline, "injected panics never counted");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     let mut probe = Client::connect(&endpoint).unwrap();
     let detail = probe.expect_ok(&Command::Health, &mut Vec::new()).unwrap();
     assert!(detail.contains("panics=2"), "{detail}");
-    assert!(detail.contains("respawns=2"), "{detail}");
+    assert!(detail.contains("workers=2"), "{detail}");
     assert!(detail.contains("sessions=0"), "{detail}");
 
     // PANIC over the wire is env-gated; without LEAPS_CHAOS it refuses.
