@@ -103,8 +103,9 @@ impl GridSearch {
     /// score; returns the best configuration (ties → first in grid
     /// order, so results are deterministic).
     ///
-    /// Each (λ, σ²) chunk builds one Gaussian kernel (Gram) matrix over
-    /// the whole set. Its folds fan out across threads (see
+    /// The search computes the squared distances of the whole set once,
+    /// and each (λ, σ²) chunk maps them to one Gaussian kernel (Gram)
+    /// matrix. Its folds fan out across threads (see
     /// `leaps_par`); each fold's SMO solves on the fold's block of that
     /// matrix and is scored from its rows. Every entry is the same
     /// `kernel.eval` a per-fold matrix would hold, fold scores are
@@ -141,7 +142,7 @@ impl GridSearch {
     /// `self.seed`), so the resumed search selects the exact same
     /// configuration as an uninterrupted one, tie-breaking included. A
     /// resume state from a mid-chunk crash is truncated down to the last
-    /// whole chunk; only the current chunk's matrix is rebuilt.
+    /// whole chunk; only the remaining chunks' matrices are rebuilt.
     ///
     /// # Panics
     ///
@@ -171,12 +172,16 @@ impl GridSearch {
         };
 
         let splits = fold_splits(&fold_of, n_folds);
+        // The squared distances do not depend on the cell: built once, when
+        // a chunk remains.
+        let mut d2 = None;
         while fold_scores.len() < cells {
             // Chunks run in (λ, σ²) order; the matrix lives for one chunk.
             let chunk = fold_scores.len() / n_folds;
             let lambda = self.lambdas[chunk / self.sigma2s.len()];
             let kernel = Kernel::Gaussian { sigma2: self.sigma2s[chunk % self.sigma2s.len()] };
-            let gram = smo::gram(set.samples(), kernel);
+            let d2 = d2.get_or_insert_with(|| smo::sq_dists(set.samples()));
+            let gram = smo::gram_of(d2, set.len(), kernel);
             leaps_obs::counter!("train.cv.gram_builds").inc();
             fold_scores.extend(leaps_par::par_map(&splits, |(train, val)| {
                 let decisions = fold_decisions(set, &gram, train, val, lambda)?;
@@ -459,8 +464,10 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn shared_gram_scores_are_bit_identical_to_per_fold_models() {
+    /// The sets the shared matrix is checked on: separable, noisy,
+    /// partly zero-weighted, duplicated (with one point under both labels)
+    /// and one whose folds can lose a class.
+    fn test_sets() -> [(&'static str, TrainSet); 5] {
         let noisy = noisy_samples(60);
         let mut zero_weight = noisy.clone();
         for s in zero_weight.iter_mut().step_by(4) {
@@ -473,13 +480,40 @@ mod tests {
         let mut single_class: Vec<Sample> =
             (0..11).map(|i| Sample::new(vec![0.1 * f64::from(i)], 1.0, 1.0)).collect();
         single_class.push(Sample::new(vec![2.0], -1.0, 1.0));
-        let sets = [
+        [
             ("blobs", blob_set(15)),
             ("noisy", TrainSet::new(noisy).unwrap()),
             ("zero-weight", TrainSet::new(zero_weight).unwrap()),
             ("duplicates", TrainSet::new(duplicates).unwrap()),
             ("single-class fold", TrainSet::new(single_class).unwrap()),
-        ];
+        ]
+    }
+
+    #[test]
+    fn gram_is_the_kernel_of_every_pair_in_both_triangles() {
+        for (name, set) in &test_sets() {
+            let samples = set.samples();
+            let n = samples.len();
+            for sigma2 in [0.05, 2.0, 32.0] {
+                let kernel = Kernel::Gaussian { sigma2 };
+                let gram = smo::gram(samples, kernel);
+                for i in 0..n {
+                    for j in 0..n {
+                        let want = kernel.eval(&samples[i].x, &samples[j].x);
+                        assert_eq!(
+                            gram[i * n + j].to_bits(),
+                            want.to_bits(),
+                            "{name}, σ² {sigma2}, ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_gram_scores_are_bit_identical_to_per_fold_models() {
+        let sets = test_sets();
         let bits = |d: &Option<Vec<f64>>| {
             d.as_ref().map(|d| d.iter().map(|f| f.to_bits()).collect::<Vec<_>>())
         };

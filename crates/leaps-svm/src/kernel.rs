@@ -38,25 +38,38 @@ impl Kernel {
     /// was constructed with `sigma2 <= 0` (see [`Kernel::validate`]).
     #[must_use]
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len(), "kernel arguments differ in dimension");
-        let mut d2 = 0.0;
-        for (x, y) in a.iter().zip(b) {
-            let d = x - y;
-            d2 += d * d;
-        }
-        self.finish(d2)
+        self.finish(sq_dist(a, b))
     }
 
     /// The kernel value from the squared distance `‖a − b‖²`, summed
-    /// from `0.0` in dimension order. The one home of the kernel's final
-    /// expression, shared by [`Kernel::eval`] and the blocked decision of
-    /// [`SvmModel`](crate::SvmModel), so both produce the same bits.
+    /// from `0.0` in dimension order as [`sq_dist`] sums it. The one home
+    /// of the kernel's final expression, shared by [`Kernel::eval`], the
+    /// Gram matrices of the solver and the blocked decision of
+    /// [`SvmModel`](crate::SvmModel), so all produce the same bits.
     #[must_use]
     pub(crate) fn finish(&self, d2: f64) -> f64 {
         let Kernel::Gaussian { sigma2 } = *self;
         debug_assert!(sigma2 > 0.0, "Gaussian kernel requires sigma2 > 0");
         (-d2 / sigma2).exp()
     }
+}
+
+/// The squared distance `‖a − b‖²`, summed from `0.0` in dimension
+/// order. Swapping `a` and `b` negates each difference exactly, so the
+/// sum is symmetric bit for bit.
+///
+/// # Panics
+///
+/// Panics (debug) if the vectors differ in length.
+#[must_use]
+pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len(), "kernel arguments differ in dimension");
+    let mut d2 = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        let d = x - y;
+        d2 += d * d;
+    }
+    d2
 }
 
 #[cfg(test)]

@@ -13,9 +13,25 @@
 //! a training point with small `cᵢ` can contribute at most a small `αᵢ`,
 //! so mislabeled mixed-log points (high benignity → low maliciousness
 //! weight) cannot drag the decision boundary.
+//!
+//! Each iteration makes one pass over the samples. Only the gradient
+//! update changes `G`, and α changes only at the working pair before it
+//! runs, so the update offers every new `Gₜ` to the next iteration's
+//! WSS1 selection as it writes it, in the same `t` order with the same
+//! strict comparisons; the I_up/I_low flags are refreshed at the pair
+//! alone. A resumed solve runs one scan from its restored (α, G), as the
+//! paused run's next iteration would have.
+//!
+//! The arithmetic is that of the two-pass loop, bit for bit, and may be
+//! rearranged only where that is exact. Labels are exactly ±1, so
+//! `yₜ·yᵢ·kₜᵢ·Δαᵢ` may become `yₜ·(kₜᵢ·(yᵢ·Δαᵢ))`: a sign flip moves but
+//! no product rounds differently. The two terms must still be summed
+//! before they are added to `Gₜ`; adding them to `Gₜ` one at a time, or
+//! any other reassociation, changes bits. The test module keeps the
+//! two-pass loop as the oracle.
 
 use crate::data::{Sample, TrainSet};
-use crate::kernel::Kernel;
+use crate::kernel::{sq_dist, Kernel};
 use crate::model::SvmModel;
 
 /// Numerical floor for the pair curvature.
@@ -146,39 +162,109 @@ pub fn train_resumable(
     Some(SvmModel::from_training(samples, &alpha, -rho, kernel, iterations))
 }
 
-/// The dense, exactly symmetric kernel matrix of `samples`, row-major.
+/// The squared distances `‖xᵢ − xⱼ‖²` of `samples`: the upper triangle,
+/// packed by rows, so row `i` holds the distances to samples `i..n`.
 ///
-/// Rows of the upper triangle are independent, so they fan out across
-/// threads; every entry is the same `kernel.eval(xᵢ, xⱼ)` (i ≤ j) the
-/// serial loop would compute, and assembly is by row index, so the
-/// matrix is bit-identical at any thread count.
+/// Rows are independent, so they fan out across threads; every entry is
+/// the same [`sq_dist`] the serial loop would compute, and rows are packed
+/// by index, so the triangle is bit-identical at any thread count.
+pub(crate) fn sq_dists(samples: &[Sample]) -> Vec<f64> {
+    let n = samples.len();
+    let row_tails = leaps_par::par_map_indexed(n, |i| {
+        (i..n).map(|j| sq_dist(&samples[i].x, &samples[j].x)).collect::<Vec<f64>>()
+    });
+    row_tails.concat()
+}
+
+/// The dense, exactly symmetric kernel matrix over the packed
+/// squared-distance triangle `d2` of `n` samples (see [`sq_dists`]),
+/// row-major: [`Kernel::finish`] of each distance, mirrored. Distances
+/// are symmetric bit for bit, so both triangles hold the bits of
+/// `kernel.eval(xᵢ, xⱼ)`.
+///
+/// # Panics
+///
+/// Panics if the kernel fails [`Kernel::validate`].
+pub(crate) fn gram_of(d2: &[f64], n: usize, kernel: Kernel) -> Vec<f64> {
+    crate::model::check_kernel(kernel);
+    let mut k = vec![0.0f64; n * n];
+    let mut tail = d2;
+    for i in 0..n {
+        let (row, rest) = tail.split_at(n - i);
+        for (offset, &d) in row.iter().enumerate() {
+            let j = i + offset;
+            let v = kernel.finish(d);
+            k[i * n + j] = v;
+            k[j * n + i] = v;
+        }
+        tail = rest;
+    }
+    k
+}
+
+/// The dense, exactly symmetric kernel matrix of `samples`, row-major.
 ///
 /// # Panics
 ///
 /// Panics if the kernel fails [`Kernel::validate`].
 pub(crate) fn gram(samples: &[Sample], kernel: Kernel) -> Vec<f64> {
-    crate::model::check_kernel(kernel);
-    let n = samples.len();
-    let row_tails = leaps_par::par_map_indexed(n, |i| {
-        (i..n).map(|j| kernel.eval(&samples[i].x, &samples[j].x)).collect::<Vec<f64>>()
-    });
-    let mut k = vec![0.0f64; n * n];
-    for (i, tail) in row_tails.iter().enumerate() {
-        for (offset, &v) in tail.iter().enumerate() {
-            let j = i + offset;
-            k[i * n + j] = v;
-            k[j * n + i] = v;
+    gram_of(&sq_dists(samples), samples.len(), kernel)
+}
+
+/// Whether αₜ may move in the direction that raises `yₜαₜ` (LIBSVM's
+/// I_up).
+fn in_up(y: f64, alpha: f64, cap: f64) -> bool {
+    (y > 0.0 && alpha < cap) || (y < 0.0 && alpha > 0.0)
+}
+
+/// Whether αₜ may move in the direction that lowers `yₜαₜ` (LIBSVM's
+/// I_low).
+fn in_low(y: f64, alpha: f64, cap: f64) -> bool {
+    (y < 0.0 && alpha < cap) || (y > 0.0 && alpha > 0.0)
+}
+
+/// A WSS1 scan in progress: the largest `−yₜGₜ` offered over I_up and
+/// the smallest over I_low, each with the first index that reached it.
+#[derive(Clone, Copy)]
+struct Selection {
+    m_val: f64,
+    m_idx: usize,
+    big_m_val: f64,
+    big_m_idx: usize,
+}
+
+impl Selection {
+    const EMPTY: Selection = Selection {
+        m_val: f64::NEG_INFINITY,
+        m_idx: usize::MAX,
+        big_m_val: f64::INFINITY,
+        big_m_idx: usize::MAX,
+    };
+
+    /// Offers sample `t` with key `v = −yₜGₜ`. Strict comparisons keep
+    /// the first index on ties, as a scan in `t` order does.
+    #[inline(always)]
+    fn offer(&mut self, t: usize, v: f64, up: bool, low: bool) {
+        if up && v > self.m_val {
+            self.m_val = v;
+            self.m_idx = t;
+        }
+        if low && v < self.big_m_val {
+            self.big_m_val = v;
+            self.big_m_idx = t;
         }
     }
-    k
 }
 
 /// The SMO core: solves the dual for the symmetric kernel matrix `k`
-/// (row-major, `n × n` with `n = y.len()`), labels `y` and boxes `cap`.
-/// Returns `(α, ρ, iterations)`; the decision bias is `−ρ`.
+/// (row-major, `n × n` with `n = y.len()`), labels `y` (each exactly ±1)
+/// and boxes `cap`. Returns `(α, ρ, iterations)`; the decision bias is
+/// `−ρ`.
 ///
 /// Checkpointing is as in [`train_resumable`]: `None` means `checkpoint`
-/// paused the solver. The iteration itself is strictly serial.
+/// paused the solver. The iteration itself is strictly serial, one pass
+/// over the samples per iteration: the gradient update offers each new
+/// `Gₜ` to the next iteration's working-set selection as it writes it.
 ///
 /// # Panics
 ///
@@ -196,13 +282,22 @@ pub(crate) fn solve(
     assert!(params.lambda > 0.0, "lambda must be positive");
     assert!(params.eps > 0.0, "eps must be positive");
     let n = y.len();
-    let q = |i: usize, j: usize| y[i] * y[j] * k[i * n + j];
+    let (k, cap) = (&k[..n * n], &cap[..n]);
 
     let (mut alpha, mut grad, mut iterations) = match resume {
         Some(state) => (state.alpha, state.grad, state.iterations),
         // Gradient of the dual objective: G_i = Σ_j Q_ij α_j − 1 = −1 at α = 0.
         None => (vec![0.0f64; n], vec![-1.0f64; n], 0usize),
     };
+    // Set membership, kept current as α changes, and the first WSS1
+    // scan: a resumed run scans its restored (α, G) exactly as the
+    // paused run's next iteration would have.
+    let mut up: Vec<bool> = (0..n).map(|t| in_up(y[t], alpha[t], cap[t])).collect();
+    let mut low: Vec<bool> = (0..n).map(|t| in_low(y[t], alpha[t], cap[t])).collect();
+    let mut sel = Selection::EMPTY;
+    for t in 0..n {
+        sel.offer(t, -y[t] * grad[t], up[t], low[t]);
+    }
 
     loop {
         iterations += 1;
@@ -210,97 +305,39 @@ pub(crate) fn solve(
             break;
         }
         leaps_obs::counter!("train.smo.passes").inc();
-        // WSS1: maximal violating pair.
-        let mut m_val = f64::NEG_INFINITY;
-        let mut m_idx = usize::MAX;
-        let mut big_m_val = f64::INFINITY;
-        let mut big_m_idx = usize::MAX;
-        for t in 0..n {
-            let in_up = (y[t] > 0.0 && alpha[t] < cap[t]) || (y[t] < 0.0 && alpha[t] > 0.0);
-            let in_low = (y[t] < 0.0 && alpha[t] < cap[t]) || (y[t] > 0.0 && alpha[t] > 0.0);
-            let v = -y[t] * grad[t];
-            if in_up && v > m_val {
-                m_val = v;
-                m_idx = t;
-            }
-            if in_low && v < big_m_val {
-                big_m_val = v;
-                big_m_idx = t;
-            }
-        }
-        if m_idx == usize::MAX || big_m_idx == usize::MAX || m_val - big_m_val < params.eps {
+        // WSS1: the maximal violating pair of the current (α, G).
+        if sel.m_idx == usize::MAX
+            || sel.big_m_idx == usize::MAX
+            || sel.m_val - sel.big_m_val < params.eps
+        {
             break;
         }
-        let (i, j) = (m_idx, big_m_idx);
+        let (i, j) = (sel.m_idx, sel.big_m_idx);
+        let (old_ai, old_aj) = (alpha[i], alpha[j]);
+        update_pair(k, y, cap, &grad, &mut alpha, i, j);
 
-        // Two-variable analytic update (LIBSVM).
-        let old_ai = alpha[i];
-        let old_aj = alpha[j];
-        if y[i] != y[j] {
-            let mut quad = q(i, i) + q(j, j) + 2.0 * q(i, j);
-            if quad <= 0.0 {
-                quad = TAU;
-            }
-            let delta = (-grad[i] - grad[j]) / quad;
-            let diff = alpha[i] - alpha[j];
-            alpha[i] += delta;
-            alpha[j] += delta;
-            if diff > 0.0 {
-                if alpha[j] < 0.0 {
-                    alpha[j] = 0.0;
-                    alpha[i] = diff;
-                }
-            } else if alpha[i] < 0.0 {
-                alpha[i] = 0.0;
-                alpha[j] = -diff;
-            }
-            if diff > cap[i] - cap[j] {
-                if alpha[i] > cap[i] {
-                    alpha[i] = cap[i];
-                    alpha[j] = cap[i] - diff;
-                }
-            } else if alpha[j] > cap[j] {
-                alpha[j] = cap[j];
-                alpha[i] = cap[j] + diff;
-            }
-        } else {
-            let mut quad = q(i, i) + q(j, j) - 2.0 * q(i, j);
-            if quad <= 0.0 {
-                quad = TAU;
-            }
-            let delta = (grad[i] - grad[j]) / quad;
-            let sum = alpha[i] + alpha[j];
-            alpha[i] -= delta;
-            alpha[j] += delta;
-            if sum > cap[i] {
-                if alpha[i] > cap[i] {
-                    alpha[i] = cap[i];
-                    alpha[j] = sum - cap[i];
-                }
-            } else if alpha[j] < 0.0 {
-                alpha[j] = 0.0;
-                alpha[i] = sum;
-            }
-            if sum > cap[j] {
-                if alpha[j] > cap[j] {
-                    alpha[j] = cap[j];
-                    alpha[i] = sum - cap[j];
-                }
-            } else if alpha[i] < 0.0 {
-                alpha[i] = 0.0;
-                alpha[j] = sum;
-            }
-        }
-
-        // Gradient update: G_t += Q_ti·Δα_i + Q_tj·Δα_j. `k` is exactly
+        // Gradient update fused with the next selection: G_t += Q_ti·Δα_i +
+        // Q_tj·Δα_j, and the new G_t is offered at once. `k` is exactly
         // symmetric, so rows i and j stand in for columns i and j and are
-        // read contiguously; the products are the same bits.
+        // read contiguously. Labels are exactly ±1, so hoisting yᵢ·Δαᵢ out
+        // of `yₜ·yᵢ·kₜᵢ·Δαᵢ` only moves exact sign flips: each term keeps
+        // its bits, and their sum is still added to Gₜ last. If α did not
+        // move, neither did G, and the selection carries over.
         let di = alpha[i] - old_ai;
         let dj = alpha[j] - old_aj;
         if di != 0.0 || dj != 0.0 {
+            for s in [i, j] {
+                up[s] = in_up(y[s], alpha[s], cap[s]);
+                low[s] = in_low(y[s], alpha[s], cap[s]);
+            }
             let (row_i, row_j) = (&k[i * n..(i + 1) * n], &k[j * n..(j + 1) * n]);
+            let (yi_di, yj_dj) = (y[i] * di, y[j] * dj);
+            let (grad, up, low) = (&mut grad[..n], &up[..n], &low[..n]);
+            sel = Selection::EMPTY;
             for t in 0..n {
-                grad[t] += y[t] * y[i] * row_i[t] * di + y[t] * y[j] * row_j[t] * dj;
+                let g = grad[t] + (y[t] * (row_i[t] * yi_di) + y[t] * (row_j[t] * yj_dj));
+                grad[t] = g;
+                sel.offer(t, -y[t] * g, up[t], low[t]);
             }
         }
 
@@ -316,6 +353,77 @@ pub(crate) fn solve(
 
     let rho = compute_rho(&alpha, &grad, y, cap);
     Some((alpha, rho, iterations))
+}
+
+/// The two-variable analytic update (LIBSVM): moves αᵢ and αⱼ along the
+/// constraint `yᵀα = 0` to the minimum of the dual over the pair, clipped
+/// to both boxes. `k`, `y` and `cap` are as in [`solve`].
+fn update_pair(
+    k: &[f64],
+    y: &[f64],
+    cap: &[f64],
+    grad: &[f64],
+    alpha: &mut [f64],
+    i: usize,
+    j: usize,
+) {
+    let n = y.len();
+    let q = |i: usize, j: usize| y[i] * y[j] * k[i * n + j];
+    if y[i] != y[j] {
+        let mut quad = q(i, i) + q(j, j) + 2.0 * q(i, j);
+        if quad <= 0.0 {
+            quad = TAU;
+        }
+        let delta = (-grad[i] - grad[j]) / quad;
+        let diff = alpha[i] - alpha[j];
+        alpha[i] += delta;
+        alpha[j] += delta;
+        if diff > 0.0 {
+            if alpha[j] < 0.0 {
+                alpha[j] = 0.0;
+                alpha[i] = diff;
+            }
+        } else if alpha[i] < 0.0 {
+            alpha[i] = 0.0;
+            alpha[j] = -diff;
+        }
+        if diff > cap[i] - cap[j] {
+            if alpha[i] > cap[i] {
+                alpha[i] = cap[i];
+                alpha[j] = cap[i] - diff;
+            }
+        } else if alpha[j] > cap[j] {
+            alpha[j] = cap[j];
+            alpha[i] = cap[j] + diff;
+        }
+    } else {
+        let mut quad = q(i, i) + q(j, j) - 2.0 * q(i, j);
+        if quad <= 0.0 {
+            quad = TAU;
+        }
+        let delta = (grad[i] - grad[j]) / quad;
+        let sum = alpha[i] + alpha[j];
+        alpha[i] -= delta;
+        alpha[j] += delta;
+        if sum > cap[i] {
+            if alpha[i] > cap[i] {
+                alpha[i] = cap[i];
+                alpha[j] = sum - cap[i];
+            }
+        } else if alpha[j] < 0.0 {
+            alpha[j] = 0.0;
+            alpha[i] = sum;
+        }
+        if sum > cap[j] {
+            if alpha[j] > cap[j] {
+                alpha[j] = cap[j];
+                alpha[i] = sum - cap[j];
+            }
+        } else if alpha[i] < 0.0 {
+            alpha[i] = 0.0;
+            alpha[j] = sum;
+        }
+    }
 }
 
 /// LIBSVM `calculate_rho`: average `y_i·G_i` over free support vectors,
@@ -577,5 +685,201 @@ mod tests {
             Kernel::Gaussian { sigma2: 1.0 },
             &SmoParams { lambda: 0.0, ..Default::default() },
         );
+    }
+
+    /// The two-pass loop that [`solve`] fuses: each iteration scans every
+    /// sample for the working set, then makes a second pass to update the
+    /// gradient. The reference the fused solver must match bit for bit.
+    #[allow(clippy::needless_range_loop)]
+    fn two_pass_solve(
+        k: &[f64],
+        y: &[f64],
+        cap: &[f64],
+        params: &SmoParams,
+        resume: Option<SmoState>,
+        every: usize,
+        checkpoint: &mut dyn FnMut(&SmoState) -> bool,
+    ) -> Option<(Vec<f64>, f64, usize)> {
+        let n = y.len();
+        let (mut alpha, mut grad, mut iterations) = match resume {
+            Some(state) => (state.alpha, state.grad, state.iterations),
+            None => (vec![0.0f64; n], vec![-1.0f64; n], 0usize),
+        };
+        loop {
+            iterations += 1;
+            if iterations > params.max_iter {
+                break;
+            }
+            let mut m_val = f64::NEG_INFINITY;
+            let mut m_idx = usize::MAX;
+            let mut big_m_val = f64::INFINITY;
+            let mut big_m_idx = usize::MAX;
+            for t in 0..n {
+                let in_up = (y[t] > 0.0 && alpha[t] < cap[t]) || (y[t] < 0.0 && alpha[t] > 0.0);
+                let in_low = (y[t] < 0.0 && alpha[t] < cap[t]) || (y[t] > 0.0 && alpha[t] > 0.0);
+                let v = -y[t] * grad[t];
+                if in_up && v > m_val {
+                    m_val = v;
+                    m_idx = t;
+                }
+                if in_low && v < big_m_val {
+                    big_m_val = v;
+                    big_m_idx = t;
+                }
+            }
+            if m_idx == usize::MAX || big_m_idx == usize::MAX || m_val - big_m_val < params.eps {
+                break;
+            }
+            let (i, j) = (m_idx, big_m_idx);
+            let (old_ai, old_aj) = (alpha[i], alpha[j]);
+            update_pair(k, y, cap, &grad, &mut alpha, i, j);
+            let di = alpha[i] - old_ai;
+            let dj = alpha[j] - old_aj;
+            if di != 0.0 || dj != 0.0 {
+                let (row_i, row_j) = (&k[i * n..(i + 1) * n], &k[j * n..(j + 1) * n]);
+                for t in 0..n {
+                    grad[t] += y[t] * y[i] * row_i[t] * di + y[t] * y[j] * row_j[t] * dj;
+                }
+            }
+            if every > 0 && iterations % every == 0 {
+                let state = SmoState { alpha: alpha.clone(), grad: grad.clone(), iterations };
+                if !checkpoint(&state) {
+                    return None;
+                }
+            }
+        }
+        let rho = compute_rho(&alpha, &grad, y, cap);
+        Some((alpha, rho, iterations))
+    }
+
+    /// A solver run's result and every state it checkpointed, as bits.
+    type Trace = (Vec<u64>, u64, usize, Vec<(Vec<u64>, Vec<u64>, usize)>);
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn state_bits(state: &SmoState) -> (Vec<u64>, Vec<u64>, usize) {
+        (bits(&state.alpha), bits(&state.grad), state.iterations)
+    }
+
+    /// Runs `solver` to the end, checkpointing at every iteration.
+    fn trace(solver: Solver, problem: &Problem, params: &SmoParams) -> Trace {
+        let mut states = Vec::new();
+        let (alpha, rho, iterations) =
+            solver(&problem.k, &problem.y, &problem.cap, params, None, 1, &mut |state| {
+                states.push(state_bits(state));
+                true
+            })
+            .unwrap();
+        (bits(&alpha), rho.to_bits(), iterations, states)
+    }
+
+    type Solver = fn(
+        &[f64],
+        &[f64],
+        &[f64],
+        &SmoParams,
+        Option<SmoState>,
+        usize,
+        &mut dyn FnMut(&SmoState) -> bool,
+    ) -> Option<(Vec<f64>, f64, usize)>;
+
+    struct Problem {
+        k: Vec<f64>,
+        y: Vec<f64>,
+        cap: Vec<f64>,
+    }
+
+    /// A seeded random problem: points on a coarse lattice (so some
+    /// coincide), about a quarter of them zero-weighted, and some points
+    /// repeated with either label, so pairs with no curvature arise.
+    fn random_problem(seed: u64, params: &SmoParams) -> Problem {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = 1 + rng.gen_index(3);
+        let n = 8 + rng.gen_index(40);
+        let mut samples: Vec<Sample> = (0..n)
+            .map(|t| {
+                let x = (0..dim).map(|_| rng.gen_index(6) as f64 / 5.0).collect();
+                let y = if t % 2 == 0 { 1.0 } else { -1.0 };
+                let c =
+                    if rng.gen_index(4) == 0 { 0.0 } else { (1 + rng.gen_index(8)) as f64 / 8.0 };
+                Sample::new(x, y, c)
+            })
+            .collect();
+        if seed.is_multiple_of(4) {
+            // The first working pair is the first positive and the first
+            // negative: coincident, it has no curvature (quad = 0 → TAU).
+            samples[1].x = samples[0].x.clone();
+            samples[0].c = 1.0;
+            samples[1].c = 1.0;
+        }
+        for _ in 0..rng.gen_index(6) {
+            let mut copy = samples[rng.gen_index(n)].clone();
+            if rng.gen_index(2) == 0 {
+                copy.y = -copy.y;
+            }
+            samples.push(copy);
+        }
+        let sigma2 = [0.05, 0.5, 2.0][rng.gen_index(3)];
+        Problem {
+            k: gram(&samples, Kernel::Gaussian { sigma2 }),
+            y: samples.iter().map(|s| s.y).collect(),
+            cap: samples.iter().map(|s| params.lambda * s.c).collect(),
+        }
+    }
+
+    fn params_for(seed: u64) -> SmoParams {
+        SmoParams { lambda: [1.0, 10.0, 100.0][(seed % 3) as usize], ..Default::default() }
+    }
+
+    #[test]
+    fn fused_solver_matches_the_two_pass_loop_bit_for_bit() {
+        for seed in 0..60 {
+            let params = params_for(seed);
+            let problem = random_problem(seed, &params);
+            let fused = trace(solve, &problem, &params);
+            assert_eq!(fused, trace(two_pass_solve, &problem, &params), "seed {seed}");
+            assert!(fused.2 > 1, "seed {seed} converged at once");
+
+            // A cap that cuts the run mid-way.
+            let cut = SmoParams { max_iter: fused.2 / 2, ..params };
+            assert_eq!(
+                trace(solve, &problem, &cut),
+                trace(two_pass_solve, &problem, &cut),
+                "seed {seed}, max_iter {}",
+                cut.max_iter
+            );
+        }
+    }
+
+    #[test]
+    fn fused_solver_paused_at_every_iteration_matches_the_two_pass_loop() {
+        for seed in 0..20 {
+            let params = params_for(seed);
+            let problem = random_problem(seed, &params);
+            let (alpha, rho, iterations, states) = trace(two_pass_solve, &problem, &params);
+            // Pause at every checkpoint and resume from the captured state.
+            let mut resumed_states = Vec::new();
+            let mut resume = None;
+            let result = loop {
+                let mut captured = None;
+                let run =
+                    solve(&problem.k, &problem.y, &problem.cap, &params, resume, 1, &mut |s| {
+                        captured = Some(s.clone());
+                        false
+                    });
+                if let Some(result) = run {
+                    break result;
+                }
+                let state = captured.expect("a paused run leaves a state");
+                resumed_states.push(state_bits(&state));
+                resume = Some(state);
+            };
+            assert_eq!(resumed_states, states, "seed {seed}");
+            assert_eq!((bits(&result.0), result.1.to_bits(), result.2), (alpha, rho, iterations));
+        }
     }
 }
