@@ -7,8 +7,9 @@
 //! dissimilarity to its members.
 
 use crate::dissim::{jaccard_dissimilarity, jaccard_from_counts};
+use leaps_etw::event::NameHasher;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 /// A trained clustering over a vocabulary of sets, supporting nearest-
 /// cluster assignment for unseen sets.
@@ -184,31 +185,6 @@ impl Groups {
 
     fn get(&self, k: usize) -> &[u32] {
         &self.items[self.offsets[k] as usize..self.offsets[k + 1] as usize]
-    }
-}
-
-/// A multiply-rotate hash over 8-byte words for the name tables. Names
-/// are short and looked up once per stack frame; SipHash's resistance to
-/// chosen collisions buys nothing on a table whose keys are fixed when
-/// the model is loaded.
-#[derive(Debug, Clone, Copy, Default)]
-struct NameHasher(u64);
-
-impl Hasher for NameHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
-        }
-        for &byte in chunks.remainder() {
-            self.0 = (self.0.rotate_left(5) ^ u64::from(byte)).wrapping_mul(K);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

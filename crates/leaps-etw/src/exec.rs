@@ -7,7 +7,7 @@
 //! stack correlation Algorithm 1's implicit-path inference exploits.
 
 use crate::attack::{AttackMethod, InfectedProcess};
-use crate::event::{Provenance, StackFrame, SysEvent};
+use crate::event::{Name, Provenance, StackFrame, SysEvent};
 use crate::program::{FuncId, ProgramModel};
 use crate::rng::SimRng;
 use crate::syslib::SysCatalog;
@@ -41,7 +41,7 @@ struct Stream<'m> {
     /// prefix), outermost first.
     prefix: Vec<StackFrame>,
     /// Module name override for the program's own frames.
-    module_name: String,
+    module_name: Name,
     /// Probability of skipping the outermost user-mode API wrapper frame
     /// (0 for normally linked applications).
     direct_call_p: f64,
@@ -57,7 +57,7 @@ impl<'m> Stream<'m> {
         truth: Provenance,
         tid: u32,
         prefix: Vec<StackFrame>,
-        module_name: String,
+        module_name: &str,
         direct_call_p: f64,
         rng: SimRng,
     ) -> Self {
@@ -67,7 +67,7 @@ impl<'m> Stream<'m> {
             truth,
             tid,
             prefix,
-            module_name,
+            module_name: module_name.into(),
             direct_call_p,
             current_activity: 0,
             rng,
@@ -126,7 +126,7 @@ impl<'m> Stream<'m> {
 
     fn frame_of(&self, fid: FuncId) -> StackFrame {
         let f = &self.model.functions[fid];
-        StackFrame::new(self.module_name.clone(), f.name.clone(), f.addr, true)
+        StackFrame::new(self.module_name.clone(), f.name.as_str(), f.addr, true)
     }
 }
 
@@ -165,7 +165,7 @@ pub fn run_benign(
         Provenance::Benign,
         APP_TID,
         Vec::new(),
-        app.module.name.clone(),
+        &app.module.name,
         0.0,
         rng.derive(1),
     );
@@ -216,7 +216,7 @@ pub fn run_mixed(
         Provenance::Benign,
         APP_TID,
         Vec::new(),
-        benign_model.module.name.clone(),
+        &benign_model.module.name,
         0.0,
         rng.derive(1),
     );
@@ -228,7 +228,7 @@ pub fn run_mixed(
         Provenance::Malicious,
         PAYLOAD_TID,
         prefix,
-        infection.payload_module_name.clone(),
+        &infection.payload_module_name,
         PAYLOAD_DIRECT_CALL_P,
         rng.derive(2),
     );
@@ -272,7 +272,7 @@ pub fn run_standalone_payload(
         Provenance::Malicious,
         APP_TID,
         Vec::new(),
-        payload.module.name.clone(),
+        &payload.module.name,
         PAYLOAD_DIRECT_CALL_P,
         rng.derive(1),
     );
@@ -292,8 +292,8 @@ fn hijack_prefix(app: &ProgramModel, infection: &InfectedProcess) -> Vec<StackFr
             let root = &app.functions[app.root];
             let h = &app.functions[hijack];
             vec![
-                StackFrame::new(app.module.name.clone(), root.name.clone(), root.addr, true),
-                StackFrame::new(app.module.name.clone(), h.name.clone(), h.addr, true),
+                StackFrame::new(app.module.name.as_str(), root.name.as_str(), root.addr, true),
+                StackFrame::new(app.module.name.as_str(), h.name.as_str(), h.addr, true),
             ]
         }
         _ => Vec::new(),
@@ -390,7 +390,7 @@ mod tests {
             .find(|e| e.truth == Provenance::Malicious)
             .expect("some malicious events");
         assert_eq!(mal.frames[0].function, "main");
-        assert_eq!(mal.frames[0].module, app.module.name);
+        assert_eq!(mal.frames[0].module, *app.module.name);
         // Payload frames resolve to the host module for offline infection.
         assert!(mal.frames.iter().any(|f| f.in_app_image && f.function.starts_with("payload_")));
     }

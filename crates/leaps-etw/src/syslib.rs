@@ -10,9 +10,10 @@
 //! ntoskrnl!NtDeviceIoControlFile → afd!AfdSend → tcpip!TcpSendData`).
 
 use crate::addr::{AddressRange, Va};
-use crate::event::{EventType, StackFrame};
+use crate::event::{EventType, NameHasher, StackFrame};
 use crate::module::{FunctionSym, ModuleImage};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::hash::BuildHasherDefault;
 use std::sync::OnceLock;
 
 /// Identifier of an API in the catalog.
@@ -289,6 +290,8 @@ pub const VARIANT_POOL: usize = 48;
 #[derive(Debug)]
 pub struct SysCatalog {
     libs: Vec<ModuleImage>,
+    /// The names of `libs`, for one lookup per stack frame.
+    lib_names: HashSet<&'static str, BuildHasherDefault<NameHasher>>,
     apis: Vec<ApiRuntime>,
     by_name: BTreeMap<&'static str, ApiId>,
     variants: BTreeMap<&'static str, Vec<StackFrame>>,
@@ -410,7 +413,8 @@ impl SysCatalog {
             })
             .collect();
 
-        SysCatalog { libs, apis, by_name, variants }
+        let lib_names = LIBS.iter().map(|spec| spec.name).collect();
+        SysCatalog { libs, lib_names, apis, by_name, variants }
     }
 
     /// The `k`-th internal helper frame of `lib` (see [`VARIANT_POOL`]),
@@ -467,6 +471,12 @@ impl SysCatalog {
         &self.libs
     }
 
+    /// Whether `name` names one of [`SysCatalog::libraries`].
+    #[must_use]
+    pub fn is_library(&self, name: &str) -> bool {
+        self.lib_names.contains(name)
+    }
+
     /// Resolves an address to its owning library module, if any.
     #[must_use]
     pub fn library_of(&self, addr: Va) -> Option<&ModuleImage> {
@@ -492,9 +502,9 @@ mod tests {
         for i in 0..c.api_count() {
             for frame in c.frames(ApiId(i)) {
                 let lib = c.library_of(frame.addr).expect("frame addr in some lib");
-                assert_eq!(lib.name, frame.module);
+                assert_eq!(lib.name, *frame.module);
                 let sym = lib.resolve(frame.addr).expect("symbol resolves");
-                assert_eq!(sym.name, frame.function);
+                assert_eq!(sym.name, *frame.function);
                 assert!(!frame.in_app_image);
             }
         }

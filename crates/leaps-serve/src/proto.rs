@@ -918,8 +918,8 @@ mod tests {
                     .map(|&(i, kind)| {
                         let mut frame = known[i % known.len()].clone();
                         match kind {
-                            1 => frame.function = format!("Unseen{i}"),
-                            2 => frame.module = format!("unseen{}", i % 3),
+                            1 => frame.function = format!("Unseen{i}").into(),
+                            2 => frame.module = format!("unseen{}", i % 3).into(),
                             _ => {}
                         }
                         frame

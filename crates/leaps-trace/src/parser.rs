@@ -5,12 +5,20 @@
 //! first, terminated by `END`. Parsing restores **caller order** (outermost
 //! first), which is the order every downstream algorithm in the paper
 //! consumes.
+//!
+//! Both parsers read lines through one reader that allocates nothing per
+//! line: tokens are borrowed from the input, each distinct module or
+//! function name is allocated once per call and shared by every frame
+//! that names it (`leaps_etw::event::Name`), and an event's frames gather
+//! in one reused buffer.
 
 use leaps_etw::addr::Va;
-use leaps_etw::event::{EventType, Provenance, StackFrame};
+use leaps_etw::event::{EventType, Name, NameHasher, Provenance, StackFrame};
 use leaps_etw::logfmt::HEADER;
+use std::collections::hash_map::{Entry, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 /// A stack-event correlated record: one system event with its stack walk
 /// in caller order.
@@ -128,6 +136,18 @@ impl ErrorClass {
         ErrorClass::UnterminatedEvent,
     ];
 
+    /// Position in [`ErrorClass::ALL`].
+    #[must_use]
+    pub fn index(self) -> usize {
+        match self {
+            ErrorClass::MissingHeader => 0,
+            ErrorClass::UnexpectedLine => 1,
+            ErrorClass::MissingField => 2,
+            ErrorClass::InvalidValue => 3,
+            ErrorClass::UnterminatedEvent => 4,
+        }
+    }
+
     /// Stable snake_case label for reports.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -171,15 +191,13 @@ pub struct RecoveryStats {
 
 impl RecoveryStats {
     fn count(&mut self, class: ErrorClass) {
-        let idx = ErrorClass::ALL.iter().position(|c| *c == class).expect("known class");
-        self.class_counts[idx] += 1;
+        self.class_counts[class.index()] += 1;
     }
 
     /// Occurrences of one error class.
     #[must_use]
     pub fn class_count(&self, class: ErrorClass) -> usize {
-        let idx = ErrorClass::ALL.iter().position(|c| *c == class).expect("known class");
-        self.class_counts[idx]
+        self.class_counts[class.index()]
     }
 
     /// Total error occurrences across all classes.
@@ -235,15 +253,15 @@ pub struct RecoveredLog {
 pub fn parse_log_lenient(raw: &str) -> RecoveredLog {
     let mut stats = RecoveryStats::default();
     let mut events = Vec::new();
-    let mut lines = raw.lines().enumerate().peekable();
+    let mut lines = raw.split('\n').enumerate().peekable();
     match lines.peek() {
-        Some((_, first)) if first.trim() == HEADER => {
+        Some((_, first)) if trim(first) == HEADER => {
             lines.next();
         }
         _ => stats.count(ErrorClass::MissingHeader),
     }
 
-    let mut current: Option<CorrelatedEvent> = None;
+    let mut reader = Reader::default();
     // After an error inside a record, skip lines until the next EVENT.
     let mut resyncing = false;
     let quarantine = |stats: &mut RecoveryStats, class: ErrorClass| {
@@ -253,64 +271,51 @@ pub fn parse_log_lenient(raw: &str) -> RecoveredLog {
 
     for (idx, line) in lines {
         let line_no = idx + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        if let Some(rest) = trimmed.strip_prefix("EVENT ") {
-            if current.take().is_some() {
-                // The previous record never reached its END.
-                quarantine(&mut stats, ErrorClass::UnterminatedEvent);
+        match Line::classify(line) {
+            Line::Skip => {}
+            Line::Event(fields) => {
+                if reader.record.take().is_some() {
+                    // The previous record never reached its END.
+                    quarantine(&mut stats, ErrorClass::UnterminatedEvent);
+                }
+                resyncing = false;
+                match parse_event_header(fields, line_no) {
+                    Ok(ev) => reader.open(ev),
+                    Err(e) => {
+                        quarantine(&mut stats, e.class());
+                        resyncing = true;
+                    }
+                }
             }
-            resyncing = false;
-            match parse_event_header(rest, line_no) {
-                Ok(ev) => current = Some(ev),
-                Err(e) => {
+            _ if resyncing => stats.skipped_lines += 1,
+            Line::Stack(parts) if reader.record.is_some() => {
+                if let Err(e) = reader.stack_line(parts, line_no) {
                     quarantine(&mut stats, e.class());
+                    reader.record = None;
                     resyncing = true;
                 }
             }
-        } else if resyncing {
-            stats.skipped_lines += 1;
-        } else if let Some(rest) = trimmed.strip_prefix("STACK ") {
-            match current.as_mut() {
-                Some(ev) => match parse_stack_line(rest, line_no) {
-                    Ok(frame) => ev.frames.push(frame),
-                    Err(e) => {
-                        quarantine(&mut stats, e.class());
-                        current = None;
-                        resyncing = true;
-                    }
-                },
-                None => {
-                    stats.count(ErrorClass::UnexpectedLine);
-                    stats.skipped_lines += 1;
-                }
+            Line::End if reader.record.is_some() => {
+                events.extend(reader.close());
+                stats.parsed += 1;
             }
-        } else if trimmed == "END" {
-            match current.take() {
-                Some(mut ev) => {
-                    ev.frames.reverse();
-                    events.push(ev);
-                    stats.parsed += 1;
-                }
-                None => {
-                    stats.count(ErrorClass::UnexpectedLine);
-                    stats.skipped_lines += 1;
-                }
+            Line::Stack(_) | Line::End => {
+                stats.count(ErrorClass::UnexpectedLine);
+                stats.skipped_lines += 1;
             }
-        } else {
-            // Unrecognizable line: if it interrupts a record, the record
-            // can no longer be trusted.
-            stats.count(ErrorClass::UnexpectedLine);
-            stats.skipped_lines += 1;
-            if current.take().is_some() {
-                stats.quarantined += 1;
-                resyncing = true;
+            Line::Other => {
+                // Unrecognizable line: if it interrupts a record, the
+                // record can no longer be trusted.
+                stats.count(ErrorClass::UnexpectedLine);
+                stats.skipped_lines += 1;
+                if reader.record.take().is_some() {
+                    stats.quarantined += 1;
+                    resyncing = true;
+                }
             }
         }
     }
-    if current.is_some() {
+    if reader.record.is_some() {
         quarantine(&mut stats, ErrorClass::UnterminatedEvent);
     }
     RecoveredLog { events, stats }
@@ -326,66 +331,223 @@ pub fn parse_log_lenient(raw: &str) -> RecoveredLog {
 /// Returns a [`ParseError`] describing the first malformed construct, with
 /// its line number.
 pub fn parse_log(raw: &str) -> Result<CorrelatedLog, ParseError> {
-    let mut lines = raw.lines().enumerate();
+    let mut lines = raw.split('\n').enumerate();
     match lines.next() {
-        Some((_, first)) if first.trim() == HEADER => {}
+        Some((_, first)) if trim(first) == HEADER => {}
         _ => return Err(ParseError::MissingHeader),
     }
 
+    let mut reader = Reader::default();
     let mut events = Vec::new();
-    let mut current: Option<(CorrelatedEvent, usize)> = None;
-
     for (idx, line) in lines {
         let line_no = idx + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        if let Some(rest) = trimmed.strip_prefix("EVENT ") {
-            if let Some((ev, _)) = current.take() {
-                return Err(ParseError::UnterminatedEvent { num: ev.num });
+        match Line::classify(line) {
+            Line::Skip => {}
+            Line::Event(fields) => {
+                if let Some(ev) = &reader.record {
+                    return Err(ParseError::UnterminatedEvent { num: ev.num });
+                }
+                reader.open(parse_event_header(fields, line_no)?);
             }
-            current = Some((parse_event_header(rest, line_no)?, line_no));
-        } else if let Some(rest) = trimmed.strip_prefix("STACK ") {
-            let Some((event, _)) = current.as_mut() else {
+            Line::Stack(parts) if reader.record.is_some() => reader.stack_line(parts, line_no)?,
+            Line::End if reader.record.is_some() => events.extend(reader.close()),
+            Line::Stack(_) | Line::End | Line::Other => {
                 return Err(ParseError::UnexpectedLine {
                     line: line_no,
-                    content: truncate(trimmed),
+                    content: truncate(trim(line)),
                 });
-            };
-            event.frames.push(parse_stack_line(rest, line_no)?);
-        } else if trimmed == "END" {
-            let Some((mut event, _)) = current.take() else {
-                return Err(ParseError::UnexpectedLine {
-                    line: line_no,
-                    content: truncate(trimmed),
-                });
-            };
-            // On-disk order is innermost first; restore caller order.
-            event.frames.reverse();
-            events.push(event);
-        } else {
-            return Err(ParseError::UnexpectedLine { line: line_no, content: truncate(trimmed) });
+            }
         }
     }
-    if let Some((ev, _)) = current {
+    if let Some(ev) = reader.record {
         return Err(ParseError::UnterminatedEvent { num: ev.num });
     }
     Ok(CorrelatedLog { events })
+}
+
+/// The whitespace-separated tokens of a line, split where
+/// `str::split_whitespace` splits: at every character for which
+/// `char::is_whitespace` holds.
+///
+/// One byte loop serves every token and [`trim`]. Its ASCII arm tests
+/// the six ASCII `White_Space` bytes, vertical tab included (which
+/// `u8::is_ascii_whitespace` and `split_ascii_whitespace` leave out);
+/// any other byte starts a character that is decoded and asked.
+struct Tokens<'a> {
+    line: &'a str,
+    /// Byte offset of the next character to read.
+    pos: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(line: &'a str) -> Tokens<'a> {
+        Tokens { line, pos: 0 }
+    }
+
+    /// Advances past the characters that are whitespace iff `WS`.
+    fn skip<const WS: bool>(&mut self) {
+        let bytes = self.line.as_bytes();
+        let mut pos = self.pos;
+        while let Some(&b) = bytes.get(pos) {
+            let len = if b.is_ascii() {
+                if matches!(b, b'\t'..=b'\r' | b' ') != WS {
+                    break;
+                }
+                1
+            } else {
+                match self.line.get(pos..).and_then(|rest| rest.chars().next()) {
+                    Some(c) if c.is_whitespace() == WS => c.len_utf8(),
+                    _ => break,
+                }
+            };
+            pos += len;
+        }
+        self.pos = pos;
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.skip::<true>();
+        let start = self.pos;
+        self.skip::<false>();
+        self.line.get(start..self.pos).filter(|token| !token.is_empty())
+    }
+}
+
+/// `line.trim()`, through the loop [`Tokens`] splits with: the span from
+/// the first token's start to the last token's end.
+fn trim(line: &str) -> &str {
+    let mut tokens = Tokens::new(line);
+    let Some(first) = tokens.next() else {
+        return "";
+    };
+    let start = tokens.pos - first.len();
+    let mut end = tokens.pos;
+    while tokens.next().is_some() {
+        end = tokens.pos;
+    }
+    line.get(start..end).unwrap_or_default()
+}
+
+/// What one raw-log line holds.
+enum Line<'a> {
+    /// Blank, or a `#` comment.
+    Skip,
+    /// An `EVENT` header; the tokens after the keyword.
+    Event(Tokens<'a>),
+    /// A `STACK` line; the tokens after the keyword.
+    Stack(Tokens<'a>),
+    /// `END`.
+    End,
+    /// Anything else.
+    Other,
+}
+
+impl<'a> Line<'a> {
+    /// Classifies a line by its trimmed text: an `EVENT ` or `STACK `
+    /// prefix (a space, not any whitespace, after the keyword), `END`
+    /// alone, or a leading `#`.
+    fn classify(line: &'a str) -> Line<'a> {
+        let mut tokens = Tokens::new(line);
+        let Some(first) = tokens.next() else {
+            return Line::Skip;
+        };
+        let spaced = line.as_bytes().get(tokens.pos) == Some(&b' ');
+        match first {
+            "EVENT" if spaced => Line::Event(tokens),
+            "STACK" if spaced => Line::Stack(tokens),
+            "END" if tokens.next().is_none() => Line::End,
+            _ if first.starts_with('#') => Line::Skip,
+            _ => Line::Other,
+        }
+    }
+}
+
+type NameMap<'a, V> = HashMap<&'a str, V, BuildHasherDefault<NameHasher>>;
+
+/// What one parse carries from line to line: its name interner and the
+/// open record with its frames.
+///
+/// The interner lives only as long as the call, so its memory is bounded
+/// by the log being read; a long-lived process that reads many logs keeps
+/// no names from the ones it has finished.
+#[derive(Default)]
+struct Reader<'a> {
+    /// `module!function` token → its two names: one lookup per frame.
+    symbols: NameMap<'a, (Name, Name)>,
+    /// Every distinct module or function name, allocated once.
+    names: NameMap<'a, Name>,
+    /// The record whose `END` has not been read yet.
+    record: Option<CorrelatedEvent>,
+    /// Its frames, innermost first as on disk.
+    frames: Vec<StackFrame>,
+}
+
+impl<'a> Reader<'a> {
+    /// Reads the fields of a `STACK` line into the open record.
+    fn stack_line(&mut self, mut parts: Tokens<'a>, line: usize) -> Result<(), ParseError> {
+        let addr_str = parts.next().ok_or(ParseError::MissingField { line, field: "addr" })?;
+        let sym = parts.next().ok_or(ParseError::MissingField { line, field: "symbol" })?;
+        let addr_hex = addr_str.strip_prefix("0x").ok_or_else(|| ParseError::InvalidValue {
+            line,
+            field: "addr",
+            value: addr_str.to_owned(),
+        })?;
+        let addr = u64::from_str_radix(addr_hex, 16).map_err(|_| ParseError::InvalidValue {
+            line,
+            field: "addr",
+            value: addr_str.to_owned(),
+        })?;
+        let (module, function) = match self.symbols.entry(sym) {
+            Entry::Occupied(known) => known.get().clone(),
+            Entry::Vacant(slot) => {
+                let (module, function) = sym.split_once('!').ok_or_else(|| {
+                    ParseError::InvalidValue { line, field: "symbol", value: sym.to_owned() }
+                })?;
+                let intern = |names: &mut NameMap<'a, Name>, name: &'a str| {
+                    names.entry(name).or_insert_with(|| Name::from(name)).clone()
+                };
+                let module = intern(&mut self.names, module);
+                let function = intern(&mut self.names, function);
+                slot.insert((module, function)).clone()
+            }
+        };
+        // `in_app_image` is assigned by the partition module; default false.
+        self.frames.push(StackFrame::new(module, function, Va(addr), false));
+        Ok(())
+    }
+
+    /// Opens a record for the `STACK` lines that follow.
+    fn open(&mut self, record: CorrelatedEvent) {
+        self.frames.clear();
+        self.record = Some(record);
+    }
+
+    /// Closes the open record, its frames in caller order in one
+    /// allocation of their exact size; the buffer keeps its room for
+    /// the next record.
+    fn close(&mut self) -> Option<CorrelatedEvent> {
+        let mut record = self.record.take()?;
+        record.frames = self.frames.drain(..).rev().collect();
+        Some(record)
+    }
 }
 
 fn truncate(s: &str) -> String {
     s.chars().take(60).collect()
 }
 
-fn parse_event_header(rest: &str, line: usize) -> Result<CorrelatedEvent, ParseError> {
+fn parse_event_header(fields: Tokens<'_>, line: usize) -> Result<CorrelatedEvent, ParseError> {
     let mut num = None;
     let mut etype = None;
     let mut pid = None;
     let mut tid = None;
     let mut ts = None;
     let mut truth = None;
-    for token in rest.split_whitespace() {
+    for token in fields {
         let Some((key, value)) = token.split_once('=') else {
             return Err(ParseError::UnexpectedLine { line, content: truncate(token) });
         };
@@ -437,34 +599,16 @@ fn parse_u32(value: &str, field: &'static str, line: usize) -> Result<u32, Parse
     value.parse().map_err(|_| ParseError::InvalidValue { line, field, value: value.to_owned() })
 }
 
-fn parse_stack_line(rest: &str, line: usize) -> Result<StackFrame, ParseError> {
-    let mut parts = rest.split_whitespace();
-    let addr_str = parts.next().ok_or(ParseError::MissingField { line, field: "addr" })?;
-    let sym = parts.next().ok_or(ParseError::MissingField { line, field: "symbol" })?;
-    let addr_hex = addr_str.strip_prefix("0x").ok_or_else(|| ParseError::InvalidValue {
-        line,
-        field: "addr",
-        value: addr_str.to_owned(),
-    })?;
-    let addr = u64::from_str_radix(addr_hex, 16).map_err(|_| ParseError::InvalidValue {
-        line,
-        field: "addr",
-        value: addr_str.to_owned(),
-    })?;
-    let (module, function) = sym.split_once('!').ok_or_else(|| ParseError::InvalidValue {
-        line,
-        field: "symbol",
-        value: sym.to_owned(),
-    })?;
-    // `in_app_image` is assigned by the partition module; default false.
-    Ok(StackFrame::new(module, function, Va(addr), false))
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::partition_events;
     use leaps_etw::logfmt::write_log;
     use leaps_etw::scenario::{GenParams, Scenario};
+    use std::collections::HashSet;
 
     fn sample_log() -> String {
         let logs =
@@ -491,6 +635,31 @@ mod tests {
                 assert_eq!(pf.module, of.module);
                 assert_eq!(pf.function, of.function);
                 assert_eq!(pf.addr, of.addr);
+            }
+        }
+    }
+
+    #[test]
+    fn frames_share_one_allocation_per_name() {
+        let logs = Scenario::by_name("vim_reverse_tcp").unwrap().generate(&GenParams::paper(), 3);
+        let strict = parse_log(&logs.mixed).unwrap().events;
+        let lenient = parse_log_lenient(&logs.mixed).events;
+        let partitioned = partition_events(&strict);
+        for (events, partitioned) in [(&strict, &partitioned[..]), (&lenient, &[])] {
+            let frames = || events.iter().flat_map(|e| &e.frames);
+            let names = || frames().flat_map(|f| [&f.module, &f.function]);
+            let mut first: HashMap<&str, &Name> = HashMap::new();
+            for name in names() {
+                let owner = first.entry(name.as_str()).or_insert(name);
+                assert!(Name::ptr_eq(owner, name), "{name:?} is allocated more than once");
+            }
+            let allocations: HashSet<*const u8> = names().map(|n| n.as_ptr()).collect();
+            assert_eq!(allocations.len(), first.len());
+            assert!(frames().count() > 100 * first.len(), "{} names", first.len());
+            let split = partitioned.iter().flat_map(|p| p.app_stack.iter().chain(&p.system_stack));
+            for frame in split {
+                assert!(Name::ptr_eq(&frame.module, first[frame.module.as_str()]));
+                assert!(Name::ptr_eq(&frame.function, first[frame.function.as_str()]));
             }
         }
     }
@@ -672,6 +841,7 @@ mod tests {
         assert_eq!(classes, ErrorClass::ALL.to_vec());
         for class in ErrorClass::ALL {
             assert!(!class.label().is_empty());
+            assert_eq!(ErrorClass::ALL[class.index()], class);
         }
     }
 

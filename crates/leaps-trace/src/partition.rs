@@ -60,7 +60,7 @@ impl PartitionedEvent {
 /// kernel module known to the catalog).
 #[must_use]
 pub fn is_system_frame(frame: &StackFrame) -> bool {
-    SysCatalog::standard().libraries().iter().any(|lib| lib.name == frame.module)
+    SysCatalog::standard().is_library(&frame.module)
 }
 
 /// Partitions one event's stack walk.

@@ -4,62 +4,13 @@
 //! recover — every record is either parsed or quarantined, never lost to
 //! a crash.
 
-use leaps_etw::addr::Va;
-use leaps_etw::event::{EventType, Provenance, StackFrame, SysEvent};
+mod support;
+
 use leaps_etw::logfmt::write_log;
 use leaps_faults::{inject, FaultClass, FaultPlan};
 use leaps_trace::parser::{parse_log, parse_log_lenient};
 use proptest::prelude::*;
-
-fn module_name() -> impl Strategy<Value = &'static str> {
-    prop::sample::select(vec!["ntdll", "kernel32", "ws2_32", "tcpip", "vim", "myapp", "<anon>"])
-}
-
-fn frame() -> impl Strategy<Value = StackFrame> {
-    (module_name(), 0u32..40, 0u64..0xffff_ffff).prop_map(|(module, fidx, addr)| {
-        StackFrame::new(module, format!("f{fidx}"), Va(addr), false)
-    })
-}
-
-fn event(num: u64) -> impl Strategy<Value = SysEvent> {
-    (
-        prop::sample::select(EventType::ALL.to_vec()),
-        prop::collection::vec(frame(), 1..10),
-        0u32..9999,
-        0u32..9999,
-        prop::bool::ANY,
-    )
-        .prop_map(move |(etype, frames, pid, tid, malicious)| SysEvent {
-            num,
-            etype,
-            pid,
-            tid,
-            timestamp: num * 17,
-            frames,
-            truth: if malicious { Provenance::Malicious } else { Provenance::Benign },
-        })
-}
-
-fn event_log() -> impl Strategy<Value = Vec<SysEvent>> {
-    prop::collection::vec(prop::num::u8::ANY, 1..30).prop_flat_map(|nums| {
-        let strategies: Vec<_> =
-            nums.iter().enumerate().map(|(i, _)| event(i as u64 + 1)).collect();
-        strategies
-    })
-}
-
-/// Strategy: a fault plan with arbitrary per-class rates up to 0.6 and an
-/// arbitrary jitter window.
-fn fault_plan() -> impl Strategy<Value = FaultPlan> {
-    (prop::collection::vec(0.0f64..0.6, 6), 1usize..6).prop_map(|(rates, jitter)| {
-        let mut plan = FaultPlan::none();
-        for (class, &rate) in FaultClass::ALL.iter().zip(&rates) {
-            plan.set(*class, rate);
-        }
-        plan.reorder_jitter = jitter;
-        plan
-    })
-}
+use support::{event_log, fault_plan};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
