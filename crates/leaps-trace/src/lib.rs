@@ -5,11 +5,14 @@
 //!
 //! * [`parser`] parses the ETL-like raw text log emitted by `leaps-etw`
 //!   into *stack-event correlated* records, restoring caller order for the
-//!   stack frames and diagnosing malformed input with line numbers.
+//!   stack frames and diagnosing malformed input with line numbers. It
+//!   allocates nothing per line: each distinct module or function name
+//!   is allocated once per log and shared by every frame that names it.
 //! * [`partition`] splits each event's stack walk into the **application
 //!   stack trace** (frames inside the application image or anonymous
 //!   memory — used for CFG inference) and the **system stack trace**
-//!   (shared libraries and kernel — used for statistical features).
+//!   (shared libraries and kernel — used for statistical features). It
+//!   clones frames by reference count.
 //! * [`slicing`] slices a log per process, as the paper does per
 //!   application of interest.
 //!
