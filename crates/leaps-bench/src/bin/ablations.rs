@@ -23,14 +23,18 @@ use leaps::core::config::WeightPolarity;
 use leaps::core::experiment::Experiment;
 use leaps::core::pipeline::Method;
 use leaps::etw::scenario::Scenario;
-use leaps_bench::{env_usize, fmt3, harness_experiment};
+use leaps_bench::{fmt3, harness_experiment};
 
 fn main() {
     let scenario_name =
         std::env::var("LEAPS_SCENARIO").unwrap_or_else(|_| "winscp_reverse_tcp".into());
     let scenario = Scenario::by_name(&scenario_name).expect("known dataset");
     let mut base = harness_experiment();
-    base.runs = env_usize("LEAPS_RUNS", 3);
+    // `harness_experiment` has checked any `LEAPS_RUNS`; unset, the
+    // ablations default to 3 runs.
+    if std::env::var_os("LEAPS_RUNS").is_none() {
+        base.runs = 3;
+    }
     println!(
         "ABLATIONS on {scenario_name} (WSVM, {} runs, {} events/log)\n",
         base.runs, base.gen.benign_events

@@ -30,13 +30,17 @@ pub mod chart;
 use leaps::core::experiment::{CellOutcome, Experiment, SweepOptions, SweepReport};
 use leaps::core::pipeline::Method;
 use leaps::etw::scenario::{GenParams, Scenario};
+use std::env::VarError;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Builds the experiment configuration used by the harness binaries,
-/// honouring the `LEAPS_*` environment overrides.
+/// honouring the `LEAPS_*` environment overrides. A value that is set but
+/// unparsable, or `LEAPS_RUNS=0`, ends the process with one `error:` line
+/// and exit code 2.
 #[must_use]
 pub fn harness_experiment() -> Experiment {
-    let runs = env_usize("LEAPS_RUNS", 10);
+    let runs = or_exit(parse_runs(std::env::var("LEAPS_RUNS"), 10));
     let seed = env_u64("LEAPS_SEED", 0x1ea5);
     let events = env_usize("LEAPS_EVENTS", 6000);
     Experiment {
@@ -179,16 +183,51 @@ pub fn method_figure(title: &str, scenarios: &[Scenario]) -> ExitCode {
     sweep_exit(&report)
 }
 
-/// Reads a `usize` env var with a default.
+/// Reads a `usize` env var with a default. A value that is set but does
+/// not parse ends the process with one `error:` line and exit code 2.
 #[must_use]
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    or_exit(parse_env(name, std::env::var(name), default))
 }
 
-/// Reads a `u64` env var with a default.
+/// Reads a `u64` env var with a default, as [`env_usize`] does.
 #[must_use]
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    or_exit(parse_env(name, std::env::var(name), default))
+}
+
+/// The value, or the end of the process as a usage error: one `error:`
+/// line and exit code 2.
+fn or_exit<T>(value: Result<T, String>) -> T {
+    value.unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    })
+}
+
+/// Parses the value of the unsigned-integer env var `name` as read by
+/// `std::env::var`: `default` when unset, an error message when set but
+/// not a `T`.
+fn parse_env<T: FromStr>(
+    name: &str,
+    value: Result<String, VarError>,
+    default: T,
+) -> Result<T, String> {
+    match value {
+        Ok(text) => {
+            text.parse().map_err(|_| format!("{name}={text:?} is not a non-negative integer"))
+        }
+        Err(VarError::NotPresent) => Ok(default),
+        Err(VarError::NotUnicode(text)) => Err(format!("{name}={text:?} is not valid UTF-8")),
+    }
+}
+
+/// [`parse_env`] for `LEAPS_RUNS`, which must be at least 1.
+fn parse_runs(value: Result<String, VarError>, default: usize) -> Result<usize, String> {
+    match parse_env("LEAPS_RUNS", value, default)? {
+        0 => Err("LEAPS_RUNS=0: need at least one run".to_owned()),
+        runs => Ok(runs),
+    }
 }
 
 /// Formats a metric value the way the paper's table does.
@@ -205,6 +244,24 @@ mod tests {
     fn env_defaults_apply() {
         assert_eq!(env_usize("LEAPS_NO_SUCH_VAR", 7), 7);
         assert_eq!(env_u64("LEAPS_NO_SUCH_VAR", 9), 9);
+    }
+
+    #[test]
+    fn env_values_parse_or_name_the_fault() {
+        let set = |text: &str| Ok(text.to_owned());
+        assert_eq!(parse_env("LEAPS_SEED", set("42"), 9u64), Ok(42));
+        assert_eq!(parse_env("LEAPS_SEED", Err(VarError::NotPresent), 9u64), Ok(9));
+        let bad = parse_env("LEAPS_EVENTS", set("ten"), 7usize).unwrap_err();
+        assert!(bad.contains("LEAPS_EVENTS") && bad.contains("\"ten\""), "{bad}");
+        assert!(parse_env("LEAPS_EVENTS", set(""), 7usize).is_err());
+        assert!(parse_env("LEAPS_EVENTS", set("-1"), 7usize).is_err());
+        let not_utf8 = Err(VarError::NotUnicode(std::ffi::OsString::new()));
+        assert!(parse_env("LEAPS_SEED", not_utf8, 9u64).is_err());
+
+        assert_eq!(parse_runs(set("3"), 10), Ok(3));
+        assert_eq!(parse_runs(Err(VarError::NotPresent), 10), Ok(10));
+        assert!(parse_runs(set("0"), 10).unwrap_err().contains("LEAPS_RUNS"));
+        assert!(parse_runs(set("ten"), 10).unwrap_err().contains("\"ten\""));
     }
 
     #[test]

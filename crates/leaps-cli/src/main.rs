@@ -19,7 +19,7 @@ use leaps::cfg::infer::infer_cfg;
 use leaps::core::config::PipelineConfig;
 use leaps::core::error::LeapsError;
 use leaps::core::experiment::Experiment;
-use leaps::core::persist::{load_classifier_file, save_classifier, save_classifier_to};
+use leaps::core::persist::{load_classifier_file, save_classifier, write_atomic};
 use leaps::core::pipeline::{
     try_train_classifier, try_train_classifier_checkpointed, CheckpointSpec, Method, TrainRun,
 };
@@ -361,7 +361,7 @@ fn cmd_train(args: &Args) -> Result<(), Failure> {
     let text = save_classifier(&classifier);
     // Crash-safe: a kill mid-save leaves the old model (or nothing),
     // never a torn file a later `detect`/`serve` would choke on.
-    save_classifier_to(std::path::Path::new(out), &classifier)?;
+    write_atomic(std::path::Path::new(out), &text)?;
     println!("wrote model to {out} ({} lines)", text.lines().count());
     Ok(())
 }

@@ -713,45 +713,33 @@ fn dispatch(
 ) -> Dispatch {
     let proto_err =
         |message: &str| Reply::Err { family: "proto".to_owned(), message: message.to_owned() };
-    if let Command::Hello { client: id } = &command {
-        if client.is_some() {
-            return Dispatch::Reply(proto_err("already introduced"));
+    match (command, client.as_deref()) {
+        (Command::Hello { client: id }, None) => {
+            *client = Some(id);
+            let workers = server.metrics().snapshot().gauge("pool.workers").unwrap_or(0);
+            Dispatch::Reply(Reply::Ok {
+                detail: format!("hello {PROTOCOL_VERSION} workers={workers}"),
+            })
         }
-        *client = Some(id.clone());
-        let workers = server.metrics().snapshot().gauge("pool.workers").unwrap_or(0);
-        return Dispatch::Reply(Reply::Ok {
-            detail: format!("hello {PROTOCOL_VERSION} workers={workers}"),
-        });
-    }
-    // Supervisor probes work without a HELLO: an external health checker
-    // should not have to claim a client identity (and session keys).
-    if command == Command::Health {
-        return Dispatch::Reply(Reply::Ok { detail: health_detail(server) });
-    }
-    if let Command::Metrics { reset } = command {
-        return metrics_block(server, reset);
-    }
-    if let Command::Panic { shard } = command {
-        if std::env::var("LEAPS_CHAOS").as_deref() != Ok("1") {
-            return Dispatch::Reply(proto_err(
-                "PANIC requires the daemon to run with LEAPS_CHAOS=1",
-            ));
+        (Command::Hello { .. }, Some(_)) => Dispatch::Reply(proto_err("already introduced")),
+        // Supervisor probes work without a HELLO: an external health checker
+        // should not have to claim a client identity (and session keys).
+        (Command::Health, _) => Dispatch::Reply(Reply::Ok { detail: health_detail(server) }),
+        (Command::Metrics { reset }, _) => metrics_block(server, reset),
+        (Command::Panic { shard }, _) if std::env::var("LEAPS_CHAOS").as_deref() == Ok("1") => {
+            server.inject_panic_job(shard as usize);
+            Dispatch::Reply(Reply::Ok { detail: format!("panic injected shard={shard}") })
         }
-        server.inject_panic_job(shard as usize);
-        return Dispatch::Reply(Reply::Ok { detail: format!("panic injected shard={shard}") });
-    }
-    let Some(client) = client.as_deref() else {
-        return Dispatch::Reply(proto_err("HELLO first"));
-    };
-    match command {
-        Command::Hello { .. }
-        | Command::Health
-        | Command::Metrics { .. }
-        | Command::Panic { .. } => {
-            unreachable!("handled above")
+        (Command::Panic { .. }, _) => {
+            Dispatch::Reply(proto_err("PANIC requires the daemon to run with LEAPS_CHAOS=1"))
         }
-        Command::Event { .. } => unreachable!("EVENT lines are read as `Request::Event`"),
-        Command::Open { pid, model } => {
+        // The connection loop reads `EVENT` lines as `Request::Event`;
+        // one that arrives here as a command is answered, not trusted.
+        (Command::Event { .. }, _) => {
+            Dispatch::Reply(proto_err("EVENT is a request, not a command"))
+        }
+        (_, None) => Dispatch::Reply(proto_err("HELLO first")),
+        (Command::Open { pid, model }, Some(client)) => {
             let sink = Arc::new(WriterSink { writer: Arc::clone(writer) });
             match server.open_session(client, pid, &model, sink) {
                 Ok(session) => {
@@ -761,7 +749,7 @@ fn dispatch(
                 Err(e) => Dispatch::Reply(err_reply(&e)),
             }
         }
-        Command::Close { pid } => {
+        (Command::Close { pid }, Some(client)) => {
             let closed = opened_session(opened, client, pid).and_then(|s| server.close_session(&s));
             opened.remove(&pid);
             match closed {
@@ -771,23 +759,68 @@ fn dispatch(
                 Err(e) => Dispatch::Reply(err_reply(&e)),
             }
         }
-        Command::Stats { pid: Some(pid) } => match opened_session(opened, client, pid) {
-            Ok(session) => Dispatch::Reply(Reply::Ok {
-                detail: format!("stats pid={pid} {}", report_fields(&session.report())),
-            }),
-            Err(e) => Dispatch::Reply(err_reply(&e)),
-        },
-        Command::Stats { pid: None } => Dispatch::Reply(Reply::Ok {
+        (Command::Stats { pid: Some(pid) }, Some(client)) => {
+            match opened_session(opened, client, pid) {
+                Ok(session) => Dispatch::Reply(Reply::Ok {
+                    detail: format!("stats pid={pid} {}", report_fields(&session.report())),
+                }),
+                Err(e) => Dispatch::Reply(err_reply(&e)),
+            }
+        }
+        (Command::Stats { pid: None }, _) => Dispatch::Reply(Reply::Ok {
             detail: format!(
                 "stats {}",
                 snapshot_fields(&server.metrics().snapshot(), &STATS_FIELDS)
             ),
         }),
-        Command::Reload { model } => match server.reload(&model) {
+        (Command::Reload { model }, _) => match server.reload(&model) {
             Ok(()) => Dispatch::Reply(Reply::Ok { detail: format!("reload model={model}") }),
             Err(e) => Dispatch::Reply(err_reply(&e)),
         },
-        Command::Shutdown => Dispatch::Shutdown(Reply::Ok { detail: "shutdown".to_owned() }),
-        Command::Bye => Dispatch::Last(Reply::Ok { detail: "bye".to_owned() }),
+        (Command::Shutdown, _) => Dispatch::Shutdown(Reply::Ok { detail: "shutdown".to_owned() }),
+        (Command::Bye, _) => Dispatch::Last(Reply::Ok { detail: "bye".to_owned() }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServerConfig;
+    use leaps_etw::event::EventType;
+    use leaps_trace::partition::PartitionedEvent;
+
+    /// An `EVENT` handed to `dispatch` as a command, before and after
+    /// `HELLO`, is answered with `ERR proto` and the connection stays.
+    #[cfg(unix)]
+    #[test]
+    fn an_event_command_is_answered_with_a_protocol_error() {
+        let server = Arc::new(Server::new(&ServerConfig {
+            workers: 1,
+            ..ServerConfig::new(std::env::temp_dir())
+        }));
+        let (ours, _peer) = UnixStream::pair().unwrap();
+        let writer = Arc::new(Mutex::new(Stream::Unix(ours)));
+        let mut client = None;
+        let mut opened = Opened::new();
+        let event = PartitionedEvent {
+            num: 1,
+            etype: EventType::FileRead,
+            tid: 0,
+            app_stack: Vec::new(),
+            system_stack: Vec::new(),
+            truth: None,
+        };
+        for hello in [false, true] {
+            if hello {
+                let hello = Command::Hello { client: "probe".to_owned() };
+                let greeted = dispatch(&server, &writer, &mut client, &mut opened, hello);
+                assert!(matches!(greeted, Dispatch::Reply(Reply::Ok { .. })));
+            }
+            let command = Command::Event { pid: 7, event: event.clone() };
+            match dispatch(&server, &writer, &mut client, &mut opened, command) {
+                Dispatch::Reply(Reply::Err { family, .. }) => assert_eq!(family, "proto"),
+                _ => panic!("an EVENT command must be answered with ERR proto"),
+            }
+        }
     }
 }

@@ -161,20 +161,11 @@ fn encode_frames(frames: &[StackFrame]) -> String {
     tokens.join(",")
 }
 
-/// Decodes an `EVENT` body produced by [`encode_event`].
-///
-/// # Errors
-///
-/// Returns [`ProtoError`] on any missing field, unknown key or malformed
-/// token.
-pub fn decode_event(body: &str) -> Result<PartitionedEvent, ProtoError> {
-    Ok(EventBody::parse(body)?.to_event())
-}
-
 /// An `EVENT` body whose every field and frame token has been checked,
-/// with both stacks still borrowed from the line. [`decode_event`] builds
-/// the owned event from it; the daemon encodes the system stack's names
-/// straight from it ([`EventBody::encode`]) and never builds the event.
+/// with both stacks still borrowed from the line. [`EventBody::to_event`]
+/// builds the owned event from it for [`Command::parse_line`]; the daemon
+/// encodes the system stack's names straight from it
+/// ([`EventBody::encode`]) and never builds the event.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EventBody<'a> {
     num: u64,
@@ -692,7 +683,7 @@ mod tests {
         let event = sample_event();
         let line = encode_event(&event);
         assert!(!line.contains('\n'));
-        assert_eq!(decode_event(&line).unwrap(), event);
+        assert_eq!(EventBody::parse(&line).unwrap().to_event(), event);
 
         let empty = PartitionedEvent {
             num: 0,
@@ -702,18 +693,18 @@ mod tests {
             system_stack: Vec::new(),
             truth: None,
         };
-        assert_eq!(decode_event(&encode_event(&empty)).unwrap(), empty);
+        assert_eq!(EventBody::parse(&encode_event(&empty)).unwrap().to_event(), empty);
     }
 
     #[test]
     fn event_decode_rejects_damage() {
         let line = encode_event(&sample_event());
-        assert!(decode_event(&line.replace("num=42", "num=x")).is_err());
-        assert!(decode_event(&line.replace("type=TcpSend", "type=Nope")).is_err());
-        assert!(decode_event(&line.replace("src=malicious", "src=evil")).is_err());
-        assert!(decode_event("num=1 type=TcpSend tid=0 src=- app=-").is_err(), "missing sys");
-        assert!(decode_event(&format!("{line} zz=1")).is_err(), "unknown field");
-        assert!(decode_event(&line.replace("@1,", "@2,")).is_err(), "bad in-app flag");
+        assert!(EventBody::parse(&line.replace("num=42", "num=x")).is_err());
+        assert!(EventBody::parse(&line.replace("type=TcpSend", "type=Nope")).is_err());
+        assert!(EventBody::parse(&line.replace("src=malicious", "src=evil")).is_err());
+        assert!(EventBody::parse("num=1 type=TcpSend tid=0 src=- app=-").is_err(), "missing sys");
+        assert!(EventBody::parse(&format!("{line} zz=1")).is_err(), "unknown field");
+        assert!(EventBody::parse(&line.replace("@1,", "@2,")).is_err(), "bad in-app flag");
     }
 
     #[test]
@@ -931,7 +922,7 @@ mod tests {
             let mut scratch = EncodeScratch::default();
             let borrowed =
                 encoder.normalize(encoder.tuple_of(&mut scratch, event.etype, fields.sys_names()));
-            let owned = encoder.encode(&decode_event(&body).unwrap());
+            let owned = encoder.encode(&fields.to_event());
             proptest::prop_assert_eq!(borrowed.map(f64::to_bits), owned.map(f64::to_bits), "{}", body);
         }
     }

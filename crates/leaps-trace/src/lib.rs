@@ -5,9 +5,11 @@
 //!
 //! * [`parser`] parses the ETL-like raw text log emitted by `leaps-etw`
 //!   into *stack-event correlated* records, restoring caller order for the
-//!   stack frames and diagnosing malformed input with line numbers. It
-//!   allocates nothing per line: each distinct module or function name
-//!   is allocated once per log and shared by every frame that names it.
+//!   stack frames and diagnosing malformed input with line numbers.
+//!   Strict and lenient parsing are one reader with two fault handlers.
+//!   It allocates nothing per line: each distinct module or function
+//!   name is allocated once per log and shared by every frame that
+//!   names it.
 //! * [`partition`] splits each event's stack walk into the **application
 //!   stack trace** (frames inside the application image or anonymous
 //!   memory — used for CFG inference) and the **system stack trace**

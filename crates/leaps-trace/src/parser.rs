@@ -6,19 +6,23 @@
 //! first), which is the order every downstream algorithm in the paper
 //! consumes.
 //!
-//! Both parsers read lines through one reader that allocates nothing per
-//! line: tokens are borrowed from the input, each distinct module or
-//! function name is allocated once per call and shared by every frame
-//! that names it (`leaps_etw::event::Name`), and an event's frames gather
-//! in one reused buffer.
+//! Both parsers are one reader with two fault handlers: [`parse_log`]
+//! stops at the first fault, [`parse_log_lenient`] quarantines the record
+//! it hit and reads on. The reader allocates nothing per line: tokens are
+//! borrowed from the input, each distinct module or function name is
+//! allocated once per call and shared by every frame that names it
+//! (`leaps_etw::event::Name`), and an event's frames gather in one reused
+//! buffer.
 
 use leaps_etw::addr::Va;
 use leaps_etw::event::{EventType, Name, NameHasher, Provenance, StackFrame};
 use leaps_etw::logfmt::HEADER;
 use std::collections::hash_map::{Entry, HashMap};
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 use std::hash::BuildHasherDefault;
+use std::str::FromStr;
 
 /// A stack-event correlated record: one system event with its stack walk
 /// in caller order.
@@ -139,13 +143,8 @@ impl ErrorClass {
     /// Position in [`ErrorClass::ALL`].
     #[must_use]
     pub fn index(self) -> usize {
-        match self {
-            ErrorClass::MissingHeader => 0,
-            ErrorClass::UnexpectedLine => 1,
-            ErrorClass::MissingField => 2,
-            ErrorClass::InvalidValue => 3,
-            ErrorClass::UnterminatedEvent => 4,
-        }
+        // The declaration order is `ALL`'s order.
+        self as usize
     }
 
     /// Stable snake_case label for reports.
@@ -251,74 +250,8 @@ pub struct RecoveredLog {
 /// where any damage indicates a writer bug.
 #[must_use]
 pub fn parse_log_lenient(raw: &str) -> RecoveredLog {
-    let mut stats = RecoveryStats::default();
-    let mut events = Vec::new();
-    let mut lines = raw.split('\n').enumerate().peekable();
-    match lines.peek() {
-        Some((_, first)) if trim(first) == HEADER => {
-            lines.next();
-        }
-        _ => stats.count(ErrorClass::MissingHeader),
-    }
-
-    let mut reader = Reader::default();
-    // After an error inside a record, skip lines until the next EVENT.
-    let mut resyncing = false;
-    let quarantine = |stats: &mut RecoveryStats, class: ErrorClass| {
-        stats.count(class);
-        stats.quarantined += 1;
-    };
-
-    for (idx, line) in lines {
-        let line_no = idx + 1;
-        match Line::classify(line) {
-            Line::Skip => {}
-            Line::Event(fields) => {
-                if reader.record.take().is_some() {
-                    // The previous record never reached its END.
-                    quarantine(&mut stats, ErrorClass::UnterminatedEvent);
-                }
-                resyncing = false;
-                match parse_event_header(fields, line_no) {
-                    Ok(ev) => reader.open(ev),
-                    Err(e) => {
-                        quarantine(&mut stats, e.class());
-                        resyncing = true;
-                    }
-                }
-            }
-            _ if resyncing => stats.skipped_lines += 1,
-            Line::Stack(parts) if reader.record.is_some() => {
-                if let Err(e) = reader.stack_line(parts, line_no) {
-                    quarantine(&mut stats, e.class());
-                    reader.record = None;
-                    resyncing = true;
-                }
-            }
-            Line::End if reader.record.is_some() => {
-                events.extend(reader.close());
-                stats.parsed += 1;
-            }
-            Line::Stack(_) | Line::End => {
-                stats.count(ErrorClass::UnexpectedLine);
-                stats.skipped_lines += 1;
-            }
-            Line::Other => {
-                // Unrecognizable line: if it interrupts a record, the
-                // record can no longer be trusted.
-                stats.count(ErrorClass::UnexpectedLine);
-                stats.skipped_lines += 1;
-                if reader.record.take().is_some() {
-                    stats.quarantined += 1;
-                    resyncing = true;
-                }
-            }
-        }
-    }
-    if reader.record.is_some() {
-        quarantine(&mut stats, ErrorClass::UnterminatedEvent);
-    }
-    RecoveredLog { events, stats }
+    let Ok(log) = read::<Infallible>(raw, |_| Ok(()));
+    log
 }
 
 /// Parses a raw log into a [`CorrelatedLog`].
@@ -331,38 +264,65 @@ pub fn parse_log_lenient(raw: &str) -> RecoveredLog {
 /// Returns a [`ParseError`] describing the first malformed construct, with
 /// its line number.
 pub fn parse_log(raw: &str) -> Result<CorrelatedLog, ParseError> {
-    let mut lines = raw.split('\n').enumerate();
-    match lines.next() {
-        Some((_, first)) if trim(first) == HEADER => {}
-        _ => return Err(ParseError::MissingHeader),
-    }
+    read(raw, Err).map(|log| CorrelatedLog { events: log.events })
+}
 
+/// What a read does with a fault: `Err` ends the read with it, `Ok` reads
+/// on.
+type OnFault<E> = fn(ParseError) -> Result<(), E>;
+
+/// The one raw-log reader behind both parsers.
+///
+/// Each fault is counted and offered to `on_fault` where it is found. An
+/// `Err` from the handler ends the read with it, so [`parse_log`] stops at
+/// the first fault. An `Ok` lets the read go on past it, quarantining the
+/// record the fault hit and resyncing at the next `EVENT`, as
+/// [`parse_log_lenient`] does.
+fn read<E>(raw: &str, on_fault: OnFault<E>) -> Result<RecoveredLog, E> {
     let mut reader = Reader::default();
-    let mut events = Vec::new();
+    let mut lines = raw.split('\n').enumerate().peekable();
+    if lines.next_if(|(_, first)| trim(first) == HEADER).is_none() {
+        reader.fault(ParseError::MissingHeader, on_fault)?;
+    }
     for (idx, line) in lines {
         let line_no = idx + 1;
-        match Line::classify(line) {
-            Line::Skip => {}
-            Line::Event(fields) => {
-                if let Some(ev) = &reader.record {
-                    return Err(ParseError::UnterminatedEvent { num: ev.num });
+        match (Line::classify(line), &reader.state) {
+            (Line::Skip, _) => {}
+            (Line::Event(fields), state) => {
+                if let State::Open(prev) = state {
+                    // The previous record never reached its END.
+                    reader.quarantine(ParseError::UnterminatedEvent { num: prev.num }, on_fault)?;
                 }
-                reader.open(parse_event_header(fields, line_no)?);
+                match parse_event_header(fields, line_no) {
+                    Ok(record) => reader.open(record),
+                    Err(e) => reader.quarantine(e, on_fault)?,
+                }
             }
-            Line::Stack(parts) if reader.record.is_some() => reader.stack_line(parts, line_no)?,
-            Line::End if reader.record.is_some() => events.extend(reader.close()),
-            Line::Stack(_) | Line::End | Line::Other => {
-                return Err(ParseError::UnexpectedLine {
-                    line: line_no,
-                    content: truncate(trim(line)),
-                });
+            (_, State::Resyncing) => reader.stats.skipped_lines += 1,
+            (Line::Stack(parts), State::Open(_)) => {
+                if let Err(e) = reader.stack_line(parts, line_no) {
+                    reader.quarantine(e, on_fault)?;
+                }
+            }
+            (Line::End, State::Open(_)) => reader.close(),
+            (Line::Stack(_) | Line::End | Line::Other, state) => {
+                let error =
+                    ParseError::UnexpectedLine { line: line_no, content: truncate(trim(line)) };
+                reader.stats.skipped_lines += 1;
+                // Only an unrecognizable line can interrupt a record here,
+                // and the record can no longer be trusted.
+                if let State::Open(_) = state {
+                    reader.quarantine(error, on_fault)?;
+                } else {
+                    reader.fault(error, on_fault)?;
+                }
             }
         }
     }
-    if let Some(ev) = reader.record {
-        return Err(ParseError::UnterminatedEvent { num: ev.num });
+    if let State::Open(record) = &reader.state {
+        reader.quarantine(ParseError::UnterminatedEvent { num: record.num }, on_fault)?;
     }
-    Ok(CorrelatedLog { events })
+    Ok(RecoveredLog { events: reader.events, stats: reader.stats })
 }
 
 /// The whitespace-separated tokens of a line, split where
@@ -468,8 +428,21 @@ impl<'a> Line<'a> {
 
 type NameMap<'a, V> = HashMap<&'a str, V, BuildHasherDefault<NameHasher>>;
 
-/// What one parse carries from line to line: its name interner and the
-/// open record with its frames.
+/// Where a read stands between two lines.
+#[derive(Default)]
+enum State {
+    /// Between records.
+    #[default]
+    Idle,
+    /// Inside a record whose `END` has not been read yet.
+    Open(CorrelatedEvent),
+    /// Past a fault inside a record: lines are skipped up to the next
+    /// `EVENT` header.
+    Resyncing,
+}
+
+/// What one read carries from line to line: its name interner, where it
+/// stands, the open record's frames, and what it has read and counted.
 ///
 /// The interner lives only as long as the call, so its memory is bounded
 /// by the log being read; a long-lived process that reads many logs keeps
@@ -480,33 +453,45 @@ struct Reader<'a> {
     symbols: NameMap<'a, (Name, Name)>,
     /// Every distinct module or function name, allocated once.
     names: NameMap<'a, Name>,
-    /// The record whose `END` has not been read yet.
-    record: Option<CorrelatedEvent>,
-    /// Its frames, innermost first as on disk.
+    state: State,
+    /// The open record's frames, innermost first as on disk.
     frames: Vec<StackFrame>,
+    /// Records read to their `END`, in log order.
+    events: Vec<CorrelatedEvent>,
+    stats: RecoveryStats,
 }
 
 impl<'a> Reader<'a> {
+    /// Counts a fault and offers it to the handler, whose `Err` ends the
+    /// read.
+    fn fault<E>(&mut self, error: ParseError, on_fault: OnFault<E>) -> Result<(), E> {
+        self.stats.count(error.class());
+        on_fault(error)
+    }
+
+    /// Counts a fault inside a record, offers it to the handler and, if
+    /// the read goes on, drops the record, counting it, and skips lines
+    /// up to the next `EVENT`.
+    fn quarantine<E>(&mut self, error: ParseError, on_fault: OnFault<E>) -> Result<(), E> {
+        self.fault(error, on_fault)?;
+        self.stats.quarantined += 1;
+        self.state = State::Resyncing;
+        Ok(())
+    }
+
     /// Reads the fields of a `STACK` line into the open record.
     fn stack_line(&mut self, mut parts: Tokens<'a>, line: usize) -> Result<(), ParseError> {
         let addr_str = parts.next().ok_or(ParseError::MissingField { line, field: "addr" })?;
         let sym = parts.next().ok_or(ParseError::MissingField { line, field: "symbol" })?;
-        let addr_hex = addr_str.strip_prefix("0x").ok_or_else(|| ParseError::InvalidValue {
-            line,
-            field: "addr",
-            value: addr_str.to_owned(),
-        })?;
-        let addr = u64::from_str_radix(addr_hex, 16).map_err(|_| ParseError::InvalidValue {
-            line,
-            field: "addr",
-            value: addr_str.to_owned(),
-        })?;
+        let addr = addr_str
+            .strip_prefix("0x")
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| invalid(line, "addr", addr_str))?;
         let (module, function) = match self.symbols.entry(sym) {
             Entry::Occupied(known) => known.get().clone(),
             Entry::Vacant(slot) => {
-                let (module, function) = sym.split_once('!').ok_or_else(|| {
-                    ParseError::InvalidValue { line, field: "symbol", value: sym.to_owned() }
-                })?;
+                let (module, function) =
+                    sym.split_once('!').ok_or_else(|| invalid(line, "symbol", sym))?;
                 let intern = |names: &mut NameMap<'a, Name>, name: &'a str| {
                     names.entry(name).or_insert_with(|| Name::from(name)).clone()
                 };
@@ -523,21 +508,27 @@ impl<'a> Reader<'a> {
     /// Opens a record for the `STACK` lines that follow.
     fn open(&mut self, record: CorrelatedEvent) {
         self.frames.clear();
-        self.record = Some(record);
+        self.state = State::Open(record);
     }
 
-    /// Closes the open record, its frames in caller order in one
-    /// allocation of their exact size; the buffer keeps its room for
+    /// Closes the open record and keeps it, its frames in caller order in
+    /// one allocation of their exact size; the buffer keeps its room for
     /// the next record.
-    fn close(&mut self) -> Option<CorrelatedEvent> {
-        let mut record = self.record.take()?;
-        record.frames = self.frames.drain(..).rev().collect();
-        Some(record)
+    fn close(&mut self) {
+        if let State::Open(mut record) = std::mem::take(&mut self.state) {
+            record.frames = self.frames.drain(..).rev().collect();
+            self.events.push(record);
+            self.stats.parsed += 1;
+        }
     }
 }
 
 fn truncate(s: &str) -> String {
     s.chars().take(60).collect()
+}
+
+fn invalid(line: usize, field: &'static str, value: &str) -> ParseError {
+    ParseError::InvalidValue { line, field, value: value.to_owned() }
 }
 
 fn parse_event_header(fields: Tokens<'_>, line: usize) -> Result<CorrelatedEvent, ParseError> {
@@ -552,28 +543,19 @@ fn parse_event_header(fields: Tokens<'_>, line: usize) -> Result<CorrelatedEvent
             return Err(ParseError::UnexpectedLine { line, content: truncate(token) });
         };
         match key {
-            "num" => num = Some(parse_u64(value, "num", line)?),
+            "num" => num = Some(parse_num(value, "num", line)?),
             "type" => {
-                etype = Some(EventType::from_name(value).ok_or(ParseError::InvalidValue {
-                    line,
-                    field: "type",
-                    value: value.to_owned(),
-                })?);
+                etype =
+                    Some(EventType::from_name(value).ok_or_else(|| invalid(line, "type", value))?);
             }
-            "pid" => pid = Some(parse_u32(value, "pid", line)?),
-            "tid" => tid = Some(parse_u32(value, "tid", line)?),
-            "ts" => ts = Some(parse_u64(value, "ts", line)?),
+            "pid" => pid = Some(parse_num(value, "pid", line)?),
+            "tid" => tid = Some(parse_num(value, "tid", line)?),
+            "ts" => ts = Some(parse_num(value, "ts", line)?),
             "src" => {
                 truth = Some(match value {
                     "benign" => Provenance::Benign,
                     "malicious" => Provenance::Malicious,
-                    other => {
-                        return Err(ParseError::InvalidValue {
-                            line,
-                            field: "src",
-                            value: other.to_owned(),
-                        })
-                    }
+                    other => return Err(invalid(line, "src", other)),
                 });
             }
             // Forward compatibility: ignore unknown fields.
@@ -591,12 +573,9 @@ fn parse_event_header(fields: Tokens<'_>, line: usize) -> Result<CorrelatedEvent
     })
 }
 
-fn parse_u64(value: &str, field: &'static str, line: usize) -> Result<u64, ParseError> {
-    value.parse().map_err(|_| ParseError::InvalidValue { line, field, value: value.to_owned() })
-}
-
-fn parse_u32(value: &str, field: &'static str, line: usize) -> Result<u32, ParseError> {
-    value.parse().map_err(|_| ParseError::InvalidValue { line, field, value: value.to_owned() })
+/// Parses a decimal field value of any integer width.
+fn parse_num<T: FromStr>(value: &str, field: &'static str, line: usize) -> Result<T, ParseError> {
+    value.parse().map_err(|_| invalid(line, field, value))
 }
 
 #[cfg(test)]

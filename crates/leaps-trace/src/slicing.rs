@@ -19,21 +19,6 @@ pub fn slice_by_process(log: &CorrelatedLog) -> BTreeMap<u32, Vec<CorrelatedEven
     slices
 }
 
-/// Extracts the events of one process, preserving order.
-#[must_use]
-pub fn slice_process(log: &CorrelatedLog, pid: u32) -> Vec<CorrelatedEvent> {
-    log.events.iter().filter(|e| e.pid == pid).cloned().collect()
-}
-
-/// Process ids present in a log, ascending.
-#[must_use]
-pub fn process_ids(log: &CorrelatedLog) -> Vec<u32> {
-    let mut pids: Vec<u32> = log.events.iter().map(|e| e.pid).collect();
-    pids.sort_unstable();
-    pids.dedup();
-    pids
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,18 +51,5 @@ mod tests {
         assert_eq!(slices[&10].iter().map(|e| e.num).collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(slices[&20].iter().map(|e| e.num).collect::<Vec<_>>(), vec![2, 5]);
         assert_eq!(slices[&30].len(), 1);
-    }
-
-    #[test]
-    fn slice_process_filters() {
-        let events = slice_process(&log(), 20);
-        assert_eq!(events.iter().map(|e| e.num).collect::<Vec<_>>(), vec![2, 5]);
-        assert!(slice_process(&log(), 99).is_empty());
-    }
-
-    #[test]
-    fn process_ids_sorted_unique() {
-        assert_eq!(process_ids(&log()), vec![10, 20, 30]);
-        assert!(process_ids(&CorrelatedLog::default()).is_empty());
     }
 }

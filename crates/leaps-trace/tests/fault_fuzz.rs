@@ -92,4 +92,31 @@ proptest! {
             events.iter().map(|e| e.num).collect();
         prop_assert!(nums.iter().all(|n| original.contains(n)));
     }
+
+    /// Strict and lenient parsing agree on every damaged log: the strict
+    /// parse succeeds exactly when the lenient one counts nothing, with
+    /// the same events, and a strict error's class is among the lenient
+    /// counts.
+    #[test]
+    fn strict_and_lenient_parses_agree(
+        events in event_log(),
+        plan in fault_plan(),
+        seed in prop::num::u64::ANY,
+    ) {
+        let raw = write_log(&events);
+        let (damaged, _) = inject(&raw, &plan, seed);
+        let recovered = parse_log_lenient(&damaged);
+        match parse_log(&damaged) {
+            Ok(log) => {
+                prop_assert!(recovered.stats.is_clean(), "{}", recovered.stats);
+                prop_assert_eq!(log.events, recovered.events);
+            }
+            Err(e) => prop_assert!(
+                recovered.stats.class_count(e.class()) >= 1,
+                "{} vs {}",
+                e,
+                recovered.stats
+            ),
+        }
+    }
 }
