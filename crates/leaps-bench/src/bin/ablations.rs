@@ -28,7 +28,10 @@ use leaps_bench::{fmt3, harness_experiment};
 fn main() {
     let scenario_name =
         std::env::var("LEAPS_SCENARIO").unwrap_or_else(|_| "winscp_reverse_tcp".into());
-    let scenario = Scenario::by_name(&scenario_name).expect("known dataset");
+    let Some(scenario) = Scenario::by_name(&scenario_name) else {
+        eprintln!("error: LEAPS_SCENARIO={scenario_name:?} is not a known dataset");
+        std::process::exit(2);
+    };
     let mut base = harness_experiment();
     // `harness_experiment` has checked any `LEAPS_RUNS`; unset, the
     // ablations default to 3 runs.

@@ -58,11 +58,15 @@ pub fn harness_experiment() -> Experiment {
 
 /// Builds the sweep supervision options from the `LEAPS_DEADLINE_SECS`,
 /// `LEAPS_SWEEP_MANIFEST`, `LEAPS_RESUME` and `LEAPS_CHAOS_CELL`
-/// environment variables.
+/// environment variables. An unparsable `LEAPS_DEADLINE_SECS` ends the
+/// process as [`env_usize`] does.
 #[must_use]
 pub fn sweep_options_from_env() -> SweepOptions {
     SweepOptions {
-        deadline_secs: std::env::var("LEAPS_DEADLINE_SECS").ok().and_then(|v| v.parse().ok()),
+        deadline_secs: match std::env::var("LEAPS_DEADLINE_SECS") {
+            Err(VarError::NotPresent) => None,
+            value => Some(or_exit(parse_env("LEAPS_DEADLINE_SECS", value, 0))),
+        },
         manifest: std::env::var("LEAPS_SWEEP_MANIFEST").ok().map(std::path::PathBuf::from),
         resume: env_flag("LEAPS_RESUME"),
         chaos_cell: std::env::var("LEAPS_CHAOS_CELL").ok(),

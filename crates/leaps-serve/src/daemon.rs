@@ -789,6 +789,10 @@ mod tests {
     use leaps_etw::event::EventType;
     use leaps_trace::partition::PartitionedEvent;
 
+    fn is_proto_err(reply: Dispatch) -> bool {
+        matches!(reply, Dispatch::Reply(Reply::Err { family, .. }) if family == "proto")
+    }
+
     /// An `EVENT` handed to `dispatch` as a command, before and after
     /// `HELLO`, is answered with `ERR proto` and the connection stays.
     #[cfg(unix)]
@@ -800,27 +804,22 @@ mod tests {
         }));
         let (ours, _peer) = UnixStream::pair().unwrap();
         let writer = Arc::new(Mutex::new(Stream::Unix(ours)));
-        let mut client = None;
-        let mut opened = Opened::new();
-        let event = PartitionedEvent {
-            num: 1,
-            etype: EventType::FileRead,
-            tid: 0,
-            app_stack: Vec::new(),
-            system_stack: Vec::new(),
-            truth: None,
+        let (mut client, mut opened) = (None, Opened::new());
+        let mut send = |command| dispatch(&server, &writer, &mut client, &mut opened, command);
+        let event = Command::Event {
+            pid: 7,
+            event: PartitionedEvent {
+                num: 1,
+                etype: EventType::FileRead,
+                tid: 0,
+                app_stack: Vec::new(),
+                system_stack: Vec::new(),
+                truth: None,
+            },
         };
-        for hello in [false, true] {
-            if hello {
-                let hello = Command::Hello { client: "probe".to_owned() };
-                let greeted = dispatch(&server, &writer, &mut client, &mut opened, hello);
-                assert!(matches!(greeted, Dispatch::Reply(Reply::Ok { .. })));
-            }
-            let command = Command::Event { pid: 7, event: event.clone() };
-            match dispatch(&server, &writer, &mut client, &mut opened, command) {
-                Dispatch::Reply(Reply::Err { family, .. }) => assert_eq!(family, "proto"),
-                _ => panic!("an EVENT command must be answered with ERR proto"),
-            }
-        }
+        assert!(is_proto_err(send(event.clone())), "before HELLO");
+        let hello = send(Command::Hello { client: "probe".to_owned() });
+        assert!(matches!(hello, Dispatch::Reply(Reply::Ok { .. })));
+        assert!(is_proto_err(send(event)), "after HELLO");
     }
 }
