@@ -26,6 +26,7 @@ use leaps::etw::scenario::Scenario;
 use leaps_bench::{fmt3, harness_experiment};
 
 fn main() {
+    leaps_bench::check_threads_env();
     let scenario_name =
         std::env::var("LEAPS_SCENARIO").unwrap_or_else(|_| "winscp_reverse_tcp".into());
     let Some(scenario) = Scenario::by_name(&scenario_name) else {

@@ -29,6 +29,7 @@ const CASES: [(&str, &str); 3] = [
 ];
 
 fn main() -> ExitCode {
+    leaps_bench::check_threads_env();
     let experiment = harness_experiment();
     let scenarios: Vec<Scenario> =
         CASES.iter().map(|(_, name)| Scenario::by_name(name).expect("known dataset")).collect();

@@ -14,9 +14,11 @@
 //! ```
 //!
 //! Environment overrides: `LEAPS_EVENTS` (default 1200), `LEAPS_SEED`,
-//! `LEAPS_FAULT_RATES` (default `0,0.1,0.25,0.5`), `LEAPS_FAULT_CLASSES`
-//! (comma-separated labels, default every class plus `all`),
-//! `LEAPS_FAULT_METHOD` (default `wsvm`).
+//! `LEAPS_FAULT_RATES` (comma-separated rates in `[0, 1]`, default
+//! `0,0.1,0.25,0.5`), `LEAPS_FAULT_CLASSES` (comma-separated labels,
+//! default every class plus `all`), `LEAPS_FAULT_METHOD` (default
+//! `wsvm`). A value that is set but malformed is refused with one
+//! `error:` line and exit code 2.
 
 use leaps::core::config::PipelineConfig;
 use leaps::core::metrics::ConfusionMatrix;
@@ -26,7 +28,7 @@ use leaps::etw::scenario::{GenParams, Scenario};
 use leaps::faults::{inject, FaultClass, FaultPlan};
 use leaps::trace::parser::{parse_log_lenient, RecoveryStats};
 use leaps::trace::partition::{partition_events, PartitionedEvent};
-use leaps_bench::{env_u64, env_usize};
+use leaps_bench::{env_parsed, env_u64, env_usize};
 
 const SCENARIO: &str = "vim_reverse_tcp";
 
@@ -167,36 +169,47 @@ fn run_cell(
     cell
 }
 
-fn parse_rates(spec: &str) -> Vec<f64> {
+/// `LEAPS_FAULT_RATES`: comma-separated rates, each in `[0, 1]`.
+fn parse_rates(spec: &str) -> Result<Vec<f64>, String> {
     spec.split(',')
-        .filter_map(|t| t.trim().parse::<f64>().ok())
-        .filter(|r| (0.0..=1.0).contains(r))
+        .map(|token| match token.trim().parse::<f64>() {
+            Ok(rate) if (0.0..=1.0).contains(&rate) => Ok(rate),
+            _ => Err(format!("has {token:?}, not a rate in [0, 1]")),
+        })
         .collect()
 }
 
+/// `LEAPS_FAULT_CLASSES`: comma-separated fault-class labels or `all`.
+fn parse_classes(spec: &str) -> Result<Vec<String>, String> {
+    spec.split(',')
+        .map(str::trim)
+        .map(|class| {
+            if class == "all" || FaultClass::from_label(class).is_some() {
+                Ok(class.to_owned())
+            } else {
+                Err(format!("has {class:?}, not a fault class or `all`"))
+            }
+        })
+        .collect()
+}
+
+/// `LEAPS_FAULT_METHOD`: a method label, in any case.
+fn parse_method(label: &str) -> Result<Method, String> {
+    Method::from_label(label).ok_or_else(|| "is not a method (cgraph|svm|wsvm|hmm)".to_owned())
+}
+
 fn main() {
+    leaps_bench::check_threads_env();
     let events = env_usize("LEAPS_EVENTS", 1200);
     let seed = env_u64("LEAPS_SEED", 0x1ea5);
-    let rates = parse_rates(
-        &std::env::var("LEAPS_FAULT_RATES").unwrap_or_else(|_| "0,0.1,0.25,0.5".to_owned()),
+    let rates = env_parsed("LEAPS_FAULT_RATES", vec![0.0, 0.1, 0.25, 0.5], parse_rates);
+    let classes = env_parsed(
+        "LEAPS_FAULT_CLASSES",
+        FaultClass::ALL.iter().map(|c| c.label()).chain(["all"]).map(str::to_owned).collect(),
+        parse_classes,
     );
-    assert!(!rates.is_empty(), "LEAPS_FAULT_RATES yielded no valid rates");
-    let classes: Vec<String> = match std::env::var("LEAPS_FAULT_CLASSES") {
-        Ok(spec) => spec.split(',').map(|t| t.trim().to_owned()).collect(),
-        Err(_) => FaultClass::ALL
-            .iter()
-            .map(|c| c.label().to_owned())
-            .chain(std::iter::once("all".to_owned()))
-            .collect(),
-    };
-    let method_name = std::env::var("LEAPS_FAULT_METHOD").unwrap_or_else(|_| "wsvm".to_owned());
-    let method = match method_name.as_str() {
-        "cgraph" => Method::CGraph,
-        "svm" => Method::Svm,
-        "wsvm" => Method::Wsvm,
-        "hmm" => Method::Hmm,
-        other => panic!("unknown LEAPS_FAULT_METHOD {other:?}"),
-    };
+    let method = env_parsed("LEAPS_FAULT_METHOD", Method::Wsvm, parse_method);
+    let method_name = method.label().to_ascii_lowercase();
     let params = GenParams {
         benign_events: events,
         mixed_events: events,
@@ -211,12 +224,9 @@ fn main() {
     let mut cells = Vec::new();
     for class in &classes {
         for &rate in &rates {
-            let plan = if class == "all" {
-                FaultPlan::uniform(rate)
-            } else {
-                let fc = FaultClass::from_label(class)
-                    .unwrap_or_else(|| panic!("unknown fault class {class:?}"));
-                FaultPlan::only(fc, rate)
+            let plan = match FaultClass::from_label(class) {
+                Some(fc) => FaultPlan::only(fc, rate),
+                None => FaultPlan::uniform(rate),
             };
             let cell = run_cell(class, &plan, rate, method, &params, seed);
             println!(
@@ -248,4 +258,27 @@ fn main() {
     );
     std::fs::write(&out, json).expect("writing benchmark output");
     println!("wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fault_env_values_parse_or_name_the_fault() {
+        assert_eq!(parse_rates("0, 0.1,1"), Ok(vec![0.0, 0.1, 1.0]));
+        for bad in ["abc", "0.1,x", "", "0.1,", "1.5", "-0.1", "NaN"] {
+            assert!(parse_rates(bad).is_err(), "{bad:?}");
+        }
+        assert!(parse_rates("0.1,x").unwrap_err().contains("\"x\""));
+
+        assert_eq!(parse_classes("all, drop_event"), Ok(vec!["all".into(), "drop_event".into()]));
+        assert!(parse_classes("nope").unwrap_err().contains("\"nope\""));
+        assert!(parse_classes("").is_err());
+
+        assert_eq!(parse_method("wsvm"), Ok(Method::Wsvm));
+        assert_eq!(parse_method("HMM"), Ok(Method::Hmm));
+        assert!(parse_method("knn").is_err());
+        assert!(parse_method("").is_err());
+    }
 }

@@ -17,6 +17,7 @@ use leaps::trace::partition::PartitionedEvent;
 use leaps_bench::env_u64;
 
 fn main() {
+    leaps_bench::check_threads_env();
     let seed = env_u64("LEAPS_SEED", 0x1ea5);
     let scenario = Scenario::by_name("winscp_reverse_tcp").expect("known dataset");
     let dataset = Dataset::materialize(scenario, &GenParams::small(), seed).expect("generation");

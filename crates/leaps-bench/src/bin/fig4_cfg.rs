@@ -17,6 +17,7 @@ use leaps::etw::scenario::{GenParams, Scenario};
 use leaps_bench::{env_u64, env_usize};
 
 fn main() {
+    leaps_bench::check_threads_env();
     let seed = env_u64("LEAPS_SEED", 0x1ea5);
     let events = env_usize("LEAPS_EVENTS", 1200);
     let scenario = Scenario::by_name("vim_reverse_tcp").expect("known dataset");

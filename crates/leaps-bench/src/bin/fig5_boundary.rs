@@ -26,6 +26,7 @@ fn gaussian_pair(rng: &mut SimRng) -> (f64, f64) {
 }
 
 fn main() {
+    leaps_bench::check_threads_env();
     let mut rng = SimRng::new(env_u64("LEAPS_SEED", 0x1ea5));
     let mut plain = Vec::new();
     let mut weighted = Vec::new();

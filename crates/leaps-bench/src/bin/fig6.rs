@@ -13,6 +13,7 @@ use leaps::etw::scenario::Scenario;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    leaps_bench::check_threads_env();
     leaps_bench::method_figure(
         "FIGURE 6: LEAPS (WSVM) vs System-level Call Graph and SVM — Offline Infection",
         &Scenario::offline(),

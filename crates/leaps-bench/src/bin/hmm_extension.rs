@@ -19,6 +19,7 @@ const DATASETS: [&str; 4] =
     ["winscp_reverse_tcp", "vim_codeinject", "putty_reverse_https_online", "chrome_reverse_tcp"];
 
 fn main() {
+    leaps_bench::check_threads_env();
     let experiment = harness_experiment();
     println!(
         "HMM EXTENSION (Section VI-B, {} runs, {} events/log)",

@@ -22,6 +22,7 @@ use leaps::etw::scenario::Scenario;
 use leaps_bench::{fmt3, harness_experiment};
 
 fn main() {
+    leaps_bench::check_threads_env();
     let base = harness_experiment();
     println!(
         "SOURCE-LEVEL TROJANS (Section VI-A extension, {} runs, {} events/log)",

@@ -17,6 +17,7 @@ use leaps_bench::{cell_status, fmt3, harness_experiment, run_supervised_sweep, s
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    leaps_bench::check_threads_env();
     let experiment = harness_experiment();
     println!(
         "TABLE I: Evaluation Results of LEAPS on Camouflaged Attacks \

@@ -22,6 +22,7 @@ const DATASETS: [&str; 5] = [
 ];
 
 fn main() {
+    leaps_bench::check_threads_env();
     let experiment = harness_experiment();
     let seed = experiment.seed;
     println!(

@@ -187,6 +187,19 @@ pub fn method_figure(title: &str, scenarios: &[Scenario]) -> ExitCode {
     sweep_exit(&report)
 }
 
+/// Refuses a set `LEAPS_THREADS` that is not a positive integer, as
+/// [`env_usize`] refuses a bad value. Every harness binary calls it
+/// first: the library would read such a value as the core count.
+pub fn check_threads_env() {
+    or_exit(leaps::core::par::env_threads());
+}
+
+/// Reads the env var `name` through `parse`, with a default; a value
+/// `parse` refuses is refused as [`env_usize`] refuses one.
+pub fn env_parsed<T>(name: &str, default: T, parse: impl FnOnce(&str) -> Result<T, String>) -> T {
+    or_exit(parse_env_with(name, std::env::var(name), default, parse))
+}
+
 /// Reads a `usize` env var with a default. A value that is set but does
 /// not parse ends the process with one `error:` line and exit code 2.
 #[must_use]
@@ -209,21 +222,31 @@ fn or_exit<T>(value: Result<T, String>) -> T {
     })
 }
 
-/// Parses the value of the unsigned-integer env var `name` as read by
-/// `std::env::var`: `default` when unset, an error message when set but
-/// not a `T`.
+/// Parses the value of the env var `name` as read by `std::env::var`:
+/// `default` when unset, `parse`'s value when set, and an error message
+/// when `parse` refuses it.
+fn parse_env_with<T>(
+    name: &str,
+    value: Result<String, VarError>,
+    default: T,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    match value {
+        Ok(text) => parse(&text).map_err(|why| format!("{name}={text:?} {why}")),
+        Err(VarError::NotPresent) => Ok(default),
+        Err(VarError::NotUnicode(text)) => Err(format!("{name}={text:?} is not valid UTF-8")),
+    }
+}
+
+/// [`parse_env_with`] for an unsigned-integer env var.
 fn parse_env<T: FromStr>(
     name: &str,
     value: Result<String, VarError>,
     default: T,
 ) -> Result<T, String> {
-    match value {
-        Ok(text) => {
-            text.parse().map_err(|_| format!("{name}={text:?} is not a non-negative integer"))
-        }
-        Err(VarError::NotPresent) => Ok(default),
-        Err(VarError::NotUnicode(text)) => Err(format!("{name}={text:?} is not valid UTF-8")),
-    }
+    parse_env_with(name, value, default, |text| {
+        text.parse().map_err(|_| "is not a non-negative integer".to_owned())
+    })
 }
 
 /// [`parse_env`] for `LEAPS_RUNS`, which must be at least 1.
@@ -266,6 +289,17 @@ mod tests {
         assert_eq!(parse_runs(Err(VarError::NotPresent), 10), Ok(10));
         assert!(parse_runs(set("0"), 10).unwrap_err().contains("LEAPS_RUNS"));
         assert!(parse_runs(set("ten"), 10).unwrap_err().contains("\"ten\""));
+
+        let even = |text: &str| match text.parse::<u32>() {
+            Ok(n) if n % 2 == 0 => Ok(n),
+            _ => Err("is not even".to_owned()),
+        };
+        assert_eq!(parse_env_with("LEAPS_N", set("4"), 2, even), Ok(4));
+        assert_eq!(parse_env_with("LEAPS_N", Err(VarError::NotPresent), 2, even), Ok(2));
+        assert_eq!(
+            parse_env_with("LEAPS_N", set("3"), 2, even),
+            Err("LEAPS_N=\"3\" is not even".to_owned())
+        );
     }
 
     #[test]

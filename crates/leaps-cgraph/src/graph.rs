@@ -99,7 +99,7 @@ impl CallGraph {
 /// stack in caller order.
 #[must_use]
 pub fn chain_of(event: &PartitionedEvent) -> Vec<String> {
-    event.system_stack.iter().map(|f| f.symbol()).collect()
+    event.system_stack.iter().map(|f| f.symbol().to_owned()).collect()
 }
 
 #[cfg(test)]

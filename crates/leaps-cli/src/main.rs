@@ -142,6 +142,13 @@ impl From<LeapsError> for Failure {
 }
 
 fn main() -> ExitCode {
+    // Left to the library, a bad `LEAPS_THREADS` would silently mean the
+    // core count; it is refused up front, with no usage text, since it is
+    // not an argument.
+    if let Err(message) = leaps::core::par::env_threads() {
+        eprintln!("error: {message}");
+        return ExitCode::from(2);
+    }
     let tokens: Vec<String> = std::env::args().skip(1).collect();
     match run(&tokens) {
         Ok(()) => ExitCode::SUCCESS,
@@ -186,13 +193,9 @@ fn run(tokens: &[String]) -> Result<(), Failure> {
 }
 
 fn method_of(args: &Args) -> Result<Method, Failure> {
-    match args.get("method").unwrap_or("wsvm") {
-        "cgraph" => Ok(Method::CGraph),
-        "svm" => Ok(Method::Svm),
-        "wsvm" => Ok(Method::Wsvm),
-        "hmm" => Ok(Method::Hmm),
-        other => Err(Failure::usage(format!("unknown method {other:?} (cgraph|svm|wsvm|hmm)"))),
-    }
+    let label = args.get("method").unwrap_or("wsvm");
+    Method::from_label(label)
+        .ok_or_else(|| Failure::usage(format!("unknown method {label:?} (cgraph|svm|wsvm|hmm)")))
 }
 
 fn gen_params(args: &Args) -> Result<GenParams, Failure> {

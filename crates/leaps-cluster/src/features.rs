@@ -58,15 +58,14 @@ impl Default for PreprocessConfig {
 }
 
 /// Reusable work buffers for encoding events, one per encoding thread:
-/// the Lib and Func queries of the event at hand, their assignment
-/// buffers, and the `module!function` symbols of an owned event. Encoding
-/// through a scratch allocates nothing once its buffers have grown to the
-/// encoder's vocabulary (names the vocabulary has never seen excepted).
+/// the Lib and Func queries of the event at hand and their assignment
+/// buffers. Encoding through a scratch allocates nothing once its buffers
+/// have grown to the encoder's vocabulary (names the vocabulary has never
+/// seen excepted).
 #[derive(Debug, Clone, Default)]
 pub struct EncodeScratch {
     libs: SetQuery,
     funcs: SetQuery,
-    symbols: String,
 }
 
 /// A trained feature encoder: cluster vocabularies for Lib and Func sets,
@@ -93,10 +92,7 @@ impl FeatureEncoder {
         assert!(config.stride >= 1, "stride must be >= 1");
 
         assert!(config.max_vocab >= 2, "max_vocab must be >= 2");
-        let lib_vocab = frequent_sets(
-            events.iter().map(|e| e.lib_set().into_iter().map(str::to_owned).collect::<Vec<_>>()),
-            config.max_vocab,
-        );
+        let lib_vocab = frequent_sets(events.iter().map(|e| e.lib_set()), config.max_vocab);
         let func_vocab = frequent_sets(events.iter().map(|e| e.func_set()), config.max_vocab);
 
         Self::from_parts(
@@ -151,52 +147,24 @@ impl FeatureEncoder {
     /// The Lib set is the system stack's modules and the Func set its
     /// `module!function` symbols ([`PartitionedEvent::lib_set`] and
     /// [`PartitionedEvent::func_set`]). Allocates fresh work buffers;
-    /// encoders of many events use [`Self::tuple_in`].
+    /// encoders of many events use [`Self::tuple_of`].
     #[must_use]
     pub fn tuple(&self, event: &PartitionedEvent) -> (u32, u32, u32) {
-        self.tuple_in(&mut EncodeScratch::default(), event)
-    }
-
-    /// [`Self::tuple`] through reusable work buffers: writes the system
-    /// stack's `module!function` symbols into one buffer and hands them
-    /// to [`Self::tuple_of`].
-    pub fn tuple_in(
-        &self,
-        scratch: &mut EncodeScratch,
-        event: &PartitionedEvent,
-    ) -> (u32, u32, u32) {
-        let mut symbols = std::mem::take(&mut scratch.symbols);
-        symbols.clear();
-        symbols.reserve(
-            event.system_stack.iter().map(|f| f.module.len() + 1 + f.function.len()).sum(),
-        );
-        for frame in &event.system_stack {
-            symbols.push_str(&frame.module);
-            symbols.push('!');
-            symbols.push_str(&frame.function);
-        }
-        let mut rest = symbols.as_str();
-        let frames = event.system_stack.iter().map(|frame| {
-            let (symbol, tail) = rest.split_at(frame.module.len() + 1 + frame.function.len());
-            rest = tail;
-            (frame.module.as_str(), symbol)
-        });
-        let tuple = self.tuple_of(scratch, event.etype, frames);
-        scratch.symbols = symbols;
-        tuple
+        self.tuple_of(&mut EncodeScratch::default(), event.etype, event.sys_names())
     }
 
     /// The one encode routine: the 3-tuple of an event of type `etype`
     /// whose system stack holds `frames`, each given as its module name
     /// and its `module!function` symbol, borrowed from wherever the
-    /// caller holds them (an owned event, or a protocol line).
+    /// caller holds them (an owned event's frames
+    /// ([`PartitionedEvent::sys_names`]), or a protocol line).
     pub fn tuple_of<'a>(
         &self,
         scratch: &mut EncodeScratch,
         etype: EventType,
         frames: impl IntoIterator<Item = (&'a str, &'a str)>,
     ) -> (u32, u32, u32) {
-        let EncodeScratch { libs, funcs, .. } = scratch;
+        let EncodeScratch { libs, funcs } = scratch;
         libs.clear();
         funcs.clear();
         for (module, symbol) in frames {
@@ -240,8 +208,10 @@ impl FeatureEncoder {
         events: &[&PartitionedEvent],
     ) -> (Vec<Vec<f64>>, Vec<Vec<usize>>) {
         let mut scratch = EncodeScratch::default();
-        let per_event: Vec<[f64; 3]> =
-            events.iter().map(|e| self.normalize(self.tuple_in(&mut scratch, e))).collect();
+        let per_event: Vec<[f64; 3]> = events
+            .iter()
+            .map(|e| self.normalize(self.tuple_of(&mut scratch, e.etype, e.sys_names())))
+            .collect();
         let w = self.config.window;
         let s = self.config.stride;
         let mut points = Vec::new();
@@ -265,18 +235,19 @@ impl FeatureEncoder {
 
 /// Collects the distinct sets in frequency order and keeps the `cap` most
 /// frequent (ties broken lexicographically, so the vocabulary is
-/// deterministic).
-fn frequent_sets(iter: impl Iterator<Item = Vec<String>>, cap: usize) -> Vec<Vec<String>> {
-    let mut counts: BTreeMap<Vec<String>, usize> = BTreeMap::new();
+/// deterministic). Sets are counted borrowed; only the kept ones are
+/// copied out.
+fn frequent_sets<'a>(iter: impl Iterator<Item = Vec<&'a str>>, cap: usize) -> Vec<Vec<String>> {
+    let mut counts: BTreeMap<Vec<&str>, usize> = BTreeMap::new();
     for mut set in iter {
         set.sort_unstable();
         set.dedup();
         *counts.entry(set).or_insert(0) += 1;
     }
-    let mut entries: Vec<(Vec<String>, usize)> = counts.into_iter().collect();
+    let mut entries: Vec<(Vec<&str>, usize)> = counts.into_iter().collect();
     entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     entries.truncate(cap);
-    entries.into_iter().map(|(set, _)| set).collect()
+    entries.into_iter().map(|(set, _)| set.into_iter().map(str::to_owned).collect()).collect()
 }
 
 fn cluster_vocab(vocab: Vec<Vec<String>>, config: PreprocessConfig) -> ClusterAssigner<String> {
@@ -412,12 +383,7 @@ mod tests {
         let mut stripped = other[0].clone();
         stripped.system_stack.clear();
         for e in events().iter().take(200).chain(other.iter().take(200)).chain([&stripped]) {
-            let fresh = enc.tuple(e);
-            assert_eq!(enc.tuple_in(&mut scratch, e), fresh);
-            let symbols: Vec<String> = e.system_stack.iter().map(|f| f.symbol()).collect();
-            let frames =
-                e.system_stack.iter().zip(&symbols).map(|(f, s)| (f.module.as_str(), s.as_str()));
-            assert_eq!(enc.tuple_of(&mut scratch, e.etype, frames), fresh);
+            assert_eq!(enc.tuple_of(&mut scratch, e.etype, e.sys_names()), enc.tuple(e));
         }
     }
 

@@ -119,24 +119,17 @@ pub enum Encoded {
 }
 
 impl Classifier {
-    /// Encodes one event for a [`StreamDetector`] over this classifier.
+    /// Encodes one event for a [`StreamDetector`] over this classifier:
+    /// [`Classifier::encode_frames`] over its system stack's names.
     pub fn encode(&self, scratch: &mut EncodeScratch, event: &PartitionedEvent) -> Encoded {
-        match self {
-            Classifier::CGraph(model) => Encoded::Decision(model.classify(event)),
-            Classifier::Svm(svm) => {
-                Encoded::Triple(svm.encoder.normalize(svm.encoder.tuple_in(scratch, event)))
-            }
-            Classifier::Hmm(hmm) => {
-                Encoded::Symbol(hmm.symbol_of(hmm.encoder().tuple_in(scratch, event)))
-            }
-        }
+        self.encode_frames(scratch, event.etype, event.sys_names())
     }
 
-    /// [`Classifier::encode`] of an event of type `etype` whose system
-    /// stack holds `frames`, each given as its module name and its
-    /// `module!function` symbol, borrowed (the daemon passes slices of
-    /// the protocol line). The same item as `encode` gives the owned
-    /// event.
+    /// The one encode routine of every classifier: the item of an event
+    /// of type `etype` whose system stack holds `frames`, each given as
+    /// its module name and its `module!function` symbol, borrowed from
+    /// wherever the caller holds them (an owned event's frames, or slices
+    /// of the daemon's protocol line).
     pub fn encode_frames<'a>(
         &self,
         scratch: &mut EncodeScratch,

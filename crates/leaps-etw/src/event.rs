@@ -1,10 +1,8 @@
 //! System events and stack frames — the record types ETW would emit.
 
 use crate::addr::Va;
-use std::borrow::Borrow;
 use std::fmt;
 use std::hash::Hasher;
-use std::ops::Deref;
 use std::sync::Arc;
 
 /// Kinds of system events traced by the simulated logging engine.
@@ -139,81 +137,15 @@ impl fmt::Display for EventType {
     }
 }
 
-/// An immutable module or function name, shared by every frame that
-/// carries it.
+/// An immutable name: a frame's `module!function` symbol, shared by every
+/// frame that carries it.
 ///
 /// A log names a few hundred distinct symbols across a hundred thousand
-/// frames; the parser allocates each distinct name once and every frame
+/// frames; the parser allocates each distinct symbol once and every frame
 /// holds a reference-counted handle to it, so cloning or dropping a frame
-/// never touches the allocator. Equality, ordering and hashing are by
-/// content, exactly as for the `String` this replaces; [`Name::ptr_eq`]
-/// tells whether two handles share one allocation.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Name(Arc<str>);
-
-impl Name {
-    /// The name as a string slice.
-    #[must_use]
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// Whether both handles point at one allocation.
-    #[must_use]
-    pub fn ptr_eq(a: &Name, b: &Name) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
-    }
-}
-
-impl Deref for Name {
-    type Target = str;
-
-    fn deref(&self) -> &str {
-        &self.0
-    }
-}
-
-impl Borrow<str> for Name {
-    fn borrow(&self) -> &str {
-        &self.0
-    }
-}
-
-impl fmt::Display for Name {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl fmt::Debug for Name {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.0, f)
-    }
-}
-
-impl PartialEq<str> for Name {
-    fn eq(&self, other: &str) -> bool {
-        *self.0 == *other
-    }
-}
-
-impl PartialEq<&str> for Name {
-    fn eq(&self, other: &&str) -> bool {
-        *self.0 == **other
-    }
-}
-
-impl From<&str> for Name {
-    fn from(s: &str) -> Name {
-        Name(Arc::from(s))
-    }
-}
-
-impl From<String> for Name {
-    fn from(s: String) -> Name {
-        Name(Arc::from(s))
-    }
-}
+/// never touches the allocator. Equality and hashing are by content,
+/// exactly as for a `String`.
+pub type Name = Arc<str>;
 
 /// A multiply-rotate hash over 8-byte words for tables keyed by names.
 /// Names are short and looked up once per stack frame, where SipHash
@@ -242,14 +174,27 @@ impl Hasher for NameHasher {
     }
 }
 
-/// One stack-walk frame: the module, symbol and return address the walker
-/// resolved.
+/// The one split rule of a `module!function` symbol: the module is the
+/// text before the first `!`, the function everything after it (which
+/// may hold more `!`s). `None` when the symbol has no `!`. The log
+/// parser and the wire decoder both split by it.
+#[must_use]
+pub fn split_symbol(symbol: &str) -> Option<(&str, &str)> {
+    symbol.split_once('!')
+}
+
+/// One stack-walk frame: the `module!function` symbol and return address
+/// the walker resolved.
+///
+/// The symbol is the frame's one name, shared by every frame that carries
+/// it; the module and function are borrowed parts of it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StackFrame {
-    /// Module name, e.g. `"vim"`, `"ntdll"`.
-    pub module: Name,
-    /// Function (symbol) name within the module.
-    pub function: Name,
+    /// `module!function`.
+    symbol: Name,
+    /// Byte length of the module, the part of `symbol` before the `!`
+    /// that joins it to the function.
+    module_len: u32,
     /// Resolved virtual address of the frame.
     pub addr: Va,
     /// Whether the frame belongs to the application image itself (as
@@ -259,7 +204,11 @@ pub struct StackFrame {
 }
 
 impl StackFrame {
-    /// Convenience constructor.
+    /// The frame of `module!function`, joining the two parts once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the module name is 4 GiB or longer.
     #[must_use]
     pub fn new(
         module: impl Into<Name>,
@@ -267,19 +216,45 @@ impl StackFrame {
         addr: Va,
         in_app_image: bool,
     ) -> Self {
-        StackFrame { module: module.into(), function: function.into(), addr, in_app_image }
+        let (module, function) = (module.into(), function.into());
+        let module_len = u32::try_from(module.len()).expect("module name shorter than 4 GiB");
+        let symbol = Name::from(format!("{module}!{function}"));
+        StackFrame { symbol, module_len, addr, in_app_image }
+    }
+
+    /// The frame of a `module!function` symbol, split by
+    /// [`split_symbol`]. `None` when the symbol has no `!` or its module
+    /// is 4 GiB or longer.
+    #[must_use]
+    pub fn from_symbol(symbol: impl Into<Name>, addr: Va, in_app_image: bool) -> Option<Self> {
+        let symbol = symbol.into();
+        let (module, _) = split_symbol(&symbol)?;
+        let module_len = u32::try_from(module.len()).ok()?;
+        Some(StackFrame { symbol, module_len, addr, in_app_image })
+    }
+
+    /// Module name, e.g. `"vim"`, `"ntdll"`.
+    #[must_use]
+    pub fn module(&self) -> &str {
+        &self.symbol[..self.module_len as usize]
+    }
+
+    /// Function (symbol) name within the module.
+    #[must_use]
+    pub fn function(&self) -> &str {
+        &self.symbol[self.module_len as usize + 1..]
     }
 
     /// `module!function` notation used in raw logs.
     #[must_use]
-    pub fn symbol(&self) -> String {
-        format!("{}!{}", self.module, self.function)
+    pub fn symbol(&self) -> &str {
+        &self.symbol
     }
 }
 
 impl fmt::Display for StackFrame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}!{}", self.addr, self.module, self.function)
+        write!(f, "{} {}", self.addr, self.symbol)
     }
 }
 
@@ -356,6 +331,26 @@ mod tests {
     }
 
     #[test]
+    fn frame_accessors_round_trip_the_joined_parts() {
+        for (module, function) in
+            [("ntdll", "NtWriteFile"), ("", "anon_0x7f"), ("vim", "a!b!c"), ("", ""), ("m", "")]
+        {
+            let f = StackFrame::new(module, function, Va(0x7ff0), true);
+            assert_eq!((f.module(), f.function()), (module, function));
+            assert_eq!(f.symbol(), format!("{module}!{function}"));
+            // The split rule reads the same parts back from the symbol:
+            // a module holds no `!`, a function may.
+            assert_eq!(split_symbol(f.symbol()), Some((module, function)));
+            assert_eq!(StackFrame::from_symbol(f.symbol(), f.addr, true), Some(f));
+        }
+        assert_eq!(split_symbol("no_bang"), None);
+        assert_eq!(StackFrame::from_symbol("no_bang", Va(1), false), None);
+        // One shared name, an address and a flag.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<StackFrame>(), 32);
+    }
+
+    #[test]
     fn app_and_system_frame_partition() {
         let ev = SysEvent {
             num: 1,
@@ -373,6 +368,6 @@ mod tests {
         };
         assert_eq!(ev.app_frames().count(), 2);
         assert_eq!(ev.system_frames().count(), 2);
-        assert_eq!(ev.app_frames().next().unwrap().function, "main");
+        assert_eq!(ev.app_frames().next().unwrap().function(), "main");
     }
 }

@@ -7,8 +7,8 @@
 //! stack correlation Algorithm 1's implicit-path inference exploits.
 
 use crate::attack::{AttackMethod, InfectedProcess};
-use crate::event::{Name, Provenance, StackFrame, SysEvent};
-use crate::program::{FuncId, ProgramModel};
+use crate::event::{Provenance, StackFrame, SysEvent};
+use crate::program::ProgramModel;
 use crate::rng::SimRng;
 use crate::syslib::SysCatalog;
 
@@ -40,8 +40,10 @@ struct Stream<'m> {
     /// Stack frames prepended to every event (offline-infection hijack
     /// prefix), outermost first.
     prefix: Vec<StackFrame>,
-    /// Module name override for the program's own frames.
-    module_name: Name,
+    /// The program's own frame of each function, indexed by
+    /// [`FuncId`](crate::program::FuncId) and named under the module-name
+    /// override: built once, cloned per event.
+    app_frames: Vec<StackFrame>,
     /// Probability of skipping the outermost user-mode API wrapper frame
     /// (0 for normally linked applications).
     direct_call_p: f64,
@@ -67,7 +69,11 @@ impl<'m> Stream<'m> {
             truth,
             tid,
             prefix,
-            module_name: module_name.into(),
+            app_frames: model
+                .functions
+                .iter()
+                .map(|f| StackFrame::new(module_name, f.name.as_str(), f.addr, true))
+                .collect(),
             direct_call_p,
             current_activity: 0,
             rng,
@@ -83,7 +89,7 @@ impl<'m> Stream<'m> {
         let (path, api) = self.model.sample_call(self.current_activity, &mut self.rng);
         let catalog = SysCatalog::standard();
         let mut frames = self.prefix.clone();
-        frames.extend(path.iter().map(|&fid| self.frame_of(fid)));
+        frames.extend(path.iter().map(|&fid| self.app_frames[fid].clone()));
         let api_frames = catalog.frames(api);
         let mut skip = usize::from(
             api_frames.len() > 2 && self.direct_call_p > 0.0 && self.rng.chance(self.direct_call_p),
@@ -108,7 +114,7 @@ impl<'m> Stream<'m> {
                 let r = self.rng.f64();
                 let k = (r.powf(1.2) * crate::syslib::VARIANT_POOL as f64) as usize;
                 let k = k.min(crate::syslib::VARIANT_POOL - 1);
-                if let Some(helper) = catalog.variant_frame(&frame.module, k) {
+                if let Some(helper) = catalog.variant_frame(frame.module(), k) {
                     frames.push(helper.clone());
                 }
             }
@@ -122,11 +128,6 @@ impl<'m> Stream<'m> {
             frames,
             truth: self.truth,
         }
-    }
-
-    fn frame_of(&self, fid: FuncId) -> StackFrame {
-        let f = &self.model.functions[fid];
-        StackFrame::new(self.module_name.clone(), f.name.as_str(), f.addr, true)
     }
 }
 
@@ -352,9 +353,9 @@ mod tests {
         for e in &events {
             for f in e.frames.iter().filter(|f| f.in_app_image) {
                 assert!(
-                    !f.function.contains(latent_name),
+                    !f.function().contains(latent_name),
                     "latent activity leaked: {}",
-                    f.function
+                    f.function()
                 );
             }
         }
@@ -389,10 +390,10 @@ mod tests {
             .iter()
             .find(|e| e.truth == Provenance::Malicious)
             .expect("some malicious events");
-        assert_eq!(mal.frames[0].function, "main");
-        assert_eq!(mal.frames[0].module, *app.module.name);
+        assert_eq!(mal.frames[0].function(), "main");
+        assert_eq!(mal.frames[0].module(), app.module.name);
         // Payload frames resolve to the host module for offline infection.
-        assert!(mal.frames.iter().any(|f| f.in_app_image && f.function.starts_with("payload_")));
+        assert!(mal.frames.iter().any(|f| f.in_app_image && f.function().starts_with("payload_")));
     }
 
     #[test]
@@ -411,12 +412,12 @@ mod tests {
             .expect("some malicious events");
         // Remote-thread stacks start at the payload's own entry, which
         // resolves to no module.
-        assert_eq!(mal.frames[0].function, "main");
-        assert_eq!(mal.frames[0].module, "<anon>");
+        assert_eq!(mal.frames[0].function(), "main");
+        assert_eq!(mal.frames[0].module(), "<anon>");
         assert!(mal
             .frames
             .iter()
-            .any(|f| f.module == "<anon>" && f.function.starts_with("payload_")));
+            .any(|f| f.module() == "<anon>" && f.function().starts_with("payload_")));
     }
 
     #[test]

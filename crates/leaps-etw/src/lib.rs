@@ -11,9 +11,10 @@
 //! The simulation is structured exactly like the environment the paper
 //! evaluates on:
 //!
-//! * [`event`] — system events and their stack frames; a frame's module
-//!   and function are shared [`Name`]s, so a parsed log allocates each
-//!   distinct name once and cloning a frame never copies a string;
+//! * [`event`] — system events and their stack frames; a frame's
+//!   `module!function` symbol is one shared [`Name`], so a parsed log
+//!   allocates each distinct symbol once and cloning a frame never copies
+//!   a string;
 //! * [`module`] — binary images laid out in a virtual address space;
 //! * [`syslib`] — a catalog of Windows-like shared libraries and API
 //!   frame-chains (`kernel32!WriteFile → ntdll!NtWriteFile → …`);

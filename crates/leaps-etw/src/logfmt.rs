@@ -48,11 +48,7 @@ pub fn write_log(events: &[SysEvent]) -> String {
             event.num, event.etype, event.pid, event.tid, event.timestamp, src
         );
         for frame in event.frames.iter().rev() {
-            let _ = writeln!(
-                out,
-                "  STACK 0x{:016x} {}!{}",
-                frame.addr.0, frame.module, frame.function
-            );
+            let _ = writeln!(out, "  STACK 0x{:016x} {}", frame.addr.0, frame.symbol());
         }
         out.push_str("END\n");
     }

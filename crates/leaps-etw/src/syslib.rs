@@ -502,9 +502,9 @@ mod tests {
         for i in 0..c.api_count() {
             for frame in c.frames(ApiId(i)) {
                 let lib = c.library_of(frame.addr).expect("frame addr in some lib");
-                assert_eq!(lib.name, *frame.module);
+                assert_eq!(lib.name, frame.module());
                 let sym = lib.resolve(frame.addr).expect("symbol resolves");
-                assert_eq!(sym.name, *frame.function);
+                assert_eq!(sym.name, frame.function());
                 assert!(!frame.in_app_image);
             }
         }

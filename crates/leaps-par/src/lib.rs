@@ -77,7 +77,7 @@ pub fn set_thread_override(threads: Option<usize>) {
 #[must_use]
 pub fn thread_count() -> usize {
     match THREAD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => env_thread_count().unwrap_or_else(|| {
+        0 => env_threads().ok().flatten().unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         }),
         n => n,
@@ -91,8 +91,23 @@ pub(crate) fn mark_current_thread_as_worker() {
     IN_PAR_WORKER.with(|flag| flag.set(true));
 }
 
-fn env_thread_count() -> Option<usize> {
-    std::env::var("LEAPS_THREADS").ok()?.trim().parse().ok().filter(|&n| n >= 1)
+/// The `LEAPS_THREADS` setting: `Ok(None)` when unset, `Ok(Some(n))` for
+/// a positive integer, and otherwise a one-line message naming the value.
+/// [`thread_count`] ignores such a value; the binaries refuse it up front.
+///
+/// # Errors
+///
+/// The message, when the variable is set but is not a positive integer.
+pub fn env_threads() -> Result<Option<usize>, String> {
+    parse_threads(std::env::var_os("LEAPS_THREADS"))
+}
+
+fn parse_threads(value: Option<std::ffi::OsString>) -> Result<Option<usize>, String> {
+    let Some(text) = value else { return Ok(None) };
+    match text.to_str().map(|text| text.trim().parse()) {
+        Some(Ok(n)) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!("LEAPS_THREADS={text:?} is not a positive integer")),
+    }
 }
 
 /// Maps `f` over `0..n`, returning results in index order.
@@ -160,6 +175,24 @@ mod tests {
 
     /// Serializes tests that mutate the process-global override.
     static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn thread_env_values_parse_or_name_the_fault() {
+        let set = |text: &str| Some(text.into());
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(set("4")), Ok(Some(4)));
+        assert_eq!(parse_threads(set(" 2 ")), Ok(Some(2)));
+        for bad in ["abc", "0", "", "-1", "1.5"] {
+            let message = parse_threads(set(bad)).unwrap_err();
+            assert_eq!(message, format!("LEAPS_THREADS={bad:?} is not a positive integer"));
+        }
+        #[cfg(unix)]
+        {
+            use std::os::unix::ffi::OsStringExt;
+            let not_utf8 = std::ffi::OsString::from_vec(vec![b'4', 0xff]);
+            assert!(parse_threads(Some(not_utf8)).is_err());
+        }
+    }
 
     #[test]
     fn par_map_preserves_order_and_values() {

@@ -76,7 +76,7 @@
 use leaps_core::error::LeapsError;
 use leaps_core::pipeline::Classifier;
 use leaps_core::stream::{EncodeScratch, Encoded, Verdict};
-use leaps_etw::event::{EventType, Provenance, StackFrame};
+use leaps_etw::event::{split_symbol, EventType, Provenance, StackFrame};
 use leaps_etw::Va;
 use leaps_trace::partition::PartitionedEvent;
 use std::fmt;
@@ -156,7 +156,7 @@ fn encode_frames(frames: &[StackFrame]) -> String {
     }
     let tokens: Vec<String> = frames
         .iter()
-        .map(|f| format!("{}!{}@{:x}@{}", f.module, f.function, f.addr.0, u8::from(f.in_app_image)))
+        .map(|f| format!("{}@{:x}@{}", f.symbol(), f.addr.0, u8::from(f.in_app_image)))
         .collect();
     tokens.join(",")
 }
@@ -235,7 +235,7 @@ impl<'a> EventBody<'a> {
     /// The system stack's names in caller order: each frame's module and
     /// its `module!function` symbol, both slices of the line.
     pub(crate) fn sys_names(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
-        frames(self.sys).map_while(Result::ok).map(|frame| (frame.module(), frame.symbol))
+        frames(self.sys).map_while(Result::ok).map(|frame| (frame.module, frame.symbol))
     }
 
     /// The detector item of this event under `classifier`, encoded from
@@ -247,7 +247,14 @@ impl<'a> EventBody<'a> {
 
     /// The owned event.
     pub(crate) fn to_event(self) -> PartitionedEvent {
-        let owned = |text| frames(text).map_while(Result::ok).map(Frame::to_stack_frame).collect();
+        // Checked frames split like the log parser's; only a module of
+        // 4 GiB or more could end a stack early.
+        let owned = |text| {
+            frames(text)
+                .map_while(Result::ok)
+                .map_while(|f| StackFrame::from_symbol(f.symbol, Va(f.addr), f.in_app))
+                .collect()
+        };
         PartitionedEvent {
             num: self.num,
             etype: self.etype,
@@ -264,22 +271,10 @@ impl<'a> EventBody<'a> {
 struct Frame<'a> {
     /// `module!function`.
     symbol: &'a str,
-    /// Byte length of the module name, the part of `symbol` before its
-    /// first `!`.
-    module_len: usize,
+    /// The part of `symbol` before its first `!` ([`split_symbol`]).
+    module: &'a str,
     addr: u64,
     in_app: bool,
-}
-
-impl<'a> Frame<'a> {
-    fn module(&self) -> &'a str {
-        &self.symbol[..self.module_len]
-    }
-
-    fn to_stack_frame(self) -> StackFrame {
-        let function = &self.symbol[self.module_len + 1..];
-        StackFrame::new(self.module(), function, Va(self.addr), self.in_app)
-    }
 }
 
 /// The frame tokenizer: the frames of one stack field, comma-separated
@@ -312,11 +307,9 @@ fn parse_frame(token: &str) -> Result<Frame<'_>, ProtoError> {
     };
     let addr = u64::from_str_radix(&token[addr_at + 1..flag_at], 16).map_err(|_| bad())?;
     let symbol = &token[..addr_at];
-    let module_len = symbol
-        .bytes()
-        .position(|b| b == b'!')
+    let (module, _) = split_symbol(symbol)
         .ok_or_else(|| ProtoError::new(format!("frame symbol {symbol:?} lacks `!`")))?;
-    Ok(Frame { symbol, module_len, addr, in_app })
+    Ok(Frame { symbol, module, addr, in_app })
 }
 
 // -------------------------------------------------------------- commands
@@ -663,6 +656,8 @@ pub fn error_family(e: &LeapsError) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leaps_etw::logfmt::HEADER;
+    use leaps_trace::parser::parse_log;
 
     fn sample_event() -> PartitionedEvent {
         PartitionedEvent {
@@ -694,6 +689,28 @@ mod tests {
             truth: None,
         };
         assert_eq!(EventBody::parse(&encode_event(&empty)).unwrap().to_event(), empty);
+    }
+
+    #[test]
+    fn log_parser_and_wire_decoder_build_equal_frames() {
+        // The same symbol tokens, read from a raw log and from a wire
+        // body, split by the one rule: the module ends at the first `!`.
+        let symbols = ["ntdll!NtReadFile", "vim!a!b", "!anon_0x7f", "tcpip!", "<anon>!payload_1"];
+        let mut log = format!("{}\nEVENT num=1 type=FileRead pid=1 tid=1 ts=1\n", HEADER);
+        for (i, symbol) in symbols.iter().enumerate().rev() {
+            log += &format!("  STACK 0x{:016x} {symbol}\n", 0x7000 + i);
+        }
+        log += "END\n";
+        let parsed = &parse_log(&log).unwrap().events[0].frames;
+        let tokens: Vec<String> =
+            symbols.iter().enumerate().map(|(i, s)| format!("{s}@{:x}@0", 0x7000 + i)).collect();
+        let body = format!("num=1 type=FileRead tid=1 src=- app=- sys={}", tokens.join(","));
+        let decoded = EventBody::parse(&body).unwrap().to_event().system_stack;
+        assert_eq!(&decoded, parsed);
+        for (frame, symbol) in decoded.iter().zip(symbols) {
+            assert_eq!(frame.symbol(), symbol);
+            assert_eq!(split_symbol(symbol), Some((frame.module(), frame.function())));
+        }
     }
 
     #[test]
@@ -907,13 +924,13 @@ mod tests {
                 event.system_stack = frames
                     .iter()
                     .map(|&(i, kind)| {
-                        let mut frame = known[i % known.len()].clone();
-                        match kind {
-                            1 => frame.function = format!("Unseen{i}").into(),
-                            2 => frame.module = format!("unseen{}", i % 3).into(),
-                            _ => {}
-                        }
-                        frame
+                        let frame = &known[i % known.len()];
+                        let (module, function) = match kind {
+                            1 => (frame.module().to_owned(), format!("Unseen{i}")),
+                            2 => (format!("unseen{}", i % 3), frame.function().to_owned()),
+                            _ => return frame.clone(),
+                        };
+                        StackFrame::new(module, function, frame.addr, frame.in_app_image)
                     })
                     .collect();
             }
@@ -940,8 +957,8 @@ mod tests {
             );
             let mut known: Vec<StackFrame> =
                 real_events().iter().flat_map(|e| e.system_stack.iter().cloned()).collect();
-            known.sort_by(|a, b| (&a.module, &a.function).cmp(&(&b.module, &b.function)));
-            known.dedup_by(|a, b| a.module == b.module && a.function == b.function);
+            known.sort_by(|a, b| (a.module(), a.function()).cmp(&(b.module(), b.function())));
+            known.dedup_by(|a, b| a.symbol() == b.symbol());
             (encoder, known)
         })
     }

@@ -9,13 +9,13 @@
 //! Both parsers are one reader with two fault handlers: [`parse_log`]
 //! stops at the first fault, [`parse_log_lenient`] quarantines the record
 //! it hit and reads on. The reader allocates nothing per line: tokens are
-//! borrowed from the input, each distinct module or function name is
+//! borrowed from the input, each distinct `module!function` symbol is
 //! allocated once per call and shared by every frame that names it
 //! (`leaps_etw::event::Name`), and an event's frames gather in one reused
 //! buffer.
 
 use leaps_etw::addr::Va;
-use leaps_etw::event::{EventType, Name, NameHasher, Provenance, StackFrame};
+use leaps_etw::event::{EventType, NameHasher, Provenance, StackFrame};
 use leaps_etw::logfmt::HEADER;
 use std::collections::hash_map::{Entry, HashMap};
 use std::convert::Infallible;
@@ -426,8 +426,6 @@ impl<'a> Line<'a> {
     }
 }
 
-type NameMap<'a, V> = HashMap<&'a str, V, BuildHasherDefault<NameHasher>>;
-
 /// Where a read stands between two lines.
 #[derive(Default)]
 enum State {
@@ -449,10 +447,9 @@ enum State {
 /// no names from the ones it has finished.
 #[derive(Default)]
 struct Reader<'a> {
-    /// `module!function` token → its two names: one lookup per frame.
-    symbols: NameMap<'a, (Name, Name)>,
-    /// Every distinct module or function name, allocated once.
-    names: NameMap<'a, Name>,
+    /// `module!function` token → its frame at address 0: each distinct
+    /// symbol is allocated once, and a frame costs one lookup.
+    symbols: HashMap<&'a str, StackFrame, BuildHasherDefault<NameHasher>>,
     state: State,
     /// The open record's frames, innermost first as on disk.
     frames: Vec<StackFrame>,
@@ -487,21 +484,18 @@ impl<'a> Reader<'a> {
             .strip_prefix("0x")
             .and_then(|hex| u64::from_str_radix(hex, 16).ok())
             .ok_or_else(|| invalid(line, "addr", addr_str))?;
-        let (module, function) = match self.symbols.entry(sym) {
-            Entry::Occupied(known) => known.get().clone(),
-            Entry::Vacant(slot) => {
-                let (module, function) =
-                    sym.split_once('!').ok_or_else(|| invalid(line, "symbol", sym))?;
-                let intern = |names: &mut NameMap<'a, Name>, name: &'a str| {
-                    names.entry(name).or_insert_with(|| Name::from(name)).clone()
-                };
-                let module = intern(&mut self.names, module);
-                let function = intern(&mut self.names, function);
-                slot.insert((module, function)).clone()
-            }
-        };
         // `in_app_image` is assigned by the partition module; default false.
-        self.frames.push(StackFrame::new(module, function, Va(addr), false));
+        let mut frame = match self.symbols.entry(sym) {
+            Entry::Occupied(known) => known.get().clone(),
+            Entry::Vacant(slot) => slot
+                .insert(
+                    StackFrame::from_symbol(sym, Va(0), false)
+                        .ok_or_else(|| invalid(line, "symbol", sym))?,
+                )
+                .clone(),
+        };
+        frame.addr = Va(addr);
+        self.frames.push(frame);
         Ok(())
     }
 
@@ -587,7 +581,6 @@ mod tests {
     use crate::partition::partition_events;
     use leaps_etw::logfmt::write_log;
     use leaps_etw::scenario::{GenParams, Scenario};
-    use std::collections::HashSet;
 
     fn sample_log() -> String {
         let logs =
@@ -611,8 +604,8 @@ mod tests {
             // Caller order restored; symbols and addresses intact.
             assert_eq!(parsed.frames.len(), orig.frames.len());
             for (pf, of) in parsed.frames.iter().zip(&orig.frames) {
-                assert_eq!(pf.module, of.module);
-                assert_eq!(pf.function, of.function);
+                assert_eq!(pf.symbol(), of.symbol());
+                assert_eq!(pf.module(), of.module());
                 assert_eq!(pf.addr, of.addr);
             }
         }
@@ -620,25 +613,24 @@ mod tests {
 
     #[test]
     fn frames_share_one_allocation_per_name() {
+        // A frame's one name is its `module!function` symbol: every frame
+        // of a distinct symbol points at the same allocation.
         let logs = Scenario::by_name("vim_reverse_tcp").unwrap().generate(&GenParams::paper(), 3);
         let strict = parse_log(&logs.mixed).unwrap().events;
         let lenient = parse_log_lenient(&logs.mixed).events;
         let partitioned = partition_events(&strict);
         for (events, partitioned) in [(&strict, &partitioned[..]), (&lenient, &[])] {
             let frames = || events.iter().flat_map(|e| &e.frames);
-            let names = || frames().flat_map(|f| [&f.module, &f.function]);
-            let mut first: HashMap<&str, &Name> = HashMap::new();
-            for name in names() {
-                let owner = first.entry(name.as_str()).or_insert(name);
-                assert!(Name::ptr_eq(owner, name), "{name:?} is allocated more than once");
+            let mut first: HashMap<&str, *const u8> = HashMap::new();
+            for frame in frames() {
+                let symbol = frame.symbol();
+                let owner = *first.entry(symbol).or_insert(symbol.as_ptr());
+                assert_eq!(owner, symbol.as_ptr(), "{symbol:?} is allocated more than once");
             }
-            let allocations: HashSet<*const u8> = names().map(|n| n.as_ptr()).collect();
-            assert_eq!(allocations.len(), first.len());
-            assert!(frames().count() > 100 * first.len(), "{} names", first.len());
+            assert!(frames().count() > 50 * first.len(), "{} symbols", first.len());
             let split = partitioned.iter().flat_map(|p| p.app_stack.iter().chain(&p.system_stack));
             for frame in split {
-                assert!(Name::ptr_eq(&frame.module, first[frame.module.as_str()]));
-                assert!(Name::ptr_eq(&frame.function, first[frame.function.as_str()]));
+                assert_eq!(frame.symbol().as_ptr(), first[frame.symbol()]);
             }
         }
     }

@@ -39,7 +39,7 @@ impl PartitionedEvent {
     /// Set of library names in the system stack (the paper's `Lib`).
     #[must_use]
     pub fn lib_set(&self) -> Vec<&str> {
-        let mut libs: Vec<&str> = self.system_stack.iter().map(|f| f.module.as_str()).collect();
+        let mut libs: Vec<&str> = self.system_stack.iter().map(StackFrame::module).collect();
         libs.sort_unstable();
         libs.dedup();
         libs
@@ -48,11 +48,17 @@ impl PartitionedEvent {
     /// Set of `module!function` symbols in the system stack (the paper's
     /// `Func`).
     #[must_use]
-    pub fn func_set(&self) -> Vec<String> {
-        let mut funcs: Vec<String> = self.system_stack.iter().map(StackFrame::symbol).collect();
+    pub fn func_set(&self) -> Vec<&str> {
+        let mut funcs: Vec<&str> = self.system_stack.iter().map(StackFrame::symbol).collect();
         funcs.sort_unstable();
         funcs.dedup();
         funcs
+    }
+
+    /// The system stack's names in caller order: each frame's module and
+    /// its `module!function` symbol, as every encoder reads them.
+    pub fn sys_names(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.system_stack.iter().map(|f| (f.module(), f.symbol()))
     }
 }
 
@@ -60,7 +66,7 @@ impl PartitionedEvent {
 /// kernel module known to the catalog).
 #[must_use]
 pub fn is_system_frame(frame: &StackFrame) -> bool {
-    SysCatalog::standard().is_library(&frame.module)
+    SysCatalog::standard().is_library(frame.module())
 }
 
 /// Partitions one event's stack walk.
@@ -129,7 +135,7 @@ mod tests {
         let anon_event = events
             .iter()
             .map(partition_event)
-            .find(|p| p.app_stack.iter().any(|f| f.module == "<anon>"))
+            .find(|p| p.app_stack.iter().any(|f| f.module() == "<anon>"))
             .expect("online injection produces anonymous frames");
         assert!(anon_event.app_stack.iter().all(|f| f.in_app_image));
     }
@@ -160,12 +166,9 @@ mod tests {
         };
         let p = partition_event(&ev);
         assert_eq!(p.lib_set(), vec!["kernel32", "ntdll"]);
-        assert_eq!(
-            p.func_set(),
-            vec!["kernel32!ReadFile".to_owned(), "ntdll!NtReadFile".to_owned()]
-        );
+        assert_eq!(p.func_set(), vec!["kernel32!ReadFile", "ntdll!NtReadFile"]);
         assert_eq!(p.app_stack.len(), 1);
-        assert_eq!(p.app_stack[0].module, "myapp");
+        assert_eq!(p.app_stack[0].module(), "myapp");
     }
 
     #[test]

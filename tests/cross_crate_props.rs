@@ -72,8 +72,8 @@ proptest! {
             prop_assert_eq!(got.truth, Some(orig.truth));
             prop_assert_eq!(got.frames.len(), orig.frames.len());
             for (fo, fg) in orig.frames.iter().zip(&got.frames) {
-                prop_assert_eq!(&fg.module, &fo.module);
-                prop_assert_eq!(&fg.function, &fo.function);
+                prop_assert_eq!(fg.module(), fo.module());
+                prop_assert_eq!(fg.function(), fo.function());
                 prop_assert_eq!(fg.addr, fo.addr);
             }
         }

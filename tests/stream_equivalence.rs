@@ -20,8 +20,12 @@ use leaps::trace::partition::PartitionedEvent;
 /// every vocabulary member (`ClusterAssigner::assign`).
 fn oracle_tuple(encoder: &FeatureEncoder, event: &PartitionedEvent) -> (u32, u32, u32) {
     let (lib, func) = encoder.parts();
-    let libs: Vec<String> = event.lib_set().into_iter().map(str::to_owned).collect();
-    (event.etype.as_u32(), lib.assign(&libs), func.assign(&event.func_set()))
+    let owned = |set: Vec<&str>| set.into_iter().map(str::to_owned).collect::<Vec<_>>();
+    (
+        event.etype.as_u32(),
+        lib.assign(&owned(event.lib_set())),
+        func.assign(&owned(event.func_set())),
+    )
 }
 
 #[test]
